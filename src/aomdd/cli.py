@@ -1,7 +1,8 @@
 """Command-line interface: compile, query, equiv, dot.
 
 Exit codes: 0 success / 1 negative answer (equiv: not equivalent) /
-2 usage, parse, or structural error / 3 resource cap exceeded.
+2 usage, parse, or structural error / 3 resource cap exceeded /
+4 internal error.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 
 from .be_compiler import compile_be
 from .diagram import count_stats, set_epsilon_digits, structural_equal, to_dot
@@ -153,9 +155,12 @@ def cmd_query(args):
 
 
 def cmd_equiv(args):
-    a = loads(_read(args.a))
-    b = loads(_read(args.b))
-    if structural_equal(a, b):
+    text_a = _read(args.a)
+    a = loads(text_a)
+    text_b = _read(args.b)
+    # Canonical files of equal diagrams are identical, so equal text
+    # settles it once ``a`` is known to be a valid diagram.
+    if text_b == text_a or structural_equal(a, loads(text_b)):
         print("equivalent")
         return 0
     print("not equivalent")
@@ -189,6 +194,10 @@ def main(argv=None):
     except (ParseError, StructuralError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print("error: internal: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._recursion import run
 from .errors import ResourceLimitError, StructuralError
 
 #: Significand digits used by :func:`quantize` / :func:`weights_equal`.
@@ -208,8 +209,8 @@ def structural_equal(a, b):
     """Exact diagram equality for two AOMDDs over the same pseudo tree.
 
     With a shared unique table this is root identity plus root-constant
-    equality; across tables it is a memoized recursive isomorphism
-    check.
+    equality; across tables it is a memoized isomorphism check, run on
+    an explicit stack so that any diagram depth works.
     """
     if a.tree != b.tree or a.domains != b.domains:
         raise StructuralError("diagrams have different pseudo trees")
@@ -232,13 +233,16 @@ def structural_equal(a, b):
                 if wu != wv or len(cu) != len(cv):
                     ok = False
                     break
-                if not all(iso(x, y) for x, y in zip(cu, cv)):
-                    ok = False
+                for x, y in zip(cu, cv):
+                    if not (yield iso(x, y)):
+                        ok = False
+                        break
+                if not ok:
                     break
         memo[key] = ok
         return ok
 
-    return all(iso(u, v) for u, v in zip(a.roots, b.roots))
+    return all(run(iso(u, v)) for u, v in zip(a.roots, b.roots))
 
 
 def normalized_root_sum(diagram):

@@ -1,14 +1,17 @@
 """Structural inputs to compilation: primal graphs, orderings, pseudo trees.
 
-The pseudo tree generated for an ordering ``d`` is the bucket tree of
-bucket elimination along ``d``: the first variable of each connected
-component roots the component, and the residual components after
-conditioning become child subtrees.
+The pseudo tree generated for an ordering ``d`` is the elimination tree
+of the graph induced along ``d``, which is also the bucket tree of
+bucket elimination along ``d``.  One reverse sweep along ``d`` yields
+both the tree and the induced width, and one bottom-up pass over the
+tree yields the contexts; min-fill rescores only the vertices whose
+neighbourhood an elimination step changed.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import StructuralError
@@ -42,56 +45,99 @@ def min_fill_ordering(g, seed=0):
 
     Vertices are eliminated in sequence and placed from the last
     position backwards, so the returned order is an elimination order
-    when read back-to-front.
+    when read back-to-front.  Each step picks ``rng.choice`` over the
+    ascending list of all vertices of least fill.
+
+    Fill scores are kept per vertex in buckets of equal score, each a
+    sorted list.  Eliminating ``v`` changes the score only of its
+    neighbours, which are rescored, and of the common neighbours of
+    each new fill edge's endpoints, whose score drops by one per such
+    edge.
     """
     rng = random.Random(seed)
     adj = [set(s) for s in g.adj]
-    remaining = set(range(g.n))
+    score = [_fill(adj, v) for v in range(g.n)]
+    buckets = {}
+    for v in range(g.n):
+        buckets.setdefault(score[v], []).append(v)
     order = [None] * g.n
     for pos in range(g.n - 1, -1, -1):
-        best = None
-        best_fill = None
-        candidates = sorted(remaining)
-        fills = {}
-        for v in candidates:
-            nbrs = [u for u in adj[v] if u in remaining]
-            fill = 0
-            for i, a in enumerate(nbrs):
-                for b in nbrs[i + 1:]:
-                    if b not in adj[a]:
-                        fill += 1
-            fills[v] = fill
-        best_fill = min(fills.values())
-        tied = [v for v in candidates if fills[v] == best_fill]
-        best = rng.choice(tied)
-        nbrs = [u for u in adj[best] if u in remaining]
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-        remaining.discard(best)
+        best = rng.choice(buckets[min(buckets)])
+        _unbucket(buckets, score[best], best)
+        nbrs = adj[best]
+        for a in nbrs:
+            adj[a].discard(best)
+        rescored = {}
+        for a in nbrs:
+            for b in nbrs - adj[a]:
+                if a < b:
+                    for w in adj[a] & adj[b]:
+                        if w not in nbrs:
+                            rescored[w] = rescored.get(w, score[w]) - 1
+                    adj[a].add(b)
+                    adj[b].add(a)
+        for a in nbrs:
+            rescored[a] = _fill(adj, a)
+        for u, fill in rescored.items():
+            if fill != score[u]:
+                _unbucket(buckets, score[u], u)
+                score[u] = fill
+                insort(buckets.setdefault(fill, []), u)
         order[pos] = best
     return order
 
 
-def induced_width(g, order):
-    """Width of the induced graph along ``order`` (clique-filling sweep)."""
+def _fill(adj, v):
+    """Number of non-adjacent pairs among the neighbours of ``v``."""
+    nbrs = adj[v]
+    return (sum(len(nbrs - adj[a]) for a in nbrs) - len(nbrs)) // 2
+
+
+def _unbucket(buckets, score, v):
+    bucket = buckets[score]
+    del bucket[bisect_left(bucket, v)]
+    if not bucket:
+        del buckets[score]
+
+
+def _elimination_sweep(g, order):
+    """Parents and induced width from one reverse sweep along ``order``.
+
+    Walking ``order`` back to front, each vertex's earlier neighbours
+    in the induced graph are its earlier primal neighbours plus those
+    passed up by its children; its parent is the latest of them, which
+    receives the rest.  This is the elimination tree of the induced
+    graph.  Vertices with no earlier neighbour get parent None.
+    """
     _check_permutation(g.n, order)
-    pos = {v: i for i, v in enumerate(order)}
-    adj = [set(s) for s in g.adj]
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    parent = [None] * g.n
+    passed = [set() for _ in range(g.n)]
     width = 0
     for i in range(g.n - 1, -1, -1):
         v = order[i]
-        earlier = [u for u in adj[v] if pos[u] < i]
-        width = max(width, len(earlier))
-        for j, a in enumerate(earlier):
-            for b in earlier[j + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-    return width
+        earlier = passed[v]
+        passed[v] = None
+        earlier.update(u for u in g.adj[v] if pos[u] < i)
+        if earlier:
+            width = max(width, len(earlier))
+            p = max(earlier, key=pos.__getitem__)
+            earlier.discard(p)
+            parent[v] = p
+            passed[p] |= earlier
+    return parent, width
+
+
+def induced_width(g, order):
+    """Width of the induced graph along ``order``."""
+    return _elimination_sweep(g, order)[1]
 
 
 def _check_permutation(n, order):
+    if n == 0:
+        raise StructuralError("model has no variables")
     if sorted(order) != list(range(n)):
         raise StructuralError("order is not a permutation of 0..%d" % (n - 1))
 
@@ -130,14 +176,6 @@ class PseudoTree:
         if not isinstance(other, PseudoTree):
             return NotImplemented
         return self.parent == other.parent and self.dfs_order == other.dfs_order
-
-    def ancestors(self, v):
-        out = []
-        p = self.parent[v]
-        while p is not None:
-            out.append(p)
-            p = self.parent[p]
-        return out
 
     def to_parent_text(self):
         """One-line parent-array form, root marked -1."""
@@ -189,50 +227,24 @@ def _finish_tree(n, parent, children, root, g=None):
 
 
 def generate_pseudo_tree(g, order):
-    """Pseudo tree for ``order`` by recursive conditioning.
+    """Pseudo tree for ``order``: the elimination tree of its induced graph.
 
-    Disconnected primal graphs yield one tree: residual components of
-    the removed root include any components the root never touched, so
-    their roots simply attach below the globally first variable.
+    One reverse sweep along ``order`` gives each variable's parent, the
+    latest-positioned of its earlier neighbours in the induced graph.
+    This is the bucket tree of bucket elimination along ``order``, and
+    the tree that recursive conditioning on the first variable of each
+    component would build.  Disconnected primal graphs yield one tree:
+    the root of every other component attaches below the globally first
+    variable.  Children are listed in ``order``.
     """
-    _check_permutation(g.n, order)
-    pos = {v: i for i, v in enumerate(order)}
-    parent = [None] * g.n
+    parent, _ = _elimination_sweep(g, order)
+    root = order[0]
     children = [[] for _ in range(g.n)]
-    root = min(range(g.n), key=pos.__getitem__)
-    stack = [(frozenset(range(g.n)), None)]
-    while stack:
-        comp, par = stack.pop()
-        r = min(comp, key=pos.__getitem__)
-        parent[r] = par
-        if par is not None:
-            children[par].append(r)
-        rest = comp - {r}
-        comps = _components(g, rest)
-        comps.sort(key=lambda c: min(pos[v] for v in c))
-        for c in reversed(comps):
-            stack.append((c, r))
+    for v in order[1:]:
+        if parent[v] is None:
+            parent[v] = root
+        children[parent[v]].append(v)
     return _finish_tree(g.n, parent, children, root, g)
-
-
-def _components(g, vertices):
-    seen = set()
-    comps = []
-    for start in vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in g.adj[v]:
-                if u in vertices and u not in seen:
-                    seen.add(u)
-                    comp.add(u)
-                    frontier.append(u)
-        comps.append(frozenset(comp))
-    return comps
 
 
 def chain_pseudo_tree(g, order):
@@ -250,20 +262,19 @@ def compute_contexts(tree, g):
     """Per-variable ancestor lists, closest ancestor first.
 
     An ancestor is in context(X) iff the primal graph connects it to X
-    or to a descendant of X.
+    or to a descendant of X.  One bottom-up pass: context(X) is the set
+    of proper ancestors of X among its neighbours and its children's
+    contexts.
     """
-    out = []
-    for v in range(tree.n):
-        sub = tree.subtree_mask[v]
-        ctx = []
-        for a in tree.ancestors(v):
-            reach = 0
-            for u in g.adj[a]:
-                reach |= 1 << u
-            if reach & sub:
-                ctx.append(a)
-        out.append(tuple(ctx))
-    return tuple(out)
+    ctx = [None] * tree.n
+    for v in reversed(tree.dfs_order):
+        s = {a for a in g.adj[v] if tree.is_ancestor_or_self(a, v)}
+        for c in tree.children[v]:
+            s |= ctx[c]
+        s.discard(v)
+        ctx[v] = s
+    depth = tree.depth_of.__getitem__
+    return tuple(tuple(sorted(s, key=depth, reverse=True)) for s in ctx)
 
 
 def compute_buckets(tree, model):
@@ -323,13 +334,3 @@ def embed_check(t1, t2):
             p = m2[p]
         restricted[v] = p
     return restricted == m1
-
-
-def chain_parent_map(variables):
-    """Parent map of the chain through ``variables`` in the given order."""
-    out = {}
-    prev = None
-    for v in variables:
-        out[v] = prev
-        prev = v
-    return out

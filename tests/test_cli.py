@@ -175,3 +175,84 @@ def test_prune_bcp_matches_plain(example_cnf, order_file, tmp_path):
     text = a.read_text()
     b = _compile(example_cnf, order_file, tmp_path, "--prune", "none")
     assert b.read_text() == text
+
+
+def _chain_cnf(n, last_link_xor=False):
+    """Equality chain x1 = x2 = ... = xn; optionally x(n-1) != xn instead."""
+    lines = ["p cnf %d %d" % (n, 2 * (n - 1))]
+    for a in range(1, n):
+        b = a + 1
+        if last_link_xor and b == n:
+            lines += ["%d %d 0" % (a, b), "%d %d 0" % (-a, -b)]
+        else:
+            lines += ["%d %d 0" % (-a, b), "%d %d 0" % (a, -b)]
+    return "\n".join(lines) + "\n"
+
+
+def test_equiv_deep_chain(tmp_path, capsys):
+    n = 3000
+    order = _write(tmp_path / "order.txt", " ".join(map(str, range(n))) + "\n")
+    files = {}
+    for name, text, method in (
+        ("search", _chain_cnf(n), "search"),
+        ("be", _chain_cnf(n), "be"),
+        ("xor", _chain_cnf(n, last_link_xor=True), "search"),
+    ):
+        model = _write(tmp_path / (name + ".cnf"), text)
+        files[name] = str(tmp_path / (name + ".aomdd"))
+        assert main(
+            [
+                "compile", model, "--method", method, "--order-file", order,
+                "--out", files[name], "--stats",
+            ]
+        ) == 0
+        assert "height %d" % (n - 1) in capsys.readouterr().out
+    assert main(["equiv", files["search"], files["be"]]) == 0
+    # the two chains differ only at the bottom of the tree
+    assert main(["equiv", files["search"], files["xor"]]) == 1
+    assert capsys.readouterr().out.splitlines() == ["equivalent", "not equivalent"]
+
+
+def test_equiv_identical_text_skips_second_parse(
+    example_cnf, order_file, tmp_path, monkeypatch, capsys
+):
+    from aomdd import cli
+
+    out = _compile(example_cnf, order_file, tmp_path)
+    copy = _write(tmp_path / "copy.aomdd", out.read_text())
+    parsed = []
+
+    def counting_loads(text):
+        parsed.append(text)
+        return real_loads(text)
+
+    real_loads = cli.loads
+    monkeypatch.setattr(cli, "loads", counting_loads)
+    assert main(["equiv", str(out), copy]) == 0
+    assert len(parsed) == 1
+    assert capsys.readouterr().out.strip() == "equivalent"
+
+
+def test_equiv_identical_corrupt_files(tmp_path, capsys):
+    a = _write(tmp_path / "a.aomdd", "not a diagram\n")
+    b = _write(tmp_path / "b.aomdd", "not a diagram\n")
+    assert main(["equiv", a, b]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    from aomdd import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "dot", broken)
+    assert main(["dot", str(tmp_path / "any.aomdd")]) == 4
+    assert "error: internal: RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_empty_model_exit_code(tmp_path, capsys):
+    empty = _write(tmp_path / "empty.cnf", "p cnf 0 0\n")
+    assert main(["compile", empty]) == 2
+    assert main(["compile", empty, "--chain"]) == 2
+    assert "no variables" in capsys.readouterr().err

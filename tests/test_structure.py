@@ -11,8 +11,9 @@ from aomdd import (
     make_model,
     min_fill_ordering,
 )
-from aomdd.structure import PrimalGraph, chain_parent_map
+from aomdd.structure import PrimalGraph
 
+import structure_reference as ref
 from conftest import EXAMPLE_ORDER, random_model, seeded_rng
 
 # Variable ids of the worked example
@@ -144,8 +145,8 @@ def test_buckets_off_path_scope_rejected():
 
 
 def test_embed_check(example_tree):
-    assert embed_check(chain_parent_map([A, F, H]), example_tree)
-    assert not embed_check(chain_parent_map([H, A]), example_tree)
+    assert embed_check(ref.chain_parent_map([A, F, H]), example_tree)
+    assert not embed_check(ref.chain_parent_map([H, A]), example_tree)
     assert embed_check(example_tree, example_tree)
     with pytest.raises(StructuralError):
         embed_check({9: None}, example_tree)
@@ -156,3 +157,93 @@ def test_tree_text_exports(example_tree):
         "-1", "0", "1", "2", "2", "1", "5", "5"
     ]
     assert example_tree.to_dot().startswith("digraph")
+
+
+def _random_graph(rng, n, density):
+    return _graph(
+        n,
+        [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density],
+    )
+
+
+def _disjoint_union(g, h):
+    edges = list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()]
+    return _graph(g.n + h.n, edges)
+
+
+def _identity_corpus():
+    """Seeded random graphs plus edgeless, complete and disconnected ones."""
+    rng = seeded_rng(2024)
+    graphs = []
+    for i in range(1000):
+        n = rng.randint(1, 40)
+        kind = i % 10
+        if kind == 0:
+            graphs.append(_graph(n, []))
+        elif kind == 1:
+            graphs.append(_random_graph(rng, n, 1.0))
+        elif kind == 2 and n > 1:
+            k = rng.randint(1, n - 1)
+            graphs.append(
+                _disjoint_union(
+                    _random_graph(rng, k, rng.uniform(0.02, 0.8)),
+                    _random_graph(rng, n - k, rng.uniform(0.02, 0.8)),
+                )
+            )
+        else:
+            graphs.append(_random_graph(rng, n, rng.uniform(0.02, 0.8)))
+    return graphs
+
+
+IDENTITY_CORPUS = _identity_corpus()
+
+
+def test_min_fill_matches_reference():
+    for i, g in enumerate(IDENTITY_CORPUS):
+        for seed in (i % 5, 5 + i % 7):
+            assert min_fill_ordering(g, seed=seed) == ref.min_fill_ordering(g, seed=seed)
+
+
+def test_trees_and_contexts_match_reference():
+    rng = seeded_rng(5)
+    for g in IDENTITY_CORPUS:
+        shuffled = list(range(g.n))
+        rng.shuffle(shuffled)
+        for order in (min_fill_ordering(g, seed=3), shuffled):
+            t = generate_pseudo_tree(g, order)
+            parent, children = ref.pseudo_tree_links(g, order)
+            assert t.parent == parent
+            assert t.children == children
+            assert t.context == ref.contexts(t, g)
+            assert induced_width(g, order) == ref.induced_width(g, order)
+            c = chain_pseudo_tree(g, order)
+            assert c.context == ref.contexts(c, g)
+
+
+def test_large_shuffled_chain():
+    n = 10_000
+    rng = seeded_rng(9)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    g = _graph(n, list(zip(ids, ids[1:])))
+    order = min_fill_ordering(g, seed=1)
+    assert induced_width(g, order) == 1
+    t = generate_pseudo_tree(g, order)
+    # The elimination tree of a path is the path hung from its first
+    # variable, so the height is the longer of the two sides.
+    k = ids.index(order[0])
+    assert t.height == max(k, n - 1 - k)
+    assert max(len(c) for c in t.context) == 1
+
+
+def test_large_edgeless_graph():
+    n = 10_000
+    g = _graph(n, [])
+    order = min_fill_ordering(g, seed=1)
+    assert sorted(order) == list(range(n))
+    assert induced_width(g, order) == 0
+    t = generate_pseudo_tree(g, order)
+    assert t.height == 1
+    assert t.root == order[0]
+    assert t.children[order[0]] == tuple(order[1:])
+    assert all(c == () for c in t.context)
