@@ -82,17 +82,24 @@ class UniqueTable:
         return len(self._table)
 
     def intern(self, var, arcs):
-        key = (var, arcs)
-        node = self._table.get(key)
-        if node is None:
-            if self.node_cap is not None and len(self._table) >= self.node_cap:
+        fresh = MetaNode(var, arcs, len(self._table))
+        # one dict operation, so the (var, arcs) key is hashed once
+        node = self._table.setdefault((var, arcs), fresh)
+        if node is fresh:
+            if self.node_cap is not None and fresh.uid >= self.node_cap:
+                del self._table[var, arcs]
                 raise ResourceLimitError(
                     "node cap %d exceeded after %d meta-nodes"
-                    % (self.node_cap, len(self._table))
+                    % (self.node_cap, fresh.uid)
                 )
-            node = MetaNode(var, arcs, len(self._table))
-            self._table[key] = node
             self.created_per_var[var] = self.created_per_var.get(var, 0) + 1
+        return node
+
+    def add(self, var, arcs):
+        """Store a node the caller knows is reduced and not yet present."""
+        node = MetaNode(var, arcs, len(self._table))
+        self._table[var, arcs] = node
+        self.created_per_var[var] = self.created_per_var.get(var, 0) + 1
         return node
 
     def nodes_of(self, var):

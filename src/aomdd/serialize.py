@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagram import Aomdd, UniqueTable, canonical_nodes, make_node
+from .diagram import Aomdd, UniqueTable, canonical_nodes
+from .diagram import make_node  # noqa: F401  (bench/tracing.py wraps serialize.make_node)
 from .errors import ParseError, StructuralError
 from .model import CONSTRAINT, WEIGHTED
 from .structure import _finish_tree
@@ -70,16 +71,62 @@ def _expect(fields, lineno, tag, count=None):
     return fields[1:]
 
 
+def _int(tok, lineno, what, low, high=None):
+    """A canonically spelled integer in ``[low, high)``."""
+    try:
+        value = int(tok)
+    except ValueError:
+        value = None
+    if value is None or str(value) != tok or value < low or (
+        high is not None and value >= high
+    ):
+        raise ParseError("bad %s %r" % (what, tok), lineno)
+    return value
+
+
+def _sums_to_one(arcs):
+    """Exact test that the arc weights sum to 1, on integers only.
+
+    Adding ``Fraction``s reduces by a gcd at every step; cross-multiplying
+    numerators and denominators needs none.
+    """
+    num, den = 0, 1
+    for w, _ in arcs:
+        d = w.denominator
+        num = num * d + w.numerator * den
+        den *= d
+    return num == den
+
+
 def loads(text):
     """Rebuild a diagram from canonical text.
 
-    Nodes are re-interned through ``make_node`` into a fresh unique
-    table; a record that does not survive reduction unchanged means the
-    file was not canonical and is rejected.
+    Accepts exactly the files ``dumps`` can write, up to whitespace, and
+    raises ``ParseError``/``StructuralError`` on anything else.  One pass
+    over the node records checks the canonical form on the tokens:
+
+    - weights are spelled as ``str(Fraction)`` spells them, are >= 0,
+      and are 0/1 in constraint mode;
+    - each node has one arc per domain value; its weights sum to 1
+      (weighted mode) or are not all 0 (constraint mode); zero-weight
+      arcs have no children; its arcs are not all equal (not redundant);
+    - an arc's children lie strictly inside the node's pseudo-tree
+      subtree, are pairwise unrelated and come in DFS order, which is
+      one comparison of DFS intervals per child;
+    - records come in variable blocks in reverse DFS order and, within
+      a block, in strictly increasing ``(weight, child ids)`` signature
+      order, so no two records are isomorphic;
+    - every record is a child of a later record or a root, and the
+      roots are pairwise unrelated and in DFS order.
+
+    Each node is stored in a fresh unique table once, without a lookup.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = [(i, l.split()) for i, l in enumerate(text.splitlines(), 1) if l.split()]
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("diagram file is not UTF-8 text")
+    lines = [(i, f) for i, l in enumerate(text.splitlines(), 1) if (f := l.split())]
     it = iter(lines)
 
     def next_line(tag, count=None):
@@ -97,14 +144,14 @@ def loads(text):
         raise ParseError("unknown mode %r" % mode, lineno)
     weighted = mode == WEIGHTED
     lineno, (nstr,) = next_line("vars", 1)
-    n = int(nstr)
+    n = _int(nstr, lineno, "variable count", 1)
     lineno, doms = next_line("domains", n)
-    domains = tuple(int(k) for k in doms)
+    domains = tuple(_int(k, lineno, "domain size", 1) for k in doms)
     lineno, parents = next_line("parents", n)
-    parent = [None if p == "-1" else int(p) for p in parents]
+    parent = [None if p == "-1" else _int(p, lineno, "parent", 0, n) for p in parents]
     lineno, dfs = next_line("dfs", n)
-    dfs_order = [int(v) for v in dfs]
-    if sorted(dfs_order) != list(range(n)) or parent.count(None) != 1:
+    dfs_order = [_int(v, lineno, "dfs entry", 0, n) for v in dfs]
+    if len(set(dfs_order)) != n or parent.count(None) != 1:
         raise ParseError("malformed tree records", lineno)
     dfs_index = {v: i for i, v in enumerate(dfs_order)}
     children = [[] for _ in range(n)]
@@ -119,62 +166,122 @@ def loads(text):
     tree = _finish_tree(n, parent, children, root)
     if tree.dfs_order != tuple(dfs_order):
         raise ParseError("dfs record inconsistent with parents", lineno)
+    # a subtree is the DFS interval [dfs_index[v], end[v])
+    end = [0] * n
+    for v in reversed(dfs_order):
+        end[v] = end[children[v][-1]] if children[v] else dfs_index[v] + 1
+    var_of = {str(v): v for v in range(n)}
 
     lineno, (mstr,) = next_line("nodes", 1)
-    m = int(mstr)
-    table = UniqueTable(weighted, domains=domains)
-    by_id = {}
+    m = _int(mstr, lineno, "node count", 0, len(lines))
+    weights = {} if weighted else {"0": 0, "1": 1}  # token -> value
 
     def parse_weight(tok, lineno):
+        if not weighted:
+            raise ParseError("constraint weight %r not 0/1" % tok, lineno)
         try:
             w = Fraction(tok)
         except (ValueError, ZeroDivisionError):
             raise ParseError("bad weight %r" % tok, lineno)
-        if not weighted:
-            if w != 0 and w != 1:
-                raise ParseError("constraint weight %r not 0/1" % tok, lineno)
-            return int(w)
+        if w < 0 or str(w) != tok:
+            raise ParseError("weight %r is not a canonical non-negative rational" % tok, lineno)
+        weights[tok] = w
         return w
 
+    table = UniqueTable(weighted, domains=domains)
+    index = {}  # record id token -> record id
+    nodes = []
+    pos_of = []  # record id -> DFS position of its variable
+    end_of = []  # record id -> end of that variable's subtree interval
+    used = bytearray(m)
+
+    def unrelated(ids, low, stop):
+        """Records ``ids`` pairwise unrelated, in DFS order, inside [low, stop)."""
+        for c in ids:
+            if pos_of[c] < low:
+                return False
+            low = end_of[c]
+            used[c] = 1
+        return low <= stop
+
+    prev_pos, prev_sig = n, None
     for i in range(m):
         lineno, fields = next_line("n")
-        if len(fields) < 3:
-            raise ParseError("truncated node record", lineno)
-        nid, var = int(fields[0]), int(fields[1])
-        if nid != i:
+        if len(fields) < 2 or fields[0] != str(i):
             raise ParseError("node ids must be dense and in order", lineno)
-        if not 0 <= var < n:
-            raise ParseError("node variable %d out of range" % var, lineno)
+        var = var_of.get(fields[1])
+        if var is None:
+            raise ParseError("bad node variable %r" % fields[1], lineno)
+        if len(fields) - 2 != domains[var]:
+            raise StructuralError(
+                "node %d has %d arcs, domain size is %d"
+                % (i, len(fields) - 2, domains[var])
+            )
+        pos, stop = dfs_index[var], end[var]
         arcs = []
+        sig = []
         for tok in fields[2:]:
-            try:
-                wtok, ktok = tok.split(":")
-            except ValueError:
+            wtok, colon, ktok = tok.partition(":")
+            if not colon:
                 raise ParseError("bad arc %r" % tok, lineno)
-            w = parse_weight(wtok, lineno)
+            w = weights.get(wtok)
+            if w is None:
+                w = parse_weight(wtok, lineno)
             if ktok == ".":
-                kids = ()
+                ids = kids = ()
+            elif wtok == "0":
+                raise StructuralError("node %d has a zero-weight arc with children" % i)
             else:
                 try:
-                    kids = tuple(by_id[int(c)] for c in ktok.split(","))
-                except (KeyError, ValueError):
+                    ids = tuple(map(index.__getitem__, ktok.split(",")))
+                except KeyError:
                     raise ParseError("bad child list %r" % ktok, lineno)
+                if not unrelated(ids, pos + 1, stop):
+                    raise StructuralError(
+                        "node %d: children must be unrelated, in DFS order and"
+                        " below variable %d" % (i, var)
+                    )
+                kids = tuple(nodes[c] for c in ids)
             arcs.append((w, kids))
-        const, nodes = make_node(var, arcs, table)
-        if const != 1 or len(nodes) != 1 or nodes[0].arcs != tuple(arcs):
-            raise StructuralError(
-                "node %d is not in reduced canonical form" % nid
-            )
-        by_id[nid] = nodes[0]
+            sig.append((wtok, ids))
+        if weighted:
+            if not _sums_to_one(arcs):
+                raise StructuralError("node %d: weights do not sum to 1" % i)
+        elif all(w == "0" for w, _ in sig):
+            raise StructuralError("node %d is dead (all weights 0)" % i)
+        if sig.count(sig[0]) == len(sig):
+            raise StructuralError("node %d is redundant" % i)
+        sig = tuple(sig)
+        if pos > prev_pos or (pos == prev_pos and sig <= prev_sig):
+            raise StructuralError("node %d is out of canonical order" % i)
+        prev_pos, prev_sig = pos, sig
+        index[fields[0]] = i
+        nodes.append(table.add(var, tuple(arcs)))
+        pos_of.append(pos)
+        end_of.append(stop)
 
     lineno, rtoks = next_line("roots")
     if rtoks == ["."]:
-        roots = ()
-    else:
-        try:
-            roots = tuple(by_id[int(r)] for r in rtoks)
-        except (KeyError, ValueError):
-            raise ParseError("bad root list", lineno)
+        rtoks = []
+    elif not rtoks:
+        raise ParseError("empty root list", lineno)
+    try:
+        root_ids = [index[r] for r in rtoks]
+    except KeyError:
+        raise ParseError("bad root list", lineno)
+    if not unrelated(root_ids, 0, n):
+        raise StructuralError("roots must be unrelated and in DFS order")
+    unused = used.find(0)
+    if unused >= 0:
+        raise StructuralError("node %d is unreachable" % unused)
     lineno, (ctok,) = next_line("constant", 1)
-    constant = parse_weight(ctok, lineno)
-    return Aomdd(tree, domains, roots, constant, table, weighted, None)
+    constant = weights.get(ctok)
+    if constant is None:
+        constant = parse_weight(ctok, lineno)
+    if root_ids and constant == 0:
+        raise StructuralError("zero constant with root nodes")
+    if next(it, None) is not None:
+        raise ParseError("trailing records after 'constant'")
+    return Aomdd(
+        tree, domains, tuple(nodes[r] for r in root_ids), constant, table, weighted, None
+    )

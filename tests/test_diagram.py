@@ -61,6 +61,37 @@ def test_node_cap():
     make_node(0, [(0, ()), (1, ())], table)
     with pytest.raises(ResourceLimitError):
         make_node(1, [(1, ()), (0, ())], table)
+    assert len(table) == 1
+    assert table.created_per_var == {0: 1}
+    # a node already present is found at the cap
+    assert make_node(0, [(0, ()), (1, ())], table)[1][0].uid == 0
+
+
+class _CountedWeight:
+    """A weight that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        _CountedWeight.hashes += 1
+        return hash(self.value)
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+
+def test_intern_hashes_key_once():
+    table = UniqueTable(weighted=True)
+    arcs = ((_CountedWeight(1), ()), (_CountedWeight(2), ()))
+    _CountedWeight.hashes = 0
+    node = table.intern(0, arcs)
+    assert _CountedWeight.hashes == 2
+    assert table.intern(0, arcs) is node
+    assert _CountedWeight.hashes == 4
+    assert (len(table), node.uid, table.created_per_var) == (1, 0, {0: 1})
 
 
 def test_normalize_arcs():

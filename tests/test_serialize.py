@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from aomdd import (
@@ -5,14 +8,85 @@ from aomdd import (
     StructuralError,
     compile_be,
     compile_search,
+    count_solutions,
     count_stats,
     dumps,
+    evaluate,
     loads,
+    make_model,
     parse_dimacs_cnf,
     structural_equal,
+    sum_over,
 )
 
 from conftest import random_model, seeded_rng
+
+# dumps of a one-variable model with unary table [1/2, 3/2]
+UNARY = """\
+aomdd 1
+mode weighted
+vars 1
+domains 2
+parents -1
+dfs 0
+nodes 1
+n 0 0 1/4:. 3/4:.
+roots 0
+constant 2
+"""
+
+# f(x0, x1, x2) = [x1 = 1][x2 = 1] on the tree 0 -> {2, 1}: var 1 sits
+# after var 2 in DFS order, so its record comes first
+STAR = """\
+aomdd 1
+mode constraint
+vars 3
+domains 2 2 2
+parents -1 0 0
+dfs 0 2 1
+nodes 2
+n 0 1 0:. 1:.
+n 1 2 0:. 1:.
+roots 1 0
+constant 1
+"""
+
+
+def _split(text):
+    """Canonical text as (head lines, records, roots, tail lines).
+
+    A record is ``[var, [(weight, [child records]), ...]]``.  Children
+    and roots hold the record lists themselves, so editing the record
+    list renumbers every id when ``_join`` writes the text back.
+    """
+    lines = text.splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith("nodes "))
+    records = []
+    for line in lines[start + 1:start + 1 + int(lines[start].split()[1])]:
+        _, _, var, *arcs = line.split()
+        rec = [var, []]
+        for arc in arcs:
+            w, kids = arc.split(":")
+            rec[1].append(
+                (w, [] if kids == "." else [records[int(c)] for c in kids.split(",")])
+            )
+        records.append(rec)
+    end = start + 1 + len(records)
+    rtoks = lines[end].split()[1:]
+    roots = [] if rtoks == ["."] else [records[int(r)] for r in rtoks]
+    return lines[:start], records, roots, lines[end + 1:]
+
+
+def _join(head, records, roots, tail):
+    ids = {id(r): str(i) for i, r in enumerate(records)}
+    out = head + ["nodes %d" % len(records)]
+    for i, (var, arcs) in enumerate(records):
+        fields = ["n", str(i), var]
+        for w, kids in arcs:
+            fields.append("%s:%s" % (w, ",".join(ids[id(c)] for c in kids) or "."))
+        out.append(" ".join(fields))
+    out.append("roots " + (" ".join(ids[id(r)] for r in roots) or "."))
+    return "\n".join(out + tail) + "\n"
 
 
 def test_round_trip(example_model, example_tree):
@@ -31,6 +105,11 @@ def test_round_trip_randomized():
         b = loads(dumps(a))
         assert structural_equal(a, b)
         assert dumps(b) == dumps(a)
+        # the loaded table holds every record, interned under its uid
+        nodes = b.table.all_nodes()
+        assert len(b.table) == count_stats(a)["total_meta_nodes"] == len(nodes)
+        assert [u.uid for u in nodes] == list(range(len(nodes)))
+        assert all(b.table.intern(u.var, u.arcs) is u for u in nodes)
 
 
 def test_cross_compiler_bytes(example_model, example_tree):
@@ -54,19 +133,161 @@ def test_loads_rejects_garbage():
         loads("aomdd 2\n")
 
 
-def test_loads_rejects_non_canonical(example_model, example_tree):
+def test_split_join_round_trip(example_model, example_tree):
     text = dumps(compile_search(example_model, example_tree))
-    # duplicate a node record: the copy is an isomorph and must be rejected
-    lines = text.splitlines()
-    first_node = next(i for i, l in enumerate(lines) if l.startswith("n "))
-    nodes_line = next(i for i, l in enumerate(lines) if l.startswith("nodes "))
-    count = int(lines[nodes_line].split()[1])
-    dup = lines[first_node].split()
-    dup[1] = str(count)
-    lines[nodes_line] = "nodes %d" % (count + 1)
-    lines.insert(first_node + 1, " ".join(dup))
+    assert _join(*_split(text)) == text
+    assert dumps(compile_search(make_model([2], [((0,), [Fraction(1, 2), Fraction(3, 2)])]))) == UNARY
+    assert loads(UNARY).constant == 2
+    assert count_solutions(loads(STAR)) == 2
+
+
+def test_loads_rejects_non_canonical(example_model, example_tree):
+    # a copy of the first record right after it, ids kept dense: a real
+    # isomorph, caught by the signature order
+    head, records, roots, tail = _split(dumps(compile_search(example_model, example_tree)))
+    var, arcs = records[0]
+    records.insert(1, [var, list(arcs)])
+    with pytest.raises(StructuralError, match="canonical order"):
+        loads(_join(head, records, roots, tail))
+
+
+def test_loads_rejects_swapped_records(example_model, example_tree):
+    head, records, roots, tail = _split(dumps(compile_search(example_model, example_tree)))
+    assert records[0][0] == records[1][0]
+    records[0], records[1] = records[1], records[0]
+    with pytest.raises(StructuralError, match="canonical order"):
+        loads(_join(head, records, roots, tail))
+
+
+def test_loads_rejects_unreachable_record():
+    head, records, roots, tail = _split(UNARY)
+    records.insert(0, ["0", [("1/3", []), ("2/3", [])]])
+    text = _join(head, records, roots, tail)
+    assert "n 0 0 1/3:. 2/3:.\nn 1 0 1/4:. 3/4:.\nroots 1\n" in text
+    with pytest.raises(StructuralError, match="unreachable"):
+        loads(text)
+
+
+@pytest.mark.parametrize(
+    "arcs", ["2/8:. 3/4:.", "0.25:. 3/4:.", "1/4:. 0.75:.", "-1:. 2:.", "1/4:. 3/4:. 0:."]
+)
+def test_loads_rejects_weight_spelling(arcs):
     with pytest.raises((ParseError, StructuralError)):
-        loads("\n".join(lines) + "\n")
+        loads(UNARY.replace("1/4:. 3/4:.", arcs))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("constant 2", "constant 4/2"),
+        ("constant 2", "constant 0"),
+        ("constant 2", "constant -2"),
+        ("roots 0", "roots 0 0"),
+        ("roots 0", "roots"),
+        ("constant 2\n", "constant 2\nroots 0\n"),
+    ],
+)
+def test_loads_rejects_bad_tail(old, new):
+    with pytest.raises((ParseError, StructuralError)):
+        loads(UNARY.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        # the child of var 2's node is on var 1, outside var 2's subtree
+        ("n 1 2 0:. 1:.\nroots 1 0", "n 1 2 0:. 1:0\nroots 1"),
+        # the same with dfs 0 1 2: var 2's block may not precede var 1's
+        ("dfs 0 2 1", "dfs 0 1 2"),
+        # roots out of DFS order
+        ("roots 1 0", "roots 0 1"),
+        ("roots 1 0", "roots 1 0 0"),
+        # a zero-weight arc with children, and a redundant node
+        ("n 1 2 0:. 1:.\nroots 1 0", "n 1 2 0:0 1:.\nroots 1"),
+        ("n 0 1 0:. 1:.", "n 0 1 1:. 1:."),
+        ("n 0 1 0:. 1:.", "n 0 1 0:. 0:."),
+        ("n 0 1 0:. 1:.", "n 0 1 0:. 1:. 0:."),
+    ],
+)
+def test_loads_rejects_structure(old, new):
+    assert old in STAR
+    with pytest.raises((ParseError, StructuralError)):
+        loads(STAR.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("vars 3", "vars x"),
+        ("vars 3", "vars 03"),
+        ("domains 2 2 2", "domains 2 two 2"),
+        ("domains 2 2 2", "domains 2 0 2"),
+        ("parents -1 0 0", "parents -1 0 zero"),
+        ("parents -1 0 0", "parents -1 0 3"),
+        ("parents -1 0 0", "parents -1 0 -3"),
+        ("parents -1 0 0", "parents -1 0 -1"),
+        ("parents -1 0 0", "parents -1 2 1"),
+        ("dfs 0 2 1", "dfs 0 2 2"),
+        ("dfs 0 2 1", "dfs 0 1 3"),
+        ("nodes 2", "nodes 99999999999"),
+        ("n 1 2", "n 01 2"),
+        ("n 1 2", "n 1 +2"),
+    ],
+)
+def test_loads_header_errors_are_parse_errors(old, new):
+    assert old in STAR
+    with pytest.raises(ParseError):
+        loads(STAR.replace(old, new))
+
+
+def _mutate(text, rng):
+    """Change a token, drop a line, or swap the child lists of two arcs."""
+    lines = text.splitlines()
+    kind = rng.randrange(3)
+    if kind == 0:
+        i = rng.randrange(len(lines))
+        fields = lines[i].split()
+        j = rng.randrange(len(fields))
+        tok = rng.choice(["0", "1", "-1", "2", ".", "1/2", "2/4", "0.5", "x", "1:.", "0:0"])
+        if ":" in fields[j] and rng.random() < 0.5:
+            w, kids = fields[j].split(":")
+            tok = w + ":" + (tok if rng.random() < 0.5 else kids.replace("1", "2"))
+        fields[j] = tok
+        lines[i] = " ".join(fields)
+    elif kind == 1:
+        del lines[rng.randrange(len(lines))]
+    else:
+        arcs = [(i, j) for i, l in enumerate(lines) for j, t in enumerate(l.split()) if ":" in t]
+        if len(arcs) < 2:
+            return None
+        (i1, j1), (i2, j2) = rng.sample(arcs, 2)
+        f1 = lines[i1].split()
+        f2 = f1 if i1 == i2 else lines[i2].split()
+        (w1, k1), (w2, k2) = f1[j1].split(":"), f2[j2].split(":")
+        f1[j1], f2[j2] = w1 + ":" + k2, w2 + ":" + k1
+        lines[i1], lines[i2] = " ".join(f1), " ".join(f2)
+    return "\n".join(lines) + "\n"
+
+
+def test_loads_mutation_fuzz():
+    """Every mutant of a valid file is rejected or is itself canonical."""
+    rng = seeded_rng(97)
+    texts = [dumps(compile_search(random_model(rng, rng.random() < 0.5))) for _ in range(30)]
+    accepted = 0
+    for _ in range(600):
+        mutant = _mutate(rng.choice(texts), rng)
+        if mutant is None:
+            continue
+        try:
+            d = loads(mutant)
+        except (ParseError, StructuralError):
+            continue
+        accepted += 1
+        assert dumps(d).split() == mutant.split()
+        values = [evaluate(d, list(x)) for x in itertools.product(*map(range, d.domains))]
+        assert sum_over(d) == sum(values)
+        assert count_solutions(d) == sum(1 for v in values if v)
+    assert accepted > 0
 
 
 def test_loads_rejects_bad_weight_in_constraint_mode(example_model, example_tree):
