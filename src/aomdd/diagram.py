@@ -95,13 +95,6 @@ class UniqueTable:
             self.created_per_var[var] = self.created_per_var.get(var, 0) + 1
         return node
 
-    def add(self, var, arcs):
-        """Store a node the caller knows is reduced and not yet present."""
-        node = MetaNode(var, arcs, len(self._table))
-        self._table[var, arcs] = node
-        self.created_per_var[var] = self.created_per_var.get(var, 0) + 1
-        return node
-
     def nodes_of(self, var):
         return [n for (v, _), n in self._table.items() if v == var]
 

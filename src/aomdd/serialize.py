@@ -84,20 +84,6 @@ def _int(tok, lineno, what, low, high=None):
     return value
 
 
-def _sums_to_one(arcs):
-    """Exact test that the arc weights sum to 1, on integers only.
-
-    Adding ``Fraction``s reduces by a gcd at every step; cross-multiplying
-    numerators and denominators needs none.
-    """
-    num, den = 0, 1
-    for w, _ in arcs:
-        d = w.denominator
-        num = num * d + w.numerator * den
-        den *= d
-    return num == den
-
-
 def loads(text):
     """Rebuild a diagram from canonical text.
 
@@ -119,7 +105,8 @@ def loads(text):
     - every record is a child of a later record or a root, and the
       roots are pairwise unrelated and in DFS order.
 
-    Each node is stored in a fresh unique table once, without a lookup.
+    The signature order makes every record new, so each node is interned
+    into a fresh unique table exactly once and keeps its record id as uid.
     """
     if isinstance(text, bytes):
         try:
@@ -245,7 +232,7 @@ def loads(text):
             arcs.append((w, kids))
             sig.append((wtok, ids))
         if weighted:
-            if not _sums_to_one(arcs):
+            if sum(w for w, _ in arcs) != 1:
                 raise StructuralError("node %d: weights do not sum to 1" % i)
         elif all(w == "0" for w, _ in sig):
             raise StructuralError("node %d is dead (all weights 0)" % i)
@@ -256,7 +243,7 @@ def loads(text):
             raise StructuralError("node %d is out of canonical order" % i)
         prev_pos, prev_sig = pos, sig
         index[fields[0]] = i
-        nodes.append(table.add(var, tuple(arcs)))
+        nodes.append(table.intern(var, tuple(arcs)))
         pos_of.append(pos)
         end_of.append(stop)
 
