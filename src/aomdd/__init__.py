@@ -5,66 +5,61 @@ constraint networks) into canonical AND/OR multi-valued decision
 diagrams, by depth-first AND/OR search with context caching or by a
 bucket-elimination APPLY schedule, and answer counting, summation, MPE,
 evaluation, enumeration, and equivalence queries on the compiled form.
+
+The package exports what the README and the ``aomdd`` CLI use; the
+submodules hold the rest.
 """
 
-from .be_compiler import apply_aomdds, compile_be, function_to_chain_aomdd
-from .diagram import (
-    Aomdd,
-    MetaNode,
-    UniqueTable,
-    count_stats,
-    make_node,
-    normalize_arcs,
-    normalized_root_sum,
-    quantize,
-    reachable_nodes,
-    set_epsilon_digits,
-    structural_equal,
-    to_dot,
-    weights_equal,
-)
+from .be_compiler import compile_be
+from .diagram import count_stats, normalized_root_sum, structural_equal, to_dot
 from .errors import AomddError, ParseError, ResourceLimitError, StructuralError
 from .model import (
-    CONSTRAINT,
-    WEIGHTED,
-    GraphicalModel,
-    TableFunction,
-    Variable,
     brute_force_table,
     make_model,
     parse_dimacs_cnf,
     parse_uai,
     parse_uai_evidence,
-    serialize_uai,
-    weight_of_full_assignment,
 )
-from .query import (
-    count_solutions,
-    enumerate_solutions,
-    equivalent,
-    evaluate,
-    mpe,
-    sum_over,
-)
-from .search_compiler import (
-    arc_weight,
-    bcp_hook,
-    compile_search,
-    compile_search_deferred,
-    reduce_level,
-)
+from .query import count_solutions, enumerate_solutions, evaluate, mpe, sum_over
+from .search_compiler import bcp_hook, compile_search
 from .serialize import dumps, loads
 from .structure import (
-    PrimalGraph,
-    PseudoTree,
     build_primal_graph,
     chain_pseudo_tree,
-    compute_buckets,
-    compute_contexts,
-    embed_check,
     generate_pseudo_tree,
     induced_width,
     min_fill_ordering,
 )
+
+__all__ = [
+    "AomddError",
+    "ParseError",
+    "ResourceLimitError",
+    "StructuralError",
+    "bcp_hook",
+    "brute_force_table",
+    "build_primal_graph",
+    "chain_pseudo_tree",
+    "compile_be",
+    "compile_search",
+    "count_solutions",
+    "count_stats",
+    "dumps",
+    "enumerate_solutions",
+    "evaluate",
+    "generate_pseudo_tree",
+    "induced_width",
+    "loads",
+    "make_model",
+    "min_fill_ordering",
+    "mpe",
+    "normalized_root_sum",
+    "parse_dimacs_cnf",
+    "parse_uai",
+    "parse_uai_evidence",
+    "structural_equal",
+    "sum_over",
+    "to_dot",
+]
 
 __version__ = "0.1.0"

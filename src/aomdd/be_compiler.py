@@ -49,25 +49,6 @@ def _chain_fragment(f, chain, domains, table):
     return build(0)
 
 
-def function_to_chain_aomdd(f, d, table, domains, tree=None):
-    """Canonical chain diagram (an MDD) of one table function.
-
-    The chain is the function's scope ordered according to ``d``.  When
-    ``tree`` is omitted, a chain pseudo tree over all variables in order
-    ``d`` is built to own the result.
-    """
-    pos = {v: i for i, v in enumerate(d)}
-    chain = tuple(sorted(f.scope, key=pos.__getitem__))
-    if tree is None:
-        from .structure import PrimalGraph
-
-        # chain trees ignore adjacency, so an edgeless graph suffices
-        g = PrimalGraph(len(domains), tuple(frozenset() for _ in domains))
-        tree = chain_pseudo_tree(g, list(d))
-    const, nodes = _chain_fragment(f, chain, domains, table)
-    return Aomdd(tree, tuple(domains), nodes, const, table, table.weighted, None)
-
-
 def group_descendants(list_f, list_g, tree):
     """Group two DFS-ordered node lists by ancestor relationship.
 
@@ -172,22 +153,6 @@ def apply_fragments(a, b, tree, memo, table):
         return 0, ()
     const, nodes = run(_combine_lists(na, nb, tree, memo, table))
     return ca * cb * const, nodes
-
-
-def apply_aomdds(a, b, memo=None):
-    """APPLY on whole diagrams sharing one pseudo tree and unique table."""
-    if a.tree != b.tree or a.domains != b.domains:
-        raise StructuralError("APPLY inputs have different pseudo trees")
-    if a.table is not b.table:
-        raise StructuralError("APPLY inputs must share one unique table")
-    if memo is None:
-        memo = {}
-    const, nodes = apply_fragments(
-        (a.constant, a.roots), (b.constant, b.roots), a.tree, memo, a.table
-    )
-    if const == 0:
-        nodes = ()
-    return Aomdd(a.tree, a.domains, nodes, const, a.table, a.weighted, None)
 
 
 def compile_be(model, d=None, tree=None, table=None, node_cap=None, chain=False):

@@ -13,7 +13,7 @@ import time
 import traceback
 
 from .be_compiler import compile_be
-from .diagram import count_stats, set_epsilon_digits, structural_equal, to_dot
+from .diagram import count_stats, structural_equal, to_dot
 from .errors import ParseError, ResourceLimitError, StructuralError
 from .model import parse_dimacs_cnf, parse_uai, parse_uai_evidence
 from .query import count_solutions, evaluate, mpe, sum_over
@@ -36,16 +36,18 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("compile", help="compile a model file into a diagram")
+    # Without prefix matching, the removed ``--order`` is a usage error
+    # instead of an abbreviation of ``--order-file``.
+    c = sub.add_parser(
+        "compile", help="compile a model file into a diagram", allow_abbrev=False
+    )
     c.add_argument("input", help="model file (UAI network or DIMACS CNF)")
     c.add_argument("--format", choices=["uai", "cnf"], help="input format (default: by file extension)")
     c.add_argument("--method", choices=["search", "be"], default="search", help="compilation strategy")
-    c.add_argument("--order", choices=["minfill"], default="minfill", help="ordering heuristic")
     c.add_argument("--order-file", help="file with an explicit variable ordering (whitespace-separated ids)")
     c.add_argument("--chain", action="store_true", help="force a chain pseudo tree (MDD/OBDD mode)")
     c.add_argument("--prune", choices=["none", "bcp"], default="none", help="pruning for the search method (ignored by be)")
     c.add_argument("--seed", type=int, default=0, help="seed for ordering tie-breaks")
-    c.add_argument("--epsilon-digits", type=int, default=12, help="significant digits for float weight comparisons")
     c.add_argument("--mem-cap", type=int, help="abort after this many meta-nodes")
     c.add_argument("--out", help="write the canonical diagram file here")
     c.add_argument("--dot", help="write a DOT rendering here")
@@ -95,7 +97,6 @@ def _number_str(value, args):
 
 def cmd_compile(args):
     model = _parse_model(args)
-    set_epsilon_digits(args.epsilon_digits)
     g = build_primal_graph(model)
     if args.order_file:
         order = [int(tok) for tok in _read(args.order_file).split()]

@@ -20,39 +20,6 @@ from fractions import Fraction
 from ._recursion import run
 from .errors import ResourceLimitError, StructuralError
 
-#: Significand digits used by :func:`quantize` / :func:`weights_equal`.
-DEFAULT_EPSILON_DIGITS = 12
-_epsilon_digits = DEFAULT_EPSILON_DIGITS
-
-
-def set_epsilon_digits(q):
-    """Set the global precision used when comparing float weights."""
-    global _epsilon_digits
-    if q < 1:
-        raise ValueError("epsilon digits must be >= 1")
-    _epsilon_digits = q
-
-
-def get_epsilon_digits():
-    return _epsilon_digits
-
-
-def quantize(x, digits=None):
-    """Round a float to the configured number of significant digits."""
-    if digits is None:
-        digits = _epsilon_digits
-    return float(("%." + str(digits) + "g") % float(x))
-
-
-def weights_equal(a, b, digits=None):
-    """Float weight comparison: equal after quantization.
-
-    The core data structures carry exact rationals and compare exactly;
-    this tolerance applies where floats enter (external inputs, printed
-    output checks).
-    """
-    return quantize(a, digits) == quantize(b, digits)
-
 
 class MetaNode:
     """One OR variable node plus its k weighted AND arcs (hash-consed)."""
@@ -94,9 +61,6 @@ class UniqueTable:
                 )
             self.created_per_var[var] = self.created_per_var.get(var, 0) + 1
         return node
-
-    def nodes_of(self, var):
-        return [n for (v, _), n in self._table.items() if v == var]
 
     def all_nodes(self):
         return list(self._table.values())

@@ -6,8 +6,7 @@ are the special case where every table value is 0 or 1.
 
 Table values are stored as exact rationals (``int`` or
 ``fractions.Fraction``), so products, sums and normalizations are exact.
-UAI decimal text parses to exact rationals and serializes back to the
-same decimal digits.
+UAI decimal text parses to exact rationals.
 """
 
 from __future__ import annotations
@@ -124,24 +123,11 @@ def make_model(domains, functions, kind=WEIGHTED):
     return GraphicalModel(variables, tuple(tabs), kind)
 
 
-def weight_of_full_assignment(model, x, log_space=False):
-    """Product of all function values at a full assignment.
-
-    With ``log_space=True`` returns the natural log of the weight as a
-    float (``-inf`` for weight zero), avoiding underflow on long
-    products.
-    """
+def weight_of_full_assignment(model, x):
+    """Product of all function values at a full assignment."""
     for i, v in enumerate(x):
         if v is None:
             raise ValueError("variable %d unassigned" % i)
-    if log_space:
-        acc = 0.0
-        for f in model.functions:
-            val = f.value_at(x)
-            if val == 0:
-                return float("-inf")
-            acc += math.log(val)
-        return acc
     acc = 1
     for f in model.functions:
         val = f.value_at(x)
@@ -214,15 +200,6 @@ class _Reader:
             raise ParseError("%s must be non-negative, got %s" % (what, tok), self.line)
         return val
 
-    def at_end(self):
-        try:
-            tok, lineno = next(self._it)
-        except StopIteration:
-            return True
-        self.line = lineno
-        self._pending = tok
-        return False
-
 
 def parse_uai(text):
     """Parse a model in the UAI inference-evaluation format.
@@ -261,43 +238,6 @@ def parse_uai(text):
         values = tuple(r.next_value("table %d entry" % i) for v in range(declared))
         functions.append((scope, values))
     return make_model(domains, functions, kind=WEIGHTED)
-
-
-def _decimal_str(value):
-    """Exact decimal text for a rational whose denominator is 2^a * 5^b.
-
-    Falls back to ``repr(float(...))`` otherwise (lossy; UAI inputs never
-    hit the fallback because decimal text always parses 2,5-smooth).
-    """
-    value = Fraction(value)
-    num, den = value.numerator, value.denominator
-    d = den
-    exp2 = exp5 = 0
-    while d % 2 == 0:
-        d //= 2
-        exp2 += 1
-    while d % 5 == 0:
-        d //= 5
-        exp5 += 1
-    if d != 1:
-        return repr(float(value))
-    shift = max(exp2, exp5)
-    scaled = num * (10 ** shift) // den
-    if shift == 0:
-        return str(scaled)
-    digits = str(scaled).rjust(shift + 1, "0")
-    return (digits[:-shift] + "." + digits[-shift:]).rstrip("0").rstrip(".") or "0"
-
-
-def serialize_uai(model):
-    """Render a weighted model back to UAI text (MARKOV preamble)."""
-    out = ["MARKOV", str(model.n), " ".join(str(k) for k in model.domains), str(len(model.functions))]
-    for f in model.functions:
-        out.append(" ".join([str(len(f.scope))] + [str(v) for v in f.scope]))
-    for f in model.functions:
-        out.append(str(len(f.values)))
-        out.append(" ".join(_decimal_str(v) for v in f.values))
-    return "\n".join(out) + "\n"
 
 
 def parse_dimacs_cnf(text):

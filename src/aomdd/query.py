@@ -8,12 +8,15 @@ evaluation and maximization multiply 1.  The skipped set of an arc is
     uncovered(u, i) = subtree(var(u)) - {var(u)} - union of subtree(c)
                       for c in children_i
 
-and, above the roots, every variable outside all root subtrees.
+and, above the roots, every variable outside all root subtrees.  Every
+subtree is a DFS interval and an arc's children are unrelated and in
+DFS order, so the skipped variables are the ``dfs_order`` slices
+between the children's intervals.
 """
 
 from __future__ import annotations
 
-from .diagram import reachable_nodes, structural_equal
+from .diagram import reachable_nodes
 from .errors import StructuralError
 
 
@@ -29,29 +32,21 @@ def _check_evidence(diagram, evidence):
     return evidence
 
 
-def _uncovered_mask(diagram, node, children):
-    mask = diagram.tree.subtree_mask[node.var] & ~(1 << node.var)
+def _arc_items(tree, lo, hi, children):
+    """Children and skipped variables of DFS positions ``[lo, hi)``, in DFS order.
+
+    Skipped variables come as ints, children as their meta-nodes.  An
+    arc of ``u`` spans ``[dfs_index[u] + 1, subtree_end[u])``; the roots
+    span the whole tree.
+    """
+    order, end = tree.dfs_order, tree.subtree_end
+    items = []
     for c in children:
-        mask &= ~diagram.tree.subtree_mask[c.var]
-    return mask
-
-
-def _root_uncovered_mask(diagram):
-    mask = (1 << len(diagram.domains)) - 1
-    for r in diagram.roots:
-        mask &= ~diagram.tree.subtree_mask[r.var]
-    return mask
-
-
-def _mask_vars(mask):
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
+        items.extend(order[lo:tree.dfs_index[c.var]])
+        items.append(c)
+        lo = end[c.var]
+    items.extend(order[lo:hi])
+    return items
 
 
 def evaluate(diagram, x):
@@ -84,31 +79,30 @@ def _bottom_up(diagram):
 def _sum_traversal(diagram, evidence, weight_of):
     """Memoized sum over e-consistent assignments with don't-care factors."""
     domains = diagram.domains
+    tree = diagram.tree
     memo = {}
+
+    def product(term, items):
+        for item in items:
+            if type(item) is int:
+                if item not in evidence:
+                    term = term * domains[item]
+            else:
+                term = term * memo[id(item)]
+        return term
+
     for u in _bottom_up(diagram):
         total = 0
         fixed = evidence.get(u.var)
+        lo, hi = tree.dfs_index[u.var] + 1, tree.subtree_end[u.var]
         for val, (w, children) in enumerate(u.arcs):
             if fixed is not None and val != fixed:
                 continue
             w = weight_of(w)
-            if w == 0:
-                continue
-            term = w
-            for c in children:
-                term = term * memo[id(c)]
-            for v in _mask_vars(_uncovered_mask(diagram, u, children)):
-                if v not in evidence:
-                    term = term * domains[v]
-            total = total + term
+            if w != 0:
+                total = total + product(w, _arc_items(tree, lo, hi, children))
         memo[id(u)] = total
-    result = 1
-    for r in diagram.roots:
-        result = result * memo[id(r)]
-    for v in _mask_vars(_root_uncovered_mask(diagram)):
-        if v not in evidence:
-            result = result * domains[v]
-    return result
+    return product(1, _arc_items(tree, 0, tree.n, diagram.roots))
 
 
 def sum_over(diagram, evidence=None):
@@ -174,7 +168,11 @@ def enumerate_solutions(diagram, limit=None, evidence=None):
 
     Deterministic DFS order: value index ascending, pseudo-tree branch
     order, with skipped variables expanded over their full domains in
-    DFS position.
+    DFS position.  Runs on an explicit stack of ``(weight, pairs,
+    pending)`` states, so any diagram depth works: ``pairs`` and
+    ``pending`` are linked lists of the values chosen so far and of the
+    items still to expand, in DFS order.  Expanding the first pending
+    item puts its children and skipped variables in front of the rest.
     """
     evidence = _check_evidence(diagram, evidence)
     domains = diagram.domains
@@ -182,57 +180,34 @@ def enumerate_solutions(diagram, limit=None, evidence=None):
     if diagram.constant == 0:
         return
 
-    def var_factory(v):
-        def gen():
-            fixed = evidence.get(v)
-            for val in range(domains[v]):
-                if fixed is not None and val != fixed:
-                    continue
-                yield 1, ((v, val),)
+    def push(items, rest):
+        for item in reversed(items):
+            rest = (item, rest)
+        return rest
 
-        return gen
-
-    def node_factory(u):
-        def gen():
-            fixed = evidence.get(u.var)
-            for val, (w, children) in enumerate(u.arcs):
-                if fixed is not None and val != fixed:
-                    continue
-                if w == 0:
-                    continue
-                parts = [(tree.dfs_index[c.var], node_factory(c)) for c in children]
-                for v in _mask_vars(_uncovered_mask(diagram, u, children)):
-                    parts.append((tree.dfs_index[v], var_factory(v)))
-                parts.sort(key=lambda p: p[0])
-                for w2, pairs in _cross([p[1] for p in parts]):
-                    yield w * w2, ((u.var, val),) + pairs
-
-        return gen
-
-    def _cross(factories):
-        if not factories:
-            yield 1, ()
-            return
-        for w1, p1 in factories[0]():
-            for w2, p2 in _cross(factories[1:]):
-                yield w1 * w2, p1 + p2
-
-    parts = [(tree.dfs_index[r.var], node_factory(r)) for r in diagram.roots]
-    for v in _mask_vars(_root_uncovered_mask(diagram)):
-        parts.append((tree.dfs_index[v], var_factory(v)))
-    parts.sort(key=lambda p: p[0])
-
+    stack = [(1, None, push(_arc_items(tree, 0, tree.n, diagram.roots), None))]
     emitted = 0
-    for w, pairs in _cross([p[1] for p in parts]):
-        if limit is not None and emitted >= limit:
-            return
-        assignment = [None] * len(domains)
-        for var, val in pairs:
-            assignment[var] = val
-        yield assignment, diagram.constant * w
-        emitted += 1
-
-
-def equivalent(a, b):
-    """Equality of the represented functions via canonical-form identity."""
-    return structural_equal(a, b)
+    while stack:
+        w, pairs, pending = stack.pop()
+        if pending is None:
+            if limit is not None and emitted >= limit:
+                return
+            assignment = [None] * len(domains)
+            while pairs is not None:
+                var, val, pairs = pairs
+                assignment[var] = val
+            yield assignment, diagram.constant * w
+            emitted += 1
+            continue
+        item, rest = pending
+        if type(item) is int:
+            var, arcs, lo, hi = item, ((1, ()),) * domains[item], 0, 0
+        else:
+            var, arcs = item.var, item.arcs
+            lo, hi = tree.dfs_index[var] + 1, tree.subtree_end[var]
+        fixed = evidence.get(var)
+        for val in range(len(arcs) - 1, -1, -1):
+            w2, children = arcs[val]
+            if w2 != 0 and (fixed is None or val == fixed):
+                items = _arc_items(tree, lo, hi, children)
+                stack.append((w * w2, (var, val, pairs), push(items, rest)))

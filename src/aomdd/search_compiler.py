@@ -5,10 +5,6 @@ caching each variable's subproblem by its context assignment, and
 reduces meta-nodes inline on backtrack, so the trace it touches is (a
 subset of, under pruning) the context-minimal graph and the output is
 the canonical diagram.
-
-A deferred-reduction variant first materializes the raw context-minimal
-graph and then runs an explicit bottom-up reduction sweep; both paths
-produce identical diagrams.
 """
 
 from __future__ import annotations
@@ -36,22 +32,6 @@ class CompileStats:
     and_expansions: Counter = field(default_factory=Counter)
     cache_hits: Counter = field(default_factory=Counter)
 
-    def report(self, tree, table):
-        """Line-oriented counter dump, one line per variable in DFS order."""
-        lines = ["var or_expansions and_expansions cache_hits meta_nodes"]
-        for v in tree.dfs_order:
-            lines.append(
-                "%d %d %d %d %d"
-                % (
-                    v,
-                    self.or_expansions[v],
-                    self.and_expansions[v],
-                    self.cache_hits[v],
-                    table.created_per_var.get(v, 0),
-                )
-            )
-        return "\n".join(lines) + "\n"
-
 
 def _default_tree(model):
     g = build_primal_graph(model)
@@ -62,27 +42,6 @@ def _contexts_of(tree, model):
     if tree.context is not None:
         return tree.context
     return compute_contexts(tree, build_primal_graph(model))
-
-
-def arc_weight(model, tree, var, val, partial, buckets=None):
-    """Product of the bucket(var) functions at partial + {var: val}.
-
-    Every bucket scope lies inside {var} + context(var), so the value is
-    fully determined by the context assignment; 1 for an empty bucket.
-    """
-    if buckets is None:
-        buckets = compute_buckets(tree, model)
-    saved = partial[var]
-    partial[var] = val
-    try:
-        w = 1
-        for fid in buckets[var]:
-            w = w * model.functions[fid].value_at(partial)
-            if w == 0:
-                break
-        return w
-    finally:
-        partial[var] = saved
 
 
 def _constant_factor(model):
@@ -152,86 +111,6 @@ def compile_search(model, tree=None, hook=None, table=None, node_cap=None):
     if constant == 0:
         children = ()
     return Aomdd(tree, domains, tuple(children), constant, table, weighted, stats)
-
-
-def compile_search_deferred(model, tree=None, table=None, node_cap=None):
-    """Compile by tracing the raw context-minimal graph, then reducing.
-
-    Equivalent to :func:`compile_search` (without a hook); kept as an
-    explicit two-phase path so the inline-vs-deferred identity is
-    testable.
-    """
-    if tree is None:
-        tree = _default_tree(model)
-    contexts = _contexts_of(tree, model)
-    buckets = compute_buckets(tree, model)
-    weighted = model.kind == WEIGHTED
-    if table is None:
-        table = UniqueTable(weighted, node_cap, model.domains)
-    domains = model.domains
-    functions = model.functions
-    assignment = [None] * tree.n
-    raw = {}
-
-    def trace(var):
-        key = (var, tuple(assignment[a] for a in contexts[var]))
-        if key in raw:
-            return key
-        raw[key] = arcs = []
-        for val in range(domains[var]):
-            assignment[var] = val
-            w = 1
-            for fid in buckets[var]:
-                w = w * functions[fid].value_at(assignment)
-                if w == 0:
-                    break
-            if w == 0:
-                arcs.append((0, ()))
-                continue
-            refs = []
-            for child in tree.children[var]:
-                refs.append((yield trace(child)))
-            arcs.append((w, tuple(refs)))
-        assignment[var] = None
-        return key
-
-    root_ref = run(trace(tree.root))
-
-    reduced = {}
-    by_var = {}
-    for ref in raw:
-        by_var.setdefault(ref[0], []).append(ref)
-    for var in reversed(tree.dfs_order):
-        for ref in by_var.get(var, ()):
-            arcs = []
-            for w, refs in raw[ref]:
-                children = []
-                for r in refs:
-                    c_const, c_children = reduced[r]
-                    if c_const == 0:
-                        w = 0
-                        break
-                    w = w * c_const
-                    children.extend(c_children)
-                arcs.append((w, tuple(children)) if w != 0 else (0, ()))
-            reduced[ref] = make_node(var, arcs, table)
-
-    const, children = reduced[root_ref]
-    constant = const * _constant_factor(model)
-    if constant == 0:
-        children = ()
-    return Aomdd(tree, domains, tuple(children), constant, table, weighted, None)
-
-
-def reduce_level(candidates, table):
-    """Reduce one variable level of candidate meta-nodes.
-
-    ``candidates`` is a list of ``(var, arcs)`` pairs whose children are
-    already reduced; returns the list of ``(constant, children)``
-    results.  Isomorphic candidates collapse to one interned node and
-    redundant candidates dissolve into their promoted constant.
-    """
-    return [make_node(var, arcs, table) for var, arcs in candidates]
 
 
 def model_nogoods(model):

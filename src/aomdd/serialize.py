@@ -153,10 +153,6 @@ def loads(text):
     tree = _finish_tree(n, parent, children, root)
     if tree.dfs_order != tuple(dfs_order):
         raise ParseError("dfs record inconsistent with parents", lineno)
-    # a subtree is the DFS interval [dfs_index[v], end[v])
-    end = [0] * n
-    for v in reversed(dfs_order):
-        end[v] = end[children[v][-1]] if children[v] else dfs_index[v] + 1
     var_of = {str(v): v for v in range(n)}
 
     lineno, (mstr,) = next_line("nodes", 1)
@@ -204,7 +200,7 @@ def loads(text):
                 "node %d has %d arcs, domain size is %d"
                 % (i, len(fields) - 2, domains[var])
             )
-        pos, stop = dfs_index[var], end[var]
+        pos, stop = dfs_index[var], tree.subtree_end[var]
         arcs = []
         sig = []
         for tok in fields[2:]:

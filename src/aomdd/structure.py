@@ -149,6 +149,8 @@ class PseudoTree:
     ``children`` lists follow the generating ordering; ``context`` holds
     per-variable ancestor lists ordered closest-first, or None when the
     tree was rebuilt without its primal graph (deserialized diagrams).
+    The subtree of ``v`` is the DFS interval
+    ``dfs_order[dfs_index[v]:subtree_end[v]]``.
     """
 
     parent: tuple
@@ -157,7 +159,7 @@ class PseudoTree:
     dfs_order: tuple
     dfs_index: tuple
     depth_of: tuple
-    subtree_mask: tuple
+    subtree_end: tuple
     context: tuple = None
 
     @property
@@ -170,26 +172,12 @@ class PseudoTree:
 
     def is_ancestor_or_self(self, a, b):
         """True iff ``a`` is ``b`` or an ancestor of ``b``."""
-        return bool(self.subtree_mask[a] >> b & 1)
+        return self.dfs_index[a] <= self.dfs_index[b] < self.subtree_end[a]
 
     def __eq__(self, other):
         if not isinstance(other, PseudoTree):
             return NotImplemented
         return self.parent == other.parent and self.dfs_order == other.dfs_order
-
-    def to_parent_text(self):
-        """One-line parent-array form, root marked -1."""
-        return " ".join("-1" if p is None else str(p) for p in self.parent) + "\n"
-
-    def to_dot(self):
-        lines = ["digraph pseudotree {"]
-        for v in self.dfs_order:
-            lines.append('  v%d [label="%d"];' % (v, v))
-        for v in self.dfs_order:
-            if self.parent[v] is not None:
-                lines.append("  v%d -> v%d;" % (self.parent[v], v))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def _finish_tree(n, parent, children, root, g=None):
@@ -206,12 +194,9 @@ def _finish_tree(n, parent, children, root, g=None):
     for v in dfs_order:
         if parent[v] is not None:
             depth_of[v] = depth_of[parent[v]] + 1
-    mask = [0] * n
+    end = [0] * n
     for v in reversed(dfs_order):
-        m = 1 << v
-        for c in children[v]:
-            m |= mask[c]
-        mask[v] = m
+        end[v] = end[children[v][-1]] if children[v] else dfs_index[v] + 1
     tree = PseudoTree(
         parent=tuple(parent),
         children=tuple(tuple(c) for c in children),
@@ -219,7 +204,7 @@ def _finish_tree(n, parent, children, root, g=None):
         dfs_order=tuple(dfs_order),
         dfs_index=tuple(dfs_index),
         depth_of=tuple(depth_of),
-        subtree_mask=tuple(mask),
+        subtree_end=tuple(end),
     )
     if g is not None:
         tree.context = compute_contexts(tree, g)
@@ -307,30 +292,3 @@ def compute_buckets(tree, model):
                     )
     return [tuple(b) for b in buckets]
 
-
-def _parent_map(t):
-    if isinstance(t, PseudoTree):
-        return {v: t.parent[v] for v in range(t.n)}
-    return dict(t)
-
-
-def embed_check(t1, t2):
-    """True iff the smaller tree is the larger tree restricted to its variables.
-
-    Restriction deletes each missing node and reconnects its parent to
-    its descendants (strict compatibility witness).  Accepts either
-    PseudoTree instances or parent maps ``{var: parent-or-None}``.
-    """
-    m1, m2 = _parent_map(t1), _parent_map(t2)
-    if len(m2) < len(m1):
-        m1, m2 = m2, m1
-    if not set(m1) <= set(m2):
-        raise StructuralError("variable sets are not nested")
-    keep = set(m1)
-    restricted = {}
-    for v in keep:
-        p = m2[v]
-        while p is not None and p not in keep:
-            p = m2[p]
-        restricted[v] = p
-    return restricted == m1

@@ -94,11 +94,22 @@ def pseudo_tree_links(g, order):
     return tuple(parent), tuple(tuple(c) for c in children)
 
 
+def subtree_mask(tree, v):
+    """Bit mask of the variables in the subtree of ``v``, from ``tree.children``."""
+    mask = 0
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        mask |= 1 << u
+        stack.extend(tree.children[u])
+    return mask
+
+
 def contexts(tree, g):
     """Ancestors of each variable adjacent to its subtree, closest first."""
     out = []
     for v in range(tree.n):
-        sub = tree.subtree_mask[v]
+        sub = subtree_mask(tree, v)
         ctx = []
         a = tree.parent[v]
         while a is not None:
@@ -110,14 +121,3 @@ def contexts(tree, g):
             a = tree.parent[a]
         out.append(tuple(ctx))
     return tuple(out)
-
-
-def chain_parent_map(variables):
-    """Parent map of the chain through ``variables`` in the given order."""
-    out = {}
-    prev = None
-    for v in variables:
-        out[v] = prev
-        prev = v
-    return out
-

@@ -1,26 +1,19 @@
 import itertools
 from fractions import Fraction
 
-import pytest
-
 from aomdd import (
-    StructuralError,
-    UniqueTable,
-    apply_aomdds,
     build_primal_graph,
-    chain_pseudo_tree,
     compile_be,
     compile_search,
     count_stats,
     evaluate,
-    function_to_chain_aomdd,
     generate_pseudo_tree,
     make_model,
     parse_dimacs_cnf,
     structural_equal,
 )
 from aomdd.be_compiler import apply_fragments, group_descendants
-from aomdd.diagram import reachable_nodes
+from aomdd.diagram import UniqueTable, reachable_nodes
 
 from conftest import random_model, seeded_rng
 
@@ -50,25 +43,6 @@ def test_chain_diagram_unary_weighted():
     assert len(reachable_nodes(compiled)) == 1
     node = compiled.roots[0]
     assert [w for w, _ in node.arcs] == [Fraction(2, 5), Fraction(3, 5)]
-
-
-def test_function_to_chain_aomdd_matches_search():
-    rng = seeded_rng(31)
-    for _ in range(10):
-        m = random_model(rng, weighted=True)
-        single = make_model(
-            m.domains,
-            [(m.functions[0].scope, m.functions[0].values)],
-            kind="weighted",
-        )
-        d = list(range(m.n))
-        table = UniqueTable(weighted=True, domains=m.domains)
-        chain = function_to_chain_aomdd(m.functions[0], d, table, m.domains)
-        g = build_primal_graph(single)
-        search = compile_search(single, chain_pseudo_tree(g, d))
-        assert structural_equal(chain, search)
-        be = compile_be(single, d=d)
-        assert structural_equal(be, compile_search(single, be.tree))
 
 
 def test_group_descendants_paper_case(example_model, example_tree):
@@ -131,18 +105,11 @@ def test_apply_clause_product():
     assert sols == {(0, 1, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)}
 
 
-def test_apply_aomdds_requires_shared_table(example_model, example_tree):
-    a = compile_search(example_model, example_tree)
-    b = compile_search(example_model, example_tree)
-    with pytest.raises(StructuralError):
-        apply_aomdds(a, b)
-
-
-def test_apply_aomdds_squares_constraints(example_model, example_tree):
+def test_apply_squares_constraints(example_model, example_tree):
     a = compile_be(example_model, d=list(range(8)), tree=example_tree)
-    sq = apply_aomdds(a, a)
+    fragment = (a.constant, a.roots)
     # squaring a 0/1 function is the identity
-    assert structural_equal(a, sq)
+    assert apply_fragments(fragment, fragment, example_tree, {}, a.table) == fragment
 
 
 def test_bucket_fold_order_independent(example_model, example_tree):

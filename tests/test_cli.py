@@ -165,6 +165,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag", [["--order", "minfill"], ["--epsilon-digits", "6"]]
+)
+def test_removed_compile_flags_are_usage_errors(example_cnf, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", example_cnf, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["compile", "/no/such/file.uai"]) == 2
     capsys.readouterr()

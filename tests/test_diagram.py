@@ -4,18 +4,13 @@ import pytest
 
 from aomdd import (
     StructuralError,
-    UniqueTable,
     compile_search,
     count_stats,
-    make_node,
-    normalize_arcs,
     normalized_root_sum,
-    quantize,
     structural_equal,
     to_dot,
-    weights_equal,
 )
-from aomdd.diagram import check_reduced
+from aomdd.diagram import UniqueTable, check_reduced, make_node, normalize_arcs
 from aomdd.errors import ResourceLimitError
 
 from conftest import random_model, seeded_rng
@@ -104,15 +99,8 @@ def test_normalize_arcs():
     assert normalize_arcs([(0, ()), (0, ())]) == (None, 0)
 
 
-def test_weights_equal():
-    assert weights_equal(0.5, 0.5)
-    assert weights_equal(0.3333333333331, 0.3333333333334, digits=12)
-    assert not weights_equal(0.5, 0.5 + 1e-6)
-    assert quantize(0.123456789012345, 5) == 0.12346
-
-
 def test_count_stats_terminal(example_model, example_tree):
-    from aomdd import Aomdd
+    from aomdd.diagram import Aomdd
 
     table = UniqueTable(weighted=False, domains=example_model.domains)
     empty = Aomdd(example_tree, example_model.domains, (), 1, table, False)

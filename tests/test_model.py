@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -11,10 +10,8 @@ from aomdd import (
     parse_dimacs_cnf,
     parse_uai,
     parse_uai_evidence,
-    serialize_uai,
-    weight_of_full_assignment,
 )
-from aomdd.model import full_assignments
+from aomdd.model import full_assignments, weight_of_full_assignment
 
 
 def test_parse_uai_minimal():
@@ -45,27 +42,11 @@ def test_parse_uai_truncated():
         parse_uai("MARKOV 2 2 2 1 2 0 1 4 0.1 0.2 0.3")
 
 
-def test_uai_round_trip():
-    text = "MARKOV 2 2 3 2 1 0 2 0 1 2 0.5 0.125 6 0 0.2 0.3 0.1 0.05 0.35"
-    m1 = parse_uai(text)
-    m2 = parse_uai(serialize_uai(m1))
-    assert m1 == m2
-    assert serialize_uai(m1) == serialize_uai(m2)
-
-
 def test_weight_of_full_assignment_product():
     m = make_model([2, 2], [((0,), [Fraction(1, 2), Fraction(1, 2)]),
                             ((1,), [Fraction(1, 4), Fraction(3, 4)])])
     assert weight_of_full_assignment(m, [0, 1]) == Fraction(3, 8)
     assert weight_of_full_assignment(m, [1, 0]) == Fraction(1, 8)
-
-
-def test_weight_log_space():
-    m = make_model([2], [((0,), [0, Fraction(1, 2)])])
-    assert weight_of_full_assignment(m, [0], log_space=True) == float("-inf")
-    assert weight_of_full_assignment(m, [1], log_space=True) == pytest.approx(
-        math.log(0.5)
-    )
 
 
 def test_weight_unassigned_errors():

@@ -5,19 +5,23 @@ import pytest
 from aomdd import (
     StructuralError,
     brute_force_table,
+    build_primal_graph,
+    chain_pseudo_tree,
     compile_search,
     count_solutions,
+    dumps,
     enumerate_solutions,
-    equivalent,
     evaluate,
+    loads,
     make_model,
     mpe,
     parse_dimacs_cnf,
+    structural_equal,
     sum_over,
-    weight_of_full_assignment,
 )
-from aomdd.model import full_assignments
+from aomdd.model import full_assignments, weight_of_full_assignment
 
+import query_reference as ref
 from conftest import EXAMPLE_CNF, queens_model, random_model, seeded_rng
 
 
@@ -156,6 +160,42 @@ def test_enumerate_matches_support():
         assert enumerated == expected
 
 
+def test_enumerate_matches_reference():
+    rng = seeded_rng(45)
+    cases = [(queens_model(5), [None, 3], [{}, {0: 2}, {1: 0, 4: 3}])]
+    for _ in range(60):
+        m = random_model(rng, weighted=rng.random() < 0.5)
+        limits = [None, rng.randint(0, 5)]
+        cases.append((m, limits, [{}, _random_evidence(rng, m.domains)]))
+    for m, limits, evidences in cases:
+        compiled = compile_search(m)
+        for limit in limits:
+            for evidence in evidences:
+                got = list(enumerate_solutions(compiled, limit, evidence))
+                assert got == list(ref.enumerate_solutions(compiled, limit, evidence))
+
+
+def test_deep_chain_queries():
+    n = 3000
+    eq = [1, 0, 0, 1]
+    m = make_model([2] * n, [((i, i + 1), eq) for i in range(n - 1)], kind="constraint")
+    order = list(range(n))
+    tree = chain_pseudo_tree(build_primal_graph(m), order)
+    assert tree.height == n - 1
+    compiled = compile_search(m, tree)
+    sols = list(enumerate_solutions(compiled, limit=2))
+    assert sols == [([0] * n, 1), ([1] * n, 1)]
+    assert list(enumerate_solutions(compiled)) == sols
+    assert count_solutions(compiled) == sum_over(compiled) == 2
+    assert count_solutions(compiled, {n - 1: 1}) == 1
+    assert mpe(compiled, {0: 1}) == (1, [1] * n)
+    assert evaluate(compiled, [0] * (n - 1) + [1]) == 0
+    text = dumps(compiled)
+    loaded = loads(text)
+    assert dumps(loaded) == text
+    assert structural_equal(loaded, compiled)
+
+
 def test_equivalent_detects_dropped_constraint(example_model, example_tree):
     a = compile_search(example_model, example_tree)
     dropped = make_model(
@@ -164,5 +204,5 @@ def test_equivalent_detects_dropped_constraint(example_model, example_tree):
         kind="constraint",
     )
     b = compile_search(dropped, example_tree)
-    assert not equivalent(a, b)
-    assert equivalent(a, compile_search(example_model, example_tree))
+    assert not structural_equal(a, b)
+    assert structural_equal(a, compile_search(example_model, example_tree))

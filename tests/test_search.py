@@ -3,15 +3,11 @@ import math
 import pytest
 
 from aomdd import (
-    UniqueTable,
-    arc_weight,
     bcp_hook,
     compile_search,
-    compile_search_deferred,
     count_stats,
     make_model,
     parse_dimacs_cnf,
-    reduce_level,
     structural_equal,
 )
 from aomdd.errors import ResourceLimitError
@@ -19,17 +15,6 @@ from aomdd.errors import ResourceLimitError
 from conftest import random_model, seeded_rng
 
 A, B, C, D, E, F, G, H = range(8)
-
-
-def test_arc_weight_example(example_model, example_tree):
-    partial = [None] * 8
-    partial[A], partial[B], partial[F] = 1, 1, 0
-    assert arc_weight(example_model, example_tree, H, 1, partial) == 1
-    partial[A] = 0
-    # A=0, H=1 falsifies A|~H
-    assert arc_weight(example_model, example_tree, H, 1, partial) == 0
-    # empty bucket: the root variable has no functions of its own
-    assert arc_weight(example_model, example_tree, A, 0, [None] * 8) == 1
 
 
 def test_compile_constant_model():
@@ -44,31 +29,6 @@ def test_compile_unsatisfiable():
     compiled = compile_search(m)
     assert compiled.is_terminal
     assert compiled.constant == 0
-
-
-def test_deferred_reduction_matches_inline():
-    rng = seeded_rng(21)
-    for _ in range(30):
-        m = random_model(rng, weighted=rng.random() < 0.5)
-        a = compile_search(m)
-        b = compile_search_deferred(m)
-        assert structural_equal(a, b)
-
-
-def test_reduce_level():
-    table = UniqueTable(weighted=False, domains=(2, 2))
-    out = reduce_level(
-        [
-            (0, [(0, ()), (1, ())]),
-            (0, [(0, ()), (1, ())]),  # isomorphic duplicate
-            (0, [(1, ()), (1, ())]),  # redundant
-        ],
-        table,
-    )
-    assert out[0] == out[1]
-    assert out[0][1][0] is out[1][1][0]
-    assert out[2] == (1, ())
-    assert len(table) == 1
 
 
 def test_level_sizes_match_final_counts(example_model, example_tree):

@@ -4,14 +4,12 @@ from aomdd import (
     StructuralError,
     build_primal_graph,
     chain_pseudo_tree,
-    compute_buckets,
-    embed_check,
     generate_pseudo_tree,
     induced_width,
     make_model,
     min_fill_ordering,
 )
-from aomdd.structure import PrimalGraph
+from aomdd.structure import PrimalGraph, compute_buckets
 
 import structure_reference as ref
 from conftest import EXAMPLE_ORDER, random_model, seeded_rng
@@ -144,21 +142,6 @@ def test_buckets_off_path_scope_rejected():
         compute_buckets(t, m)
 
 
-def test_embed_check(example_tree):
-    assert embed_check(ref.chain_parent_map([A, F, H]), example_tree)
-    assert not embed_check(ref.chain_parent_map([H, A]), example_tree)
-    assert embed_check(example_tree, example_tree)
-    with pytest.raises(StructuralError):
-        embed_check({9: None}, example_tree)
-
-
-def test_tree_text_exports(example_tree):
-    assert example_tree.to_parent_text().split() == [
-        "-1", "0", "1", "2", "2", "1", "5", "5"
-    ]
-    assert example_tree.to_dot().startswith("digraph")
-
-
 def _random_graph(rng, n, density):
     return _graph(
         n,
@@ -218,6 +201,22 @@ def test_trees_and_contexts_match_reference():
             assert induced_width(g, order) == ref.induced_width(g, order)
             c = chain_pseudo_tree(g, order)
             assert c.context == ref.contexts(c, g)
+
+
+def test_is_ancestor_or_self_matches_parent_walk():
+    rng = seeded_rng(6)
+    for g in IDENTITY_CORPUS[::4]:
+        order = list(range(g.n))
+        rng.shuffle(order)
+        for t in (generate_pseudo_tree(g, order), chain_pseudo_tree(g, order)):
+            for b in range(g.n):
+                above = {b}
+                a = t.parent[b]
+                while a is not None:
+                    above.add(a)
+                    a = t.parent[a]
+                for a in range(g.n):
+                    assert t.is_ancestor_or_self(a, b) == (a in above)
 
 
 def test_large_shuffled_chain():
