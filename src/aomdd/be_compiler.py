@@ -49,6 +49,13 @@ def _chain_fragment(f, chain, domains, table):
     return build(0)
 
 
+def _run_below(nodes, k, stop, pos):
+    """End of the run of ``nodes`` from index ``k`` at DFS positions below ``stop``."""
+    while k < len(nodes) and pos[nodes[k].var] < stop:
+        k += 1
+    return k
+
+
 def group_descendants(list_f, list_g, tree):
     """Group two DFS-ordered node lists by ancestor relationship.
 
@@ -57,34 +64,30 @@ def group_descendants(list_f, list_g, tree):
     member's variable lies in the head's subtree (the equal-variable
     case puts the g-node in the f-node's group), and nodes unrelated to
     the whole other list become singleton groups.
+
+    One merge of the two lists by DFS position, O(|f| + |g|): the next
+    node of either list is a head, the f-node on a tie, and its members
+    are the run of the other list's nodes that follow it inside its DFS
+    interval ``[dfs_index, subtree_end)``.
     """
+    pos, end = tree.dfs_index, tree.subtree_end
     groups = []
-    claimed_g = set()
-    claimed_f = set()
-    for y in list_g:
-        members = [
-            x
-            for x in list_f
-            if x.var != y.var and tree.is_ancestor_or_self(y.var, x.var)
-        ]
-        if members:
-            groups.append((y, members))
-            claimed_g.add(id(y))
-            claimed_f.update(id(x) for x in members)
-    for x in list_f:
-        if id(x) in claimed_f:
-            continue
-        members = [
-            y
-            for y in list_g
-            if id(y) not in claimed_g and tree.is_ancestor_or_self(x.var, y.var)
-        ]
-        claimed_g.update(id(y) for y in members)
-        groups.append((x, members))
-    for y in list_g:
-        if id(y) not in claimed_g:
-            groups.append((y, []))
-    groups.sort(key=lambda p: tree.dfs_index[p[0].var])
+    i = j = 0
+    while i < len(list_f) or j < len(list_g):
+        if j == len(list_g) or (
+            i < len(list_f) and pos[list_f[i].var] <= pos[list_g[j].var]
+        ):
+            head = list_f[i]
+            i += 1
+            k = _run_below(list_g, j, end[head.var], pos)
+            groups.append((head, list(list_g[j:k])))
+            j = k
+        else:
+            head = list_g[j]
+            j += 1
+            k = _run_below(list_f, i, end[head.var], pos)
+            groups.append((head, list(list_f[i:k])))
+            i = k
     return groups
 
 

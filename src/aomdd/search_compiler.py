@@ -137,48 +137,52 @@ def bcp_hook(model):
     unassigned variable forbids that value, and a variable with a single
     remaining value is fixed and propagated further.  Sound by
     construction: it only reports dead ends that no extension can avoid.
+
+    The returned ``hook(assignment)`` is stateless: each call copies the
+    assignment and propagates from a worklist that starts with every
+    nogood.  A nogood can only become unit or conflicting when one of
+    its variables is fixed, so only then are that variable's nogoods
+    queued again.  A variable is fixed at most once per call, so a
+    nogood is scanned once plus once per variable it mentions, and a
+    call costs O(total nogood length) for bounded arity (times the
+    largest arity in general) instead of one full rescan per
+    propagation step.  Unit propagation is confluent, so the answer
+    does not depend on the queue order.
     """
     nogoods = model_nogoods(model)
     domains = model.domains
+    occurs = [[] for _ in domains]
+    for i, nogood in enumerate(nogoods):
+        for var in {var for var, _ in nogood}:
+            occurs[var].append(i)
 
     def hook(assignment):
         values = list(assignment)
         forbidden = {}
-        changed = True
-        while changed:
-            changed = False
-            for nogood in nogoods:
-                pending = None
-                live = True
-                for var, val in nogood:
-                    current = values[var]
-                    if current is None:
-                        if val in forbidden.get(var, ()):
-                            live = False
-                            break
-                        if pending is None:
-                            pending = (var, val)
-                        else:
-                            live = False
-                            break
-                    elif current != val:
-                        live = False
+        queue = list(range(len(nogoods)))
+        while queue:
+            pending = None
+            for var, val in nogoods[queue.pop()]:
+                current = values[var]
+                if current is None:
+                    if pending is not None or val in forbidden.get(var, ()):
                         break
-                if not live:
-                    continue
+                    pending = (var, val)
+                elif current != val:
+                    break
+            else:
                 if pending is None:
                     return False
                 var, val = pending
                 bad = forbidden.setdefault(var, set())
-                if val not in bad:
-                    bad.add(val)
-                    changed = True
-                    if len(bad) == domains[var]:
-                        return False
-                    if len(bad) == domains[var] - 1:
-                        values[var] = next(
-                            v for v in range(domains[var]) if v not in bad
-                        )
+                bad.add(val)
+                if len(bad) == domains[var]:
+                    return False
+                if len(bad) == domains[var] - 1:
+                    values[var] = next(
+                        v for v in range(domains[var]) if v not in bad
+                    )
+                    queue.extend(occurs[var])
         return True
 
     return hook

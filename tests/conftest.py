@@ -109,5 +109,25 @@ def random_cnf_text(rng):
     return "\n".join(lines) + "\n"
 
 
+def shuffled_chain_cnf_text(n, seed):
+    """Equality chain over shuffled variable ids as DIMACS text.
+
+    Two clauses per link, in seeded clause and literal order: the same
+    construction as the benchmark's ``chain`` workload.
+    """
+    rng = random.Random(seed)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    clauses = []
+    for a, b in zip(perm, perm[1:]):
+        clauses += [[-a, b], [a, -b]]
+    for c in clauses:
+        rng.shuffle(c)
+    rng.shuffle(clauses)
+    lines = ["p cnf %d %d" % (n, len(clauses))]
+    lines += [" ".join(str(l) for l in c) + " 0" for c in clauses]
+    return "\n".join(lines) + "\n"
+
+
 def seeded_rng(seed):
     return random.Random(seed)

@@ -12,10 +12,12 @@ from aomdd import (
     parse_dimacs_cnf,
     structural_equal,
 )
+from aomdd import be_compiler
 from aomdd.be_compiler import apply_fragments, group_descendants
 from aomdd.diagram import UniqueTable, reachable_nodes
 
-from conftest import random_model, seeded_rng
+import be_reference
+from conftest import queens_model, random_model, seeded_rng
 
 A, B, C, D, E, F, G, H = range(8)
 
@@ -135,3 +137,24 @@ def test_be_matches_search_randomized():
         a = compile_search(m, tree)
         b = compile_be(m, d=d, tree=tree)
         assert structural_equal(a, b)
+
+
+def test_group_descendants_matches_reference(monkeypatch):
+    calls = 0
+
+    def checked(list_f, list_g, tree):
+        nonlocal calls
+        groups = group_descendants(list_f, list_g, tree)
+        expected = be_reference.group_descendants(list_f, list_g, tree)
+        shape = [(id(h), [id(x) for x in members]) for h, members in groups]
+        assert shape == [(id(h), [id(x) for x in members]) for h, members in expected]
+        calls += 1
+        return groups
+
+    monkeypatch.setattr(be_compiler, "group_descendants", checked)
+    rng = seeded_rng(53)
+    models = [random_model(rng, weighted=rng.random() < 0.5) for _ in range(60)]
+    models.append(queens_model(5))
+    for m in models:
+        compile_be(m)
+    assert calls > 1000

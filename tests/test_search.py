@@ -6,13 +6,21 @@ from aomdd import (
     bcp_hook,
     compile_search,
     count_stats,
+    dumps,
     make_model,
     parse_dimacs_cnf,
     structural_equal,
 )
 from aomdd.errors import ResourceLimitError
 
-from conftest import random_model, seeded_rng
+import search_reference
+from conftest import (
+    queens_model,
+    random_cnf_text,
+    random_model,
+    seeded_rng,
+    shuffled_chain_cnf_text,
+)
 
 A, B, C, D, E, F, G, H = range(8)
 
@@ -76,9 +84,67 @@ def test_bcp_multivalued():
     m = make_model([3, 3], [((0, 1), eq), ((0, 1), ne)], kind="constraint")
     hook = bcp_hook(m)
     assert not hook([0, None])
+    # a one-value domain loses its only value without ever being fixed
+    m = make_model([1, 2], [((0, 1), [0, 1])], kind="constraint")
+    assert not bcp_hook(m)([None, 0])
+    assert bcp_hook(m)([None, 1])
 
 
 def test_bcp_result_unchanged(example_model, example_tree):
     plain = compile_search(example_model, example_tree)
     pruned = compile_search(example_model, example_tree, hook=bcp_hook(example_model))
     assert structural_equal(plain, pruned)
+
+
+def _hook_corpus():
+    rng = seeded_rng(51)
+    models = [parse_dimacs_cnf(random_cnf_text(rng)) for _ in range(150)]
+    models += [random_model(rng, weighted=False) for _ in range(150)]
+    models += [random_model(rng, weighted=True) for _ in range(30)]
+    models.append(queens_model(5))
+    return models
+
+
+def test_bcp_matches_reference_during_compile():
+    calls = rejects = 0
+    for m in _hook_corpus():
+        hook = bcp_hook(m)
+        reference = search_reference.bcp_hook(m)
+
+        def checked(assignment):
+            nonlocal calls, rejects
+            verdict = hook(assignment)
+            assert verdict == reference(assignment), assignment
+            calls += 1
+            rejects += not verdict
+            return verdict
+
+        compile_search(m, hook=checked)
+    assert calls > 2000 and 0 < rejects < calls
+
+
+def test_bcp_matches_reference_on_random_assignments():
+    rng = seeded_rng(52)
+    calls = rejects = 0
+    for m in _hook_corpus():
+        hook = bcp_hook(m)
+        reference = search_reference.bcp_hook(m)
+        for _ in range(100):
+            unset = rng.random()
+            assignment = [
+                None if rng.random() < unset else rng.randrange(k) for k in m.domains
+            ]
+            verdict = hook(assignment)
+            assert verdict == reference(assignment), assignment
+            calls += 1
+            rejects += not verdict
+    assert 0 < rejects < calls
+
+
+def test_bcp_chain_trace_and_bytes_unchanged():
+    m = parse_dimacs_cnf(shuffled_chain_cnf_text(150, seed=5))
+    plain = compile_search(m)
+    pruned = compile_search(m, hook=bcp_hook(m))
+    assert pruned.stats.or_expansions == plain.stats.or_expansions
+    assert pruned.stats.and_expansions == plain.stats.and_expansions
+    assert dumps(pruned) == dumps(plain)
