@@ -11,14 +11,22 @@ results are shared across messages for free.  Internally a diagram
 fragment is carried as a ``(constant, nodes)`` pair — the same shape
 ``make_node`` returns — where ``nodes`` is a DFS-ordered tuple with at
 most one node per pseudo-tree branch.
+
+The tables enter as integers (``integer_tables``), and APPLY multiplies
+integer arc weights.  Inside APPLY a fragment's constant is an integer
+pair ``(num, den)``, reduced once per result, so no arc is divided and
+``make_node`` only ever sees integers.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from ._recursion import run
-from .diagram import Aomdd, UniqueTable, make_node
+from .diagram import Aomdd, UniqueTable, make_node, node_total, ratio
 from .errors import StructuralError
 from .model import WEIGHTED
+from .search_compiler import integer_tables
 from .structure import (
     build_primal_graph,
     chain_pseudo_tree,
@@ -94,8 +102,12 @@ def group_descendants(list_f, list_g, tree):
 def _apply_node(v1, zs, tree, memo, table):
     """APPLY of one head node against a list of pairwise-unrelated nodes.
 
-    Generator (driven by the trampoline) returning a ``(constant,
-    nodes)`` fragment for the product function.
+    Generator (driven by the trampoline) returning ``(num, den, nodes)``:
+    the product function is ``num / den`` (in lowest terms) times the
+    functions of ``nodes``.  Arc weights multiply as integers; the node
+    sums that normalize ``v1`` (and ``z``) go into ``den`` once, and the
+    arcs' child constants are brought to their lcm denominator, so
+    ``make_node`` sees integers and no arc is divided.
     """
     for z in zs:
         if not tree.is_ancestor_or_self(v1.var, z.var):
@@ -107,45 +119,48 @@ def _apply_node(v1, zs, tree, memo, table):
     if cached is not None:
         return cached
     if not zs:
-        result = (1, (v1,))
-    elif len(zs) == 1 and zs[0].var == v1.var:
-        z = zs[0]
-        arcs = []
-        for (w1, ch1), (w2, ch2) in zip(v1.arcs, z.arcs):
-            w = w1 * w2
-            if w == 0:
-                arcs.append((0, ()))
-                continue
-            const, children = yield _combine_lists(ch1, ch2, tree, memo, table)
-            arcs.append((w * const, children) if const != 0 else (0, ()))
-        result = make_node(v1.var, arcs, table)
+        result = (1, 1, (v1,))
     else:
-        arcs = []
-        for w1, ch1 in v1.arcs:
-            if w1 == 0:
-                arcs.append((0, ()))
+        same = len(zs) == 1 and zs[0].var == v1.var
+        den = node_total(v1, table.weighted)
+        if same:
+            den *= node_total(zs[0], table.weighted)
+        parts = []
+        for i, (w, children) in enumerate(v1.arcs):
+            others = zs
+            if same:
+                w2, others = zs[0].arcs[i]
+                w *= w2
+            if w == 0:
+                parts.append((0, 1, ()))
                 continue
-            const, children = yield _combine_lists(ch1, zs, tree, memo, table)
-            arcs.append((w1 * const, children) if const != 0 else (0, ()))
-        result = make_node(v1.var, arcs, table)
+            num, q, children = yield _combine_lists(children, others, tree, memo, table)
+            parts.append((w * num, q, children))
+        common = lcm(*[q for _, q, _ in parts])
+        arcs = [(w * (common // q), children) for w, q, children in parts]
+        const, nodes = make_node(v1.var, arcs, table)
+        den *= common
+        g = gcd(const, den)
+        result = (const // g, den // g, nodes)
     memo[key] = result
     return result
 
 
 def _combine_lists(list_f, list_g, tree, memo, table):
-    """Product of two node lists; generator returning (constant, nodes)."""
-    const = 1
+    """Product of two node lists; generator returning (num, den, nodes)."""
+    num = den = 1
     out = []
     for head, members in group_descendants(list_f, list_g, tree):
         if not members:
             out.append(head)
             continue
-        c, nodes = yield _apply_node(head, members, tree, memo, table)
-        if c == 0:
-            return 0, ()
-        const = const * c
+        p, q, nodes = yield _apply_node(head, members, tree, memo, table)
+        if p == 0:
+            return 0, 1, ()
+        num *= p
+        den *= q
         out.extend(nodes)
-    return const, tuple(out)
+    return num, den, tuple(out)
 
 
 def apply_fragments(a, b, tree, memo, table):
@@ -154,8 +169,8 @@ def apply_fragments(a, b, tree, memo, table):
     cb, nb = b
     if ca == 0 or cb == 0:
         return 0, ()
-    const, nodes = run(_combine_lists(na, nb, tree, memo, table))
-    return ca * cb * const, nodes
+    num, den, nodes = run(_combine_lists(na, nb, tree, memo, table))
+    return ca * cb * ratio(num, den), nodes
 
 
 def compile_be(model, d=None, tree=None, table=None, node_cap=None, chain=False):
@@ -177,20 +192,16 @@ def compile_be(model, d=None, tree=None, table=None, node_cap=None, chain=False)
     if table is None:
         table = UniqueTable(weighted, node_cap, model.domains)
     domains = model.domains
+    functions, factor = integer_tables(model)
     memo = {}
     pos = {v: i for i, v in enumerate(d)}
-
-    root_const = 1
-    for f in model.functions:
-        if not f.scope:
-            root_const = root_const * f.values[0]
 
     inbox = [[] for _ in range(tree.n)]
     final = None
     for var in reversed(d):
         message = (1, ())
         for fid in buckets[var]:
-            f = model.functions[fid]
+            f = functions[fid]
             chain_vars = tuple(sorted(f.scope, key=pos.__getitem__))
             fragment = _chain_fragment(f, chain_vars, domains, table)
             message = apply_fragments(message, fragment, tree, memo, table)
@@ -203,7 +214,7 @@ def compile_be(model, d=None, tree=None, table=None, node_cap=None, chain=False)
             inbox[parent].append(message)
 
     const, nodes = final
-    constant = const * root_const
+    constant = const * factor
     if constant == 0:
         nodes = ()
     return Aomdd(tree, domains, tuple(nodes), constant, table, weighted, None)

@@ -6,16 +6,25 @@ at most one per pseudo-tree branch; an empty tuple stands for the
 terminal 1 and a zero-weight arc (children forced empty) stands for an
 arc into the terminal 0.
 
-``make_node`` applies normalize -> redundancy check -> isomorphism
+``make_node`` applies redundancy check -> normalize -> isomorphism
 lookup inline, so any diagram built through it is completely reduced.
-Weights are exact rationals, which makes reduction, equality and
-serialization deterministic across compilation strategies.
+
+Weights are exact.  A weighted meta-node stores its arc weights as the
+primitive integer vector of their ray: non-negative ``int``s with gcd
+1.  The value of arc ``i`` is ``n_i / sum(n)``, the unique sum-to-1
+normal form, so two nodes are equal exactly when their normalized
+weights are, and no ``Fraction`` is built per arc.  In constraint mode
+the weights are the 0/1 table values themselves.  The compilers feed
+``make_node`` integer weights (each weighted table is scaled to
+integers once, before compiling) and keep the rational scale in the
+root constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from ._recursion import run
 from .errors import ResourceLimitError, StructuralError
@@ -67,49 +76,57 @@ class UniqueTable:
 
 
 def normalize_arcs(arcs):
-    """Divide weights by their sum; return (normalized arcs, constant).
+    """Scale integer weights to their primitive vector; return (arcs, total).
 
-    An all-zero arc set signals the terminal 0: returns ``(None, 0)``.
+    ``total`` is the sum of the input weights, so arc ``i`` keeps the
+    value ``total * n_i / sum(n)``.  An all-zero arc set signals the
+    terminal 0: returns ``(None, 0)``.
     """
     total = sum(w for w, _ in arcs)
     if total == 0:
         return None, total
-    out = tuple(
-        (Fraction(w) / total, children) if w != 0 else (w * 0, ())
-        for w, children in arcs
-    )
-    return out, total
+    g = gcd(*[w for w, _ in arcs])
+    if g != 1:
+        arcs = tuple((w // g, children) for w, children in arcs)
+    return arcs, total
+
+
+def node_total(node, weighted):
+    """Denominator of a node's arc values: its weight sum, or 1 in constraint mode."""
+    return sum(w for w, _ in node.arcs) if weighted else 1
+
+
+def ratio(num, den):
+    """Exact ``num / den`` that stays an ``int`` when ``den`` is 1."""
+    return num if den == 1 else Fraction(num, den)
 
 
 def make_node(var, arcs, table):
     """Reduce-and-intern one candidate meta-node.
 
     ``arcs`` is a sequence of ``(weight, children)`` pairs, one per
-    domain value, children hash-consed and sorted by pseudo-tree DFS
-    order.  Returns ``(constant, children)``:
+    domain value, with non-negative integer weights and children
+    hash-consed and sorted by pseudo-tree DFS order.  Returns
+    ``(constant, children)``:
 
     - dead node: ``(0, ())``
-    - redundant node: the common children with the promoted weight
-    - otherwise: ``(s, (node,))`` where ``s`` is the normalization
-      constant (1 in constraint mode).
+    - redundant node: the common weight (unchanged) and children
+    - otherwise: ``(s, (node,))`` where ``s`` is the sum of the weights
+      (1 in constraint mode).
     """
-    arcs = tuple((w, tuple(ch)) if w != 0 else (w, ()) for w, ch in arcs)
+    arcs = tuple((w, tuple(ch)) if w != 0 else (0, ()) for w, ch in arcs)
     if table.domains is not None and len(arcs) != table.domains[var]:
         raise StructuralError(
             "variable %d has %d arcs, domain size is %d"
             % (var, len(arcs), table.domains[var])
         )
+    first = arcs[0]
+    if all(a == first for a in arcs[1:]):  # redundant, or dead when all 0
+        return first
     if table.weighted:
         arcs, total = normalize_arcs(arcs)
-        if arcs is None:
-            return total, ()
     else:
         total = 1
-        if all(w == 0 for w, _ in arcs):
-            return 0, ()
-    first = arcs[0]
-    if all(a == first for a in arcs[1:]):
-        return total * first[0], first[1]
     return total, (table.intern(var, arcs),)
 
 
@@ -212,9 +229,8 @@ def structural_equal(a, b):
 def normalized_root_sum(diagram):
     """Sum-traversal of the root nodes with unit don't-care factors.
 
-    For a normalized weighted diagram every meta-node's weights sum to
-    1, so this evaluates to exactly 1; exposed as a numeric sanity
-    check.
+    Every meta-node's normalized weights ``n_i / sum(n)`` sum to 1, so
+    this evaluates to exactly 1; exposed as a numeric sanity check.
     """
     memo = {}
     order = sorted(
@@ -227,7 +243,7 @@ def normalized_root_sum(diagram):
             for c in children:
                 term *= memo[id(c)]
             total += term
-        memo[id(u)] = total
+        memo[id(u)] = ratio(total, node_total(u, diagram.weighted))
     result = diagram.constant * 0 + 1
     for r in diagram.roots:
         result *= memo[id(r)]
@@ -238,61 +254,78 @@ def check_reduced(table):
     """Assert the unique-table invariants: no isomorphic pair, no redundant node.
 
     Isomorphism freedom is structural (the table is keyed by the full
-    arc tuple); redundancy freedom is re-checked per node.
+    arc tuple, which is canonical because every weight is a non-negative
+    ``int`` and each node's weights have gcd 1); redundancy freedom and
+    the weight form are re-checked per node.
     """
     for node in table.all_nodes():
         first = node.arcs[0]
         if all(a == first for a in node.arcs[1:]):
             raise AssertionError("redundant meta-node survived: %r" % node)
-        if table.weighted:
-            total = sum(w for w, _ in node.arcs)
-            if total != 1:
-                raise AssertionError("weights of %r sum to %s" % (node, total))
         for w, children in node.arcs:
+            if type(w) is not int or w < 0:
+                raise AssertionError("weight %r of %r is not a non-negative int" % (w, node))
             if w == 0 and children:
                 raise AssertionError("zero-weight arc with children on %r" % node)
+        g = gcd(*[w for w, _ in node.arcs])
+        if g != 1:
+            raise AssertionError("weights of %r have gcd %d, not 1" % (node, g))
     return True
 
 
+def weight_strs(node, weighted):
+    """Each arc's normalized weight spelled as ``str(Fraction)`` spells it.
+
+    One integer gcd per arc reduces ``n_i / sum(n)`` to lowest terms.
+    """
+    total = node_total(node, weighted)
+    out = []
+    for w, _ in node.arcs:
+        g = gcd(w, total)
+        out.append(str(w // g) if g == total else "%d/%d" % (w // g, total // g))
+    return out
+
+
 def canonical_nodes(diagram):
-    """Reachable nodes in canonical emission order, plus their dense ids.
+    """Reachable nodes in canonical emission order, their dense ids and weights.
 
     Variables are visited bottom-up (reverse DFS); within a variable,
-    nodes sort by their arc signature with child ids already assigned,
-    so equal diagrams enumerate identically regardless of creation
-    order.
+    nodes sort by their arc signature (``weight_strs`` with child ids
+    already assigned), so equal diagrams enumerate identically
+    regardless of creation order.  Returns ``(ordered, ids, labels)``,
+    ``labels[i]`` being the weight strings of ``ordered[i]``.
     """
     by_var = {}
     for u in reachable_nodes(diagram):
         by_var.setdefault(u.var, []).append(u)
     ids = {}
     ordered = []
+    labels = []
     for var in reversed(diagram.tree.dfs_order):
-        nodes = by_var.get(var, [])
         keyed = []
-        for u in nodes:
+        for u in by_var.get(var, ()):
+            strs = weight_strs(u, diagram.weighted)
             sig = tuple(
-                (str(w), tuple(ids[id(c)] for c in ch)) for w, ch in u.arcs
+                (s, tuple(ids[id(c)] for c in ch)) for s, (_, ch) in zip(strs, u.arcs)
             )
-            keyed.append((sig, u))
+            keyed.append((sig, strs, u))
         keyed.sort(key=lambda p: p[0])
-        for _, u in keyed:
+        for _, strs, u in keyed:
             ids[id(u)] = len(ordered)
             ordered.append(u)
-    return ordered, ids
+            labels.append(strs)
+    return ordered, ids, labels
 
 
 def to_dot(diagram):
     """DOT rendering: record nodes with one port per value, square terminals."""
-    ordered, ids = canonical_nodes(diagram)
+    ordered, ids, labels = canonical_nodes(diagram)
     lines = ["digraph aomdd {", "  node [shape=record];"]
     used_t0 = used_t1 = False
     arrows = []
-    for u in ordered:
+    for u, strs in zip(ordered, labels):
         i = ids[id(u)]
-        ports = " | ".join(
-            "<p%d> %d: %s" % (j, j, w) for j, (w, _) in enumerate(u.arcs)
-        )
+        ports = " | ".join("<p%d> %d: %s" % (j, j, s) for j, s in enumerate(strs))
         lines.append('  n%d [label="{X%d | { %s }}"];' % (i, u.var, ports))
         for j, (w, children) in enumerate(u.arcs):
             if w == 0:

@@ -12,11 +12,17 @@ and, above the roots, every variable outside all root subtrees.  Every
 subtree is a DFS interval and an arc's children are unrelated and in
 DFS order, so the skipped variables are the ``dfs_order`` slices
 between the children's intervals.
+
+A weighted meta-node stores integer arc weights whose values are
+``n_i / sum(n)``; the traversals multiply the integers and divide by a
+node's sum once per node, not once per arc.
 """
 
 from __future__ import annotations
 
-from .diagram import reachable_nodes
+from math import gcd
+
+from .diagram import node_total, ratio, reachable_nodes
 from .errors import StructuralError
 
 
@@ -52,22 +58,23 @@ def _arc_items(tree, lo, hi, children):
 def evaluate(diagram, x):
     """Value of the compiled function at a full assignment.
 
-    Root constant times the product of arc weights along the unique
+    Root constant times the product of arc values along the unique
     solution-tree read of ``x``; skipped variables contribute factor 1.
     """
     for var, k in enumerate(diagram.domains):
         if x[var] is None or not 0 <= x[var] < k:
             raise ValueError("variable %d unassigned or out of domain" % var)
-    result = diagram.constant
+    num = den = 1
     stack = list(diagram.roots)
     while stack:
         u = stack.pop()
         w, children = u.arcs[x[u.var]]
         if w == 0:
             return w
-        result = result * w
+        num *= w
+        den *= node_total(u, diagram.weighted)
         stack.extend(children)
-    return result
+    return diagram.constant * ratio(num, den)
 
 
 def _bottom_up(diagram):
@@ -76,39 +83,54 @@ def _bottom_up(diagram):
     )
 
 
-def _sum_traversal(diagram, evidence, weight_of):
-    """Memoized sum over e-consistent assignments with don't-care factors."""
+def _sum_traversal(diagram, evidence, count):
+    """Memoized sum over e-consistent assignments with don't-care factors.
+
+    Sums the arc values, or with ``count`` the number of nonzero paths.
+    Each node's sum is kept as an integer pair ``(num, den)`` in lowest
+    terms: one gcd per node, and no ``Fraction`` until the result.
+    """
     domains = diagram.domains
     tree = diagram.tree
+    divide = diagram.weighted and not count
     memo = {}
 
-    def product(term, items):
+    def product(num, items):
+        den = 1
         for item in items:
             if type(item) is int:
                 if item not in evidence:
-                    term = term * domains[item]
+                    num *= domains[item]
             else:
-                term = term * memo[id(item)]
-        return term
+                p, q = memo[id(item)]
+                num *= p
+                den *= q
+        return num, den
 
     for u in _bottom_up(diagram):
-        total = 0
+        num, den = 0, 1
         fixed = evidence.get(u.var)
         lo, hi = tree.dfs_index[u.var] + 1, tree.subtree_end[u.var]
         for val, (w, children) in enumerate(u.arcs):
             if fixed is not None and val != fixed:
                 continue
-            w = weight_of(w)
             if w != 0:
-                total = total + product(w, _arc_items(tree, lo, hi, children))
-        memo[id(u)] = total
-    return product(1, _arc_items(tree, 0, tree.n, diagram.roots))
+                p, q = product(1 if count else w, _arc_items(tree, lo, hi, children))
+                if q == den:
+                    num += p
+                else:
+                    num, den = num * q + p * den, den * q
+        if divide:
+            den *= node_total(u, True)
+        g = gcd(num, den)
+        memo[id(u)] = (num // g, den // g)
+    return ratio(*product(1, _arc_items(tree, 0, tree.n, diagram.roots)))
 
 
 def sum_over(diagram, evidence=None):
     """Sum of the function over all full assignments consistent with evidence."""
     evidence = _check_evidence(diagram, evidence)
-    return diagram.constant * _sum_traversal(diagram, evidence, lambda w: w)
+    return diagram.constant * _sum_traversal(diagram, evidence, False)
 
 
 def count_solutions(diagram, evidence=None):
@@ -116,7 +138,7 @@ def count_solutions(diagram, evidence=None):
     evidence = _check_evidence(diagram, evidence)
     if diagram.constant == 0:
         return 0
-    return _sum_traversal(diagram, evidence, lambda w: 0 if w == 0 else 1)
+    return _sum_traversal(diagram, evidence, True)
 
 
 def mpe(diagram, evidence=None):
@@ -124,31 +146,41 @@ def mpe(diagram, evidence=None):
 
     Don't-care variables contribute factor 1 and take value 0 in the
     witness (evidence values when observed); ``evaluate`` at the witness
-    reproduces the value exactly.
+    reproduces the value exactly.  Each node's best value is kept as an
+    integer pair ``(num, den)`` in lowest terms, as in ``sum_over``.
     """
     evidence = _check_evidence(diagram, evidence)
     domains = diagram.domains
     best = {}
     best_val = {}
     for u in _bottom_up(diagram):
-        top = None
+        top, top_den = None, 1
         top_val = 0
         fixed = evidence.get(u.var)
         for val, (w, children) in enumerate(u.arcs):
             if fixed is not None and val != fixed:
                 continue
-            term = w
+            num, den = w, 1
             for c in children:
-                term = term * best[id(c)]
-            if top is None or term > top:
-                top = term
+                p, q = best[id(c)]
+                num *= p
+                den *= q
+            if top is None or num * top_den > top * den:
+                top, top_den = num, den
                 top_val = val
-        best[id(u)] = 0 if top is None else top
+        if top is None:
+            top = 0
+        top_den *= node_total(u, diagram.weighted)
+        g = gcd(top, top_den)
+        best[id(u)] = (top // g, top_den // g)
         best_val[id(u)] = top_val
 
-    value = diagram.constant
+    num = den = 1
     for r in diagram.roots:
-        value = value * best[id(r)]
+        p, q = best[id(r)]
+        num *= p
+        den *= q
+    value = diagram.constant * ratio(num, den)
 
     witness = [None] * len(domains)
     stack = list(diagram.roots)
@@ -168,11 +200,12 @@ def enumerate_solutions(diagram, limit=None, evidence=None):
 
     Deterministic DFS order: value index ascending, pseudo-tree branch
     order, with skipped variables expanded over their full domains in
-    DFS position.  Runs on an explicit stack of ``(weight, pairs,
-    pending)`` states, so any diagram depth works: ``pairs`` and
-    ``pending`` are linked lists of the values chosen so far and of the
-    items still to expand, in DFS order.  Expanding the first pending
-    item puts its children and skipped variables in front of the rest.
+    DFS position.  Runs on an explicit stack of ``(num, den, pairs,
+    pending)`` states, so any diagram depth works: ``num / den`` is the
+    value of the path so far, and ``pairs`` and ``pending`` are linked
+    lists of the values chosen so far and of the items still to expand,
+    in DFS order.  Expanding the first pending item puts its children
+    and skipped variables in front of the rest.
     """
     evidence = _check_evidence(diagram, evidence)
     domains = diagram.domains
@@ -185,10 +218,10 @@ def enumerate_solutions(diagram, limit=None, evidence=None):
             rest = (item, rest)
         return rest
 
-    stack = [(1, None, push(_arc_items(tree, 0, tree.n, diagram.roots), None))]
+    stack = [(1, 1, None, push(_arc_items(tree, 0, tree.n, diagram.roots), None))]
     emitted = 0
     while stack:
-        w, pairs, pending = stack.pop()
+        num, den, pairs, pending = stack.pop()
         if pending is None:
             if limit is not None and emitted >= limit:
                 return
@@ -196,7 +229,7 @@ def enumerate_solutions(diagram, limit=None, evidence=None):
             while pairs is not None:
                 var, val, pairs = pairs
                 assignment[var] = val
-            yield assignment, diagram.constant * w
+            yield assignment, diagram.constant * ratio(num, den)
             emitted += 1
             continue
         item, rest = pending
@@ -205,9 +238,10 @@ def enumerate_solutions(diagram, limit=None, evidence=None):
         else:
             var, arcs = item.var, item.arcs
             lo, hi = tree.dfs_index[var] + 1, tree.subtree_end[var]
+            den *= node_total(item, diagram.weighted)
         fixed = evidence.get(var)
         for val in range(len(arcs) - 1, -1, -1):
             w2, children = arcs[val]
             if w2 != 0 and (fixed is None or val == fixed):
                 items = _arc_items(tree, lo, hi, children)
-                stack.append((w * w2, (var, val, pairs), push(items, rest)))
+                stack.append((num * w2, den, (var, val, pairs), push(items, rest)))

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import lcm
 
 from ._recursion import run
-from .diagram import Aomdd, UniqueTable, make_node
-from .model import WEIGHTED
+from .diagram import Aomdd, UniqueTable, make_node, ratio
+from .model import WEIGHTED, TableFunction
 from .structure import (
     build_primal_graph,
     compute_buckets,
@@ -44,12 +45,30 @@ def _contexts_of(tree, model):
     return compute_contexts(tree, build_primal_graph(model))
 
 
-def _constant_factor(model):
-    c = 1
+def integer_tables(model):
+    """The model's tables scaled to integers, and the constant that undoes it.
+
+    Each weighted table ``f`` is multiplied by ``L_f``, the lcm of its
+    entries' denominators, so every weight and constant the compilers
+    form is an ``int``.  Meta-nodes divide by their own sums, so the
+    scaling changes no node, only the root constant.  The returned
+    constant is the product of the empty-scope tables' values, times
+    ``1 / prod(L_f)``: one exact rational, applied once at the root.
+    Constraint tables are 0/1 and stay as they are.
+    """
+    weighted = model.kind == WEIGHTED
+    tables = []
+    constant = scale = 1
     for f in model.functions:
+        if weighted:
+            lcd = lcm(*(v.denominator for v in f.values))
+            values = tuple(v.numerator * (lcd // v.denominator) for v in f.values)
+            f = TableFunction(f.scope, f.shape, values)
+            scale *= lcd
         if not f.scope:
-            c = c * f.values[0]
-    return c
+            constant *= f.values[0]
+        tables.append(f)
+    return tables, ratio(constant, scale)
 
 
 def compile_search(model, tree=None, hook=None, table=None, node_cap=None):
@@ -68,7 +87,7 @@ def compile_search(model, tree=None, hook=None, table=None, node_cap=None):
     if table is None:
         table = UniqueTable(weighted, node_cap, model.domains)
     domains = model.domains
-    functions = model.functions
+    functions, factor = integer_tables(model)
     stats = CompileStats()
     caches = [dict() for _ in range(tree.n)]
     assignment = [None] * tree.n
@@ -107,7 +126,7 @@ def compile_search(model, tree=None, hook=None, table=None, node_cap=None):
         return result
 
     const, children = run(solve(tree.root))
-    constant = const * _constant_factor(model)
+    constant = const * factor
     if constant == 0:
         children = ()
     return Aomdd(tree, domains, tuple(children), constant, table, weighted, stats)

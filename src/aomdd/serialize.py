@@ -6,6 +6,12 @@ with dense ids and exact rational weights, so two equal diagrams —
 however they were compiled — serialize to byte-identical files.  That
 makes file equality a valid fast path for the equivalence command.
 
+A weighted node holds the primitive integer vector ``n`` of its arc
+weights; the file spells arc ``i`` as the reduced fraction
+``n_i/sum(n)`` (``str(Fraction)`` spelling), so every record's weights
+sum to 1.  ``loads`` turns the fractions back into integers by scaling
+with the lcm of the record's denominators.
+
 Format (whitespace-separated ASCII, one record per line)::
 
     aomdd 1
@@ -22,17 +28,13 @@ Format (whitespace-separated ASCII, one record per line)::
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
-from .diagram import Aomdd, UniqueTable, canonical_nodes
+from .diagram import Aomdd, UniqueTable, canonical_nodes, ratio
 from .diagram import make_node  # noqa: F401  (bench/tracing.py wraps serialize.make_node)
 from .errors import ParseError, StructuralError
 from .model import CONSTRAINT, WEIGHTED
 from .structure import _finish_tree
-
-
-def _weight_str(w):
-    return str(Fraction(w))
 
 
 def dumps(diagram):
@@ -47,19 +49,19 @@ def dumps(diagram):
         + " ".join("-1" if p is None else str(p) for p in tree.parent)
     )
     out.append("dfs " + " ".join(str(v) for v in tree.dfs_order))
-    ordered, ids = canonical_nodes(diagram)
+    ordered, ids, labels = canonical_nodes(diagram)
     out.append("nodes %d" % len(ordered))
-    for u in ordered:
+    for u, strs in zip(ordered, labels):
         fields = ["n", str(ids[id(u)]), str(u.var)]
-        for w, children in u.arcs:
+        for s, (_, children) in zip(strs, u.arcs):
             kids = ",".join(str(ids[id(c)]) for c in children) or "."
-            fields.append("%s:%s" % (_weight_str(w), kids))
+            fields.append("%s:%s" % (s, kids))
         out.append(" ".join(fields))
     if diagram.roots:
         out.append("roots " + " ".join(str(ids[id(r)]) for r in diagram.roots))
     else:
         out.append("roots .")
-    out.append("constant %s" % _weight_str(diagram.constant))
+    out.append("constant %s" % diagram.constant)
     return "\n".join(out) + "\n"
 
 
@@ -84,6 +86,25 @@ def _int(tok, lineno, what, low, high=None):
     return value
 
 
+def _rational(tok):
+    """``(num, den)`` of a token spelled as ``str(Fraction)`` spells a rational >= 0.
+
+    That is ``n`` or ``n/d`` with ``d >= 2`` and ``gcd(n, d) == 1``, both
+    canonical decimal integers; returns None for any other token.
+    """
+    ntok, slash, dtok = tok.partition("/")
+    try:
+        num = int(ntok)
+        den = int(dtok) if slash else 1
+    except ValueError:
+        return None
+    if str(num) != ntok or num < 0:
+        return None
+    if slash and (str(den) != dtok or den < 2 or gcd(num, den) != 1):
+        return None
+    return num, den
+
+
 def loads(text):
     """Rebuild a diagram from canonical text.
 
@@ -94,8 +115,10 @@ def loads(text):
     - weights are spelled as ``str(Fraction)`` spells them, are >= 0,
       and are 0/1 in constraint mode;
     - each node has one arc per domain value; its weights sum to 1
-      (weighted mode) or are not all 0 (constraint mode); zero-weight
-      arcs have no children; its arcs are not all equal (not redundant);
+      (weighted mode, checked in integers: with ``L`` the lcm of the
+      denominators, ``sum(num_i * L / den_i) == L``) or are not all 0
+      (constraint mode); zero-weight arcs have no children; its arcs are
+      not all equal (not redundant);
     - an arc's children lie strictly inside the node's pseudo-tree
       subtree, are pairwise unrelated and come in DFS order, which is
       one comparison of DFS intervals per child;
@@ -107,6 +130,8 @@ def loads(text):
 
     The signature order makes every record new, so each node is interned
     into a fresh unique table exactly once and keeps its record id as uid.
+    A weighted node stores ``num_i * L / den_i``: reduced fractions that
+    sum to 1 scale to integers with gcd 1, the compilers' primitive form.
     """
     if isinstance(text, bytes):
         try:
@@ -157,16 +182,13 @@ def loads(text):
 
     lineno, (mstr,) = next_line("nodes", 1)
     m = _int(mstr, lineno, "node count", 0, len(lines))
-    weights = {} if weighted else {"0": 0, "1": 1}  # token -> value
+    weights = {} if weighted else {"0": (0, 1), "1": (1, 1)}  # token -> (num, den)
 
     def parse_weight(tok, lineno):
         if not weighted:
             raise ParseError("constraint weight %r not 0/1" % tok, lineno)
-        try:
-            w = Fraction(tok)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError("bad weight %r" % tok, lineno)
-        if w < 0 or str(w) != tok:
+        w = _rational(tok)
+        if w is None:
             raise ParseError("weight %r is not a canonical non-negative rational" % tok, lineno)
         weights[tok] = w
         return w
@@ -202,6 +224,7 @@ def loads(text):
             )
         pos, stop = dfs_index[var], tree.subtree_end[var]
         arcs = []
+        dens = []
         sig = []
         for tok in fields[2:]:
             wtok, colon, ktok = tok.partition(":")
@@ -225,10 +248,13 @@ def loads(text):
                         " below variable %d" % (i, var)
                     )
                 kids = tuple(nodes[c] for c in ids)
-            arcs.append((w, kids))
+            arcs.append((w[0], kids))
+            dens.append(w[1])
             sig.append((wtok, ids))
         if weighted:
-            if sum(w for w, _ in arcs) != 1:
+            scale = lcm(*dens)
+            arcs = [(num * (scale // den), kids) for (num, kids), den in zip(arcs, dens)]
+            if sum(w for w, _ in arcs) != scale:
                 raise StructuralError("node %d: weights do not sum to 1" % i)
         elif all(w == "0" for w, _ in sig):
             raise StructuralError("node %d is dead (all weights 0)" % i)
@@ -261,6 +287,7 @@ def loads(text):
     constant = weights.get(ctok)
     if constant is None:
         constant = parse_weight(ctok, lineno)
+    constant = ratio(*constant)
     if root_ids and constant == 0:
         raise StructuralError("zero constant with root nodes")
     if next(it, None) is not None:

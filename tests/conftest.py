@@ -1,8 +1,11 @@
 """Shared fixtures: worked example, 4-queens, random model generators."""
 
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -131,3 +134,15 @@ def shuffled_chain_cnf_text(n, seed):
 
 def seeded_rng(seed):
     return random.Random(seed)
+
+
+def bench_workloads():
+    """The benchmark's workload generators (``bench/workloads.py``), loaded by path."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses resolve the module by name
+        spec.loader.exec_module(module)
+    return sys.modules[name]

@@ -4,8 +4,11 @@ This is the recursive form of ``aomdd.query.enumerate_solutions``: one
 nested generator per pseudo-tree level, with each arc's skipped
 variables read from subtree bit masks and sorted into DFS position.  It
 needs recursion depth proportional to the tree height, so it serves
-only small models.
+only small models.  A weighted arc's value is its integer weight over
+the node's weight sum.
 """
+
+from fractions import Fraction
 
 from structure_reference import subtree_mask
 
@@ -61,6 +64,7 @@ def enumerate_solutions(diagram, limit=None, evidence=None):
     def node_factory(u):
         def gen():
             fixed = evidence.get(u.var)
+            total = sum(w for w, _ in u.arcs) if diagram.weighted else 1
             for val, (w, children) in enumerate(u.arcs):
                 if fixed is not None and val != fixed:
                     continue
@@ -71,7 +75,7 @@ def enumerate_solutions(diagram, limit=None, evidence=None):
                     parts.append((tree.dfs_index[v], var_factory(v)))
                 parts.sort(key=lambda p: p[0])
                 for w2, pairs in _cross([p[1] for p in parts]):
-                    yield w * w2, ((u.var, val),) + pairs
+                    yield Fraction(w, total) * w2, ((u.var, val),) + pairs
 
         return gen
 

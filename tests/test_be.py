@@ -14,7 +14,7 @@ from aomdd import (
 )
 from aomdd import be_compiler
 from aomdd.be_compiler import apply_fragments, group_descendants
-from aomdd.diagram import UniqueTable, reachable_nodes
+from aomdd.diagram import UniqueTable, reachable_nodes, weight_strs
 
 import be_reference
 from conftest import queens_model, random_model, seeded_rng
@@ -44,7 +44,9 @@ def test_chain_diagram_unary_weighted():
     assert compiled.constant == 1
     assert len(reachable_nodes(compiled)) == 1
     node = compiled.roots[0]
-    assert [w for w, _ in node.arcs] == [Fraction(2, 5), Fraction(3, 5)]
+    # the primitive integer vector of (2/5, 3/5), read as n_i / sum(n)
+    assert [w for w, _ in node.arcs] == [2, 3]
+    assert weight_strs(node, True) == ["2/5", "3/5"]
 
 
 def test_group_descendants_paper_case(example_model, example_tree):
@@ -92,7 +94,8 @@ def test_apply_pointwise_weights():
     # product is proportional to (0.1, 0.4): normalized (0.2, 0.8), constant 0.5
     assert compiled.constant == Fraction(1, 2)
     node = compiled.roots[0]
-    assert [w for w, _ in node.arcs] == [Fraction(1, 5), Fraction(4, 5)]
+    assert [w for w, _ in node.arcs] == [1, 4]
+    assert weight_strs(node, True) == ["1/5", "4/5"]
 
 
 def test_apply_clause_product():

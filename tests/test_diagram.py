@@ -4,16 +4,23 @@ import pytest
 
 from aomdd import (
     StructuralError,
+    build_primal_graph,
+    compile_be,
     compile_search,
     count_stats,
+    dumps,
+    generate_pseudo_tree,
+    min_fill_ordering,
     normalized_root_sum,
+    parse_uai,
     structural_equal,
     to_dot,
 )
 from aomdd.diagram import UniqueTable, check_reduced, make_node, normalize_arcs
 from aomdd.errors import ResourceLimitError
 
-from conftest import random_model, seeded_rng
+import diagram_reference as ref
+from conftest import bench_workloads, random_model, seeded_rng
 
 
 def test_make_node_redundant_returns_children():
@@ -26,7 +33,7 @@ def test_make_node_redundant_returns_children():
 def test_make_node_weighted_promotes_constant():
     table = UniqueTable(weighted=True, domains=(2,))
     const, children = make_node(0, [(2, ()), (2, ())], table)
-    # normalized to (1/2, 1/2) with constant 4, then redundant: 4 * 1/2
+    # redundant: the common weight comes back unchanged
     assert const == 2
     assert children == ()
 
@@ -90,12 +97,16 @@ def test_intern_hashes_key_once():
 
 
 def test_normalize_arcs():
+    # the primitive integer vector of the ray; the constant is the input sum
     arcs, const = normalize_arcs([(2, ()), (2, ())])
     assert const == 4
-    assert arcs == ((Fraction(1, 2), ()), (Fraction(1, 2), ()))
+    assert arcs == ((1, ()), (1, ()))
     arcs, const = normalize_arcs([(0, ()), (3, ())])
     assert const == 3
     assert arcs == ((0, ()), (1, ()))
+    arcs, const = normalize_arcs([(6, ()), (4, ()), (0, ())])
+    assert const == 10
+    assert arcs == ((3, ()), (2, ()), (0, ()))
     assert normalize_arcs([(0, ()), (0, ())]) == (None, 0)
 
 
@@ -154,3 +165,58 @@ def test_dot_deterministic(example_model, example_tree):
     text = to_dot(a)
     assert text == to_dot(b)
     assert text.count("shape=square") >= 1
+
+
+def test_check_reduced_enforces_primitive_integers():
+    for weighted in (False, True):
+        rng = seeded_rng(8)
+        for _ in range(10):
+            assert check_reduced(compile_search(random_model(rng, weighted)).table)
+    table = UniqueTable(weighted=True, domains=(2, 2))
+    table.intern(0, ((1, ()), (2, ())))
+    assert check_reduced(table)
+    table.intern(1, ((2, ()), (4, ())))  # gcd 2: not the primitive vector
+    with pytest.raises(AssertionError, match="gcd 2"):
+        check_reduced(table)
+    table = UniqueTable(weighted=True, domains=(2,))
+    table.intern(0, ((Fraction(1, 3), ()), (Fraction(2, 3), ())))
+    with pytest.raises(AssertionError, match="not a non-negative int"):
+        check_reduced(table)
+
+
+def _assert_same_as_reference(a, b):
+    """``a`` in integer form equals ``b`` in sum-to-1 form: bytes, uids, counts."""
+    assert dumps(a) == ref.dumps(b)
+    assert a.constant == b.constant
+    assert a.table.created_per_var == b.table.created_per_var
+    by_uid = {u.uid: u for u in b.table.all_nodes()}
+    assert len(by_uid) == len(a.table)
+    for u in a.table.all_nodes():
+        v = by_uid[u.uid]
+        total = sum(w for w, _ in u.arcs) if a.weighted else 1
+        assert u.var == v.var
+        assert [Fraction(w, total) for w, _ in u.arcs] == [w for w, _ in v.arcs]
+        assert [[c.uid for c in ch] for _, ch in u.arcs] == [
+            [c.uid for c in ch] for _, ch in v.arcs
+        ]
+
+
+def test_integer_form_matches_fraction_reference(monkeypatch):
+    rng = seeded_rng(2024)
+    for i in range(300):
+        model = random_model(rng, weighted=i % 3 != 0)
+        g = build_primal_graph(model)
+        order = min_fill_ordering(g, seed=i)
+        tree = generate_pseudo_tree(g, order)
+        a = compile_search(model, tree)
+        _assert_same_as_reference(a, ref.compile_reference(monkeypatch, model, tree))
+        assert dumps(compile_be(model, d=order, tree=tree)) == dumps(a)
+
+
+def test_integer_form_matches_fraction_reference_on_grid(monkeypatch):
+    workloads = bench_workloads()
+    for seed in (1, 2, 3):
+        model = parse_uai(workloads.grid(seed).model_text)
+        a = compile_search(model)
+        _assert_same_as_reference(a, ref.compile_reference(monkeypatch, model))
+        check_reduced(a.table)

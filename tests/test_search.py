@@ -1,20 +1,34 @@
+import cProfile
 import math
+import pstats
+from fractions import Fraction
 
 import pytest
 
 from aomdd import (
     bcp_hook,
+    brute_force_table,
+    compile_be,
     compile_search,
     count_stats,
     dumps,
+    evaluate,
     make_model,
+    mpe,
     parse_dimacs_cnf,
+    parse_uai,
     structural_equal,
+    sum_over,
 )
+from aomdd.diagram import check_reduced
 from aomdd.errors import ResourceLimitError
+from aomdd.model import full_assignments
+from aomdd.search_compiler import integer_tables
 
+import diagram_reference
 import search_reference
 from conftest import (
+    bench_workloads,
     queens_model,
     random_cnf_text,
     random_model,
@@ -148,3 +162,90 @@ def test_bcp_chain_trace_and_bytes_unchanged():
     assert pruned.stats.or_expansions == plain.stats.or_expansions
     assert pruned.stats.and_expansions == plain.stats.and_expansions
     assert dumps(pruned) == dumps(plain)
+
+
+# UAI decimals, an empty-scope table, a single-nonzero table and mixed
+# denominators across tables
+DECIMAL_UAI = """MARKOV
+3
+2 2 3
+5
+1 0
+2 0 1
+2 1 2
+0
+1 2
+2
+0.3 0.25
+4
+1 0.5 2.75 0.1
+6
+0 0 0 0.3 0 0
+1
+0.3
+3
+1.5 0.125 0
+"""
+
+
+def _scaling_edge_models():
+    third, quarter = Fraction(1, 3), Fraction(1, 4)
+    yield parse_uai(DECIMAL_UAI)
+    mixed = [((0,), [third, quarter]), ((0, 1), [quarter, 2 * third, 0, Fraction(5, 12)])]
+    yield make_model([2, 2], mixed)
+    yield make_model([2, 2], mixed + [((), [third]), ((), [Fraction(3, 4)])])
+    yield make_model([2, 2], mixed + [((1,), [0, 0])])  # an all-zero table
+    yield make_model([2, 2], mixed + [((), [0])])  # an all-zero empty-scope table
+    yield make_model([2, 3], [((0, 1), [0, 0, 0, 0, Fraction(7, 3), 0])])  # one nonzero
+    yield make_model([2, 2], [((), [Fraction(2, 3)]), ((0, 1), [third] * 4)])  # constant
+    yield make_model([2], [((), [Fraction(5, 2)])])  # empty scopes only
+    rng = seeded_rng(61)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        domains = [rng.choice([2, 3]) for _ in range(n)]
+        functions = []
+        for _ in range(rng.randint(1, 6)):
+            scope = rng.sample(range(n), rng.randint(0, min(3, n)))
+            size = math.prod(domains[v] for v in scope)
+            functions.append((scope, [
+                0 if rng.random() < 0.3 else Fraction(rng.randint(1, 12), rng.choice([1, 3, 4, 10]))
+                for _ in range(size)
+            ]))
+        yield make_model(domains, functions)
+
+
+def test_table_scaling_edge_cases(monkeypatch):
+    for model in _scaling_edge_models():
+        tables, constant = integer_tables(model)
+        assert all(type(v) is int for f in tables for v in f.values)
+        a = compile_search(model)
+        b = compile_be(model)
+        reference = diagram_reference.compile_reference(monkeypatch, model)
+        check_reduced(a.table)
+        check_reduced(b.table)
+        assert dumps(a) == dumps(b) == diagram_reference.dumps(reference)
+        assert a.constant == b.constant == reference.constant
+        oracle = brute_force_table(model)
+        values = oracle.values
+        assert sum_over(a) == sum_over(b) == sum(values)
+        assert mpe(a)[0] == mpe(b)[0] == max(values)
+        for x in full_assignments(model.domains):
+            assert evaluate(a, x) == evaluate(b, x) == oracle.value_at(x)
+        if len(set(values)) == 1:
+            assert a.is_terminal and a.constant == values[0]
+
+
+def test_compile_search_builds_no_fraction_per_arc():
+    # every weight and child constant is an int: at most one Fraction per
+    # table entry plus a few for the root constant, not one per arc
+    model = parse_uai(bench_workloads().grid(1, side=6).model_text)
+    profile = cProfile.Profile()
+    compiled = profile.runcall(compile_search, model)
+    calls = sum(
+        count
+        for (path, _, name), (_, count, *_) in pstats.Stats(profile).stats.items()
+        if name == "__new__" and path.endswith("fractions.py")
+    )
+    entries = sum(len(f.values) for f in model.functions)
+    assert len(compiled.table) > entries
+    assert calls <= entries + 5
