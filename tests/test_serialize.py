@@ -169,7 +169,15 @@ def test_loads_rejects_unreachable_record():
 
 
 @pytest.mark.parametrize(
-    "arcs", ["2/8:. 3/4:.", "0.25:. 3/4:.", "1/4:. 0.75:.", "-1:. 2:.", "1/4:. 3/4:. 0:."]
+    "arcs",
+    [
+        "2/8:. 3/4:.",
+        "0.25:. 3/4:.",
+        "1/4:. 0.75:.",
+        "-1:. 2:.",
+        "1/4:. 3/4:. 0:.",
+        "1e5000:. 3/4:.",  # an exponent too large for str(int)
+    ],
 )
 def test_loads_rejects_weight_spelling(arcs):
     with pytest.raises((ParseError, StructuralError)):
