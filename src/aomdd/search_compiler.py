@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
+from operator import itemgetter
 
 from ._recursion import run
 from .diagram import Aomdd, UniqueTable, make_node, ratio
@@ -74,10 +75,14 @@ def integer_tables(model):
 def compile_search(model, tree=None, hook=None, table=None, node_cap=None):
     """Compile a model into its canonical diagram by AND/OR search.
 
-    ``hook``, when given, is a sound pruning test called once per AND
-    expansion with the current partial assignment (the expanded value
-    already set); returning False turns the arc into a dead end.  A
-    sound hook never changes the result, only the trace size.
+    ``hook``, when given, is a sound pruning test with the protocol of
+    ``bcp_hook``: ``hook(var, val)`` is called once per value of nonzero
+    weight, on top of the values of the ancestors, and assigns the value
+    and propagates; returning False turns the arc into a dead end.
+    ``hook.undo()`` is called once per call, to retract it: right after
+    a rejection, or once the children are expanded.  A hook serves one
+    compile at a time.  A sound hook never changes the result, only the
+    trace size.
     """
     if tree is None:
         tree = _default_tree(model)
@@ -91,9 +96,13 @@ def compile_search(model, tree=None, hook=None, table=None, node_cap=None):
     stats = CompileStats()
     caches = [dict() for _ in range(tree.n)]
     assignment = [None] * tree.n
+    # one key per context; a variable's cache is its own, so a
+    # one-variable context may key by the bare value
+    keys = [itemgetter(*ctx) if ctx else lambda a: () for ctx in contexts]
+    undo = hook.undo if hook is not None else None
 
     def solve(var):
-        key = tuple(assignment[a] for a in contexts[var])
+        key = keys[var](assignment)
         cached = caches[var].get(key)
         if cached is not None:
             stats.cache_hits[var] += 1
@@ -107,7 +116,10 @@ def compile_search(model, tree=None, hook=None, table=None, node_cap=None):
                 w = w * functions[fid].value_at(assignment)
                 if w == 0:
                     break
-            if w == 0 or (hook is not None and not hook(assignment)):
+            if w != 0 and hook is not None and not hook(var, val):
+                undo()
+                w = 0
+            if w == 0:
                 arcs.append((0, ()))
                 continue
             stats.and_expansions[var] += 1
@@ -119,6 +131,8 @@ def compile_search(model, tree=None, hook=None, table=None, node_cap=None):
                     break
                 w = w * c_const
                 children.extend(c_children)
+            if hook is not None:
+                undo()
             arcs.append((w, tuple(children)) if w != 0 else (0, ()))
         assignment[var] = None
         result = make_node(var, arcs, table)
@@ -149,7 +163,7 @@ def model_nogoods(model):
 
 
 def bcp_hook(model):
-    """Pruning hook performing multi-valued unit propagation.
+    """Pruning hook performing multi-valued unit propagation on a trail.
 
     The clause set is the model's zero tuples read as nogoods.  A nogood
     with all literals matched is a conflict; a nogood with exactly one
@@ -157,51 +171,85 @@ def bcp_hook(model):
     remaining value is fixed and propagated further.  Sound by
     construction: it only reports dead ends that no extension can avoid.
 
-    The returned ``hook(assignment)`` is stateless: each call copies the
-    assignment and propagates from a worklist that starts with every
-    nogood.  A nogood can only become unit or conflicting when one of
-    its variables is fixed, so only then are that variable's nogoods
-    queued again.  A variable is fixed at most once per call, so a
-    nogood is scanned once plus once per variable it mentions, and a
-    call costs O(total nogood length) for bounded arity (times the
-    largest arity in general) instead of one full rescan per
-    propagation step.  Unit propagation is confluent, so the answer
-    does not depend on the queue order.
+    The returned ``hook(var, val)`` assigns ``var = val`` on top of the
+    values earlier calls fixed, propagates, and returns False on a
+    conflict; ``hook.undo()`` retracts the latest call that has not been
+    undone, whatever it returned.  A hook serves one compile at a time:
+    the caller undoes every call, innermost first, and a compile that
+    raises leaves the hook unusable.
+
+    Building the hook propagates from every nogood once (the root
+    level).  After that a nogood can only become unit or conflicting
+    when one of its variables is fixed, so a call scans only the nogoods
+    of the variables it fixes, and each variable is fixed at most once
+    per call.  Every change is recorded on a trail as the variable and
+    its forbidden set before the change (Moskewicz et al., "Chaff", DAC
+    2001, without watched literals); ``undo`` pops the trail back to the
+    call's mark.  Unit propagation is confluent, so a call answers what
+    propagating the whole partial assignment from scratch would.
     """
     nogoods = model_nogoods(model)
     domains = model.domains
     occurs = [[] for _ in domains]
-    for i, nogood in enumerate(nogoods):
+    for nogood in nogoods:
         for var in {var for var, _ in nogood}:
-            occurs[var].append(i)
+            occurs[var].append(nogood)
+    values = [None] * len(domains)  # fixed value per variable, assigned or implied
+    bad = [0] * len(domains)  # bitmask of the forbidden values of an unfixed variable
+    full = [(1 << k) - 1 for k in domains]
+    trail = []  # (var, bad[var]) before each change; var was unfixed then
+    marks = []  # trail length at the start of each call not yet undone
 
-    def hook(assignment):
-        values = list(assignment)
-        forbidden = {}
-        queue = list(range(len(nogoods)))
+    def propagate(queue):
         while queue:
-            pending = None
-            for var, val in nogoods[queue.pop()]:
-                current = values[var]
-                if current is None:
-                    if pending is not None or val in forbidden.get(var, ()):
+            for nogood in queue.pop():
+                pending = None
+                for var, val in nogood:
+                    current = values[var]
+                    if current is None:
+                        if pending is not None or bad[var] >> val & 1:
+                            break
+                        pending = var, val
+                    elif current != val:
                         break
-                    pending = (var, val)
-                elif current != val:
-                    break
-            else:
-                if pending is None:
-                    return False
-                var, val = pending
-                bad = forbidden.setdefault(var, set())
-                bad.add(val)
-                if len(bad) == domains[var]:
-                    return False
-                if len(bad) == domains[var] - 1:
-                    values[var] = next(
-                        v for v in range(domains[var]) if v not in bad
-                    )
-                    queue.extend(occurs[var])
+                else:
+                    if pending is None:
+                        return False
+                    var, val = pending
+                    mask = bad[var]
+                    trail.append((var, mask))
+                    mask |= 1 << val
+                    bad[var] = mask
+                    left = full[var] & ~mask
+                    if not left:
+                        return False
+                    if not left & (left - 1):
+                        values[var] = left.bit_length() - 1
+                        queue.append(occurs[var])
         return True
 
+    if not propagate([nogoods]):
+        # a conflict at the root: forbid every value, so every call fails
+        values[:] = [None] * len(domains)
+        bad[:] = full
+    trail.clear()
+
+    def hook(var, val):
+        marks.append(len(trail))
+        current = values[var]
+        if current is not None:
+            return current == val
+        if bad[var] >> val & 1:
+            return False
+        trail.append((var, bad[var]))
+        values[var] = val
+        return propagate([occurs[var]])
+
+    def undo():
+        mark = marks.pop()
+        while len(trail) > mark:
+            var, bad[var] = trail.pop()
+            values[var] = None
+
+    hook.undo = undo
     return hook

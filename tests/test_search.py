@@ -76,19 +76,30 @@ def test_node_cap_enforced(example_model, example_tree):
         compile_search(example_model, example_tree, node_cap=3)
 
 
+def _verdicts(hook, pairs):
+    """Assign ``pairs`` one call each, then undo them all; the verdicts."""
+    verdicts = [hook(var, val) for var, val in pairs]
+    for _ in pairs:
+        hook.undo()
+    return verdicts
+
+
 def test_bcp_unit_chain():
+    # x0 is a unit at the root, and x0 = 1 implies x1 = 1
     m = parse_dimacs_cnf("p cnf 2 2\n1 0\n-1 2 0\n")
     hook = bcp_hook(m)
-    assert hook([None, None])
-    assert not hook([0, None])
-    assert not hook([1, 0])
-    assert hook([1, 1])
+    assert _verdicts(hook, [(0, 1), (1, 1)]) == [True, True]
+    assert _verdicts(hook, [(0, 0)]) == [False]
+    assert _verdicts(hook, [(0, 1), (1, 0)]) == [True, False]
+    assert _verdicts(hook, [(1, 0)]) == [False]
+    assert _verdicts(hook, [(1, 1), (0, 1)]) == [True, True]
 
 
 def test_bcp_contradiction():
     m = parse_dimacs_cnf("p cnf 1 2\n1 0\n-1 0\n")
     hook = bcp_hook(m)
-    assert not hook([None])
+    assert _verdicts(hook, [(0, 0)]) == [False]
+    assert _verdicts(hook, [(0, 1)]) == [False]
 
 
 def test_bcp_multivalued():
@@ -97,11 +108,12 @@ def test_bcp_multivalued():
     ne = [0 if a == b else 1 for a in range(3) for b in range(3)]
     m = make_model([3, 3], [((0, 1), eq), ((0, 1), ne)], kind="constraint")
     hook = bcp_hook(m)
-    assert not hook([0, None])
+    assert _verdicts(hook, [(0, 0)]) == [False]
     # a one-value domain loses its only value without ever being fixed
     m = make_model([1, 2], [((0, 1), [0, 1])], kind="constraint")
-    assert not bcp_hook(m)([None, 0])
-    assert bcp_hook(m)([None, 1])
+    hook = bcp_hook(m)
+    assert _verdicts(hook, [(1, 0)]) == [False]
+    assert _verdicts(hook, [(1, 1)]) == [True]
 
 
 def test_bcp_result_unchanged(example_model, example_tree):
@@ -119,44 +131,105 @@ def _hook_corpus():
     return models
 
 
+class _Shadowed:
+    """A trail hook checked against the stateless oracles on every call.
+
+    It keeps the partial assignment its calls have built, and asserts
+    that each verdict equals what the worklist and fixpoint forms answer
+    on that assignment with the new value set.
+    """
+
+    def __init__(self, model):
+        self.hook = bcp_hook(model)
+        self.references = (
+            search_reference.bcp_hook(model),
+            search_reference.fixpoint_bcp_hook(model),
+        )
+        self.assignment = [None] * len(model.domains)
+        self.assigned = []
+        self.calls = self.rejects = 0
+
+    def __call__(self, var, val):
+        assert self.assignment[var] is None, (var, self.assignment)
+        self.assignment[var] = val
+        self.assigned.append(var)
+        verdict = self.hook(var, val)
+        for reference in self.references:
+            assert verdict == reference(self.assignment), self.assignment
+        self.calls += 1
+        self.rejects += not verdict
+        return verdict
+
+    def undo(self):
+        self.hook.undo()
+        self.assignment[self.assigned.pop()] = None
+
+
 def test_bcp_matches_reference_during_compile():
     calls = rejects = 0
     for m in _hook_corpus():
-        hook = bcp_hook(m)
-        reference = search_reference.bcp_hook(m)
-
-        def checked(assignment):
-            nonlocal calls, rejects
-            verdict = hook(assignment)
-            assert verdict == reference(assignment), assignment
-            calls += 1
-            rejects += not verdict
-            return verdict
-
+        checked = _Shadowed(m)
         compile_search(m, hook=checked)
+        assert not checked.assigned
+        calls += checked.calls
+        rejects += checked.rejects
     assert calls > 2000 and 0 < rejects < calls
 
 
 def test_bcp_matches_reference_on_random_assignments():
+    # each random partial assignment is made one call at a time, in a
+    # random order; a rejected call is undone and its variable skipped
     rng = seeded_rng(52)
     calls = rejects = 0
     for m in _hook_corpus():
-        hook = bcp_hook(m)
-        reference = search_reference.bcp_hook(m)
+        checked = _Shadowed(m)
         for _ in range(100):
             unset = rng.random()
-            assignment = [
-                None if rng.random() < unset else rng.randrange(k) for k in m.domains
-            ]
-            verdict = hook(assignment)
-            assert verdict == reference(assignment), assignment
-            calls += 1
-            rejects += not verdict
+            order = list(range(len(m.domains)))
+            rng.shuffle(order)
+            for var in order:
+                if rng.random() >= unset and not checked(var, rng.randrange(m.domains[var])):
+                    checked.undo()
+            while checked.assigned:
+                checked.undo()
+        calls += checked.calls
+        rejects += checked.rejects
     assert 0 < rejects < calls
 
 
+def test_bcp_trail_returns_to_root():
+    for m in _hook_corpus():
+        hook = bcp_hook(m)
+        first = compile_search(m, hook=hook)
+        with pytest.raises(IndexError):
+            hook.undo()  # every call was undone
+        fresh = bcp_hook(m)
+        for var, k in enumerate(m.domains):
+            for val in range(k):
+                assert _verdicts(hook, [(var, val)]) == _verdicts(fresh, [(var, val)])
+        second = compile_search(m, hook=hook)
+        assert dumps(second) == dumps(first)
+        assert second.stats == first.stats
+
+
+def test_bcp_root_conflict_compiles_to_zero():
+    # the second model's conflict shows only after propagation
+    for text in ("p cnf 1 2\n1 0\n-1 0\n", "p cnf 2 3\n1 0\n-1 2 0\n-2 0\n"):
+        m = parse_dimacs_cnf(text)
+        hook = bcp_hook(m)
+        for var, k in enumerate(m.domains):
+            for val in range(k):
+                assert _verdicts(hook, [(var, val)]) == [False]
+        plain = compile_search(m)
+        pruned = compile_search(m, hook=hook)
+        assert pruned.is_terminal and pruned.constant == 0
+        assert dumps(pruned) == dumps(plain)
+
+
 def test_bcp_chain_trace_and_bytes_unchanged():
-    m = parse_dimacs_cnf(shuffled_chain_cnf_text(150, seed=5))
+    # every value of a chain variable is consistent, so pruning rejects
+    # nothing; the stateless hook took about 6 s on this chain
+    m = parse_dimacs_cnf(shuffled_chain_cnf_text(1000, seed=5))
     plain = compile_search(m)
     pruned = compile_search(m, hook=bcp_hook(m))
     assert pruned.stats.or_expansions == plain.stats.or_expansions
