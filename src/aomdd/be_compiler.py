@@ -1,10 +1,11 @@
 """Bucket-elimination compilation: per-function chain diagrams folded by APPLY.
 
-Each input function becomes a small chain diagram over its scope; the
-bucket-elimination schedule processes variables from last to first in
-the ordering, folding every bucket's diagrams pairwise with the APPLY
-combinator and passing the result to the parent bucket.  No variable is
-eliminated, so the final message is the full canonical diagram.
+Each input function becomes a small chain diagram over its scope, placed
+in the bucket of its deepest variable.  The schedule is bottom-up along
+the pseudo tree, which is the bucket tree: each bucket folds its
+diagrams and its children's messages pairwise with the APPLY combinator
+and passes the result to its parent's bucket.  No variable is
+eliminated, so the root bucket's message is the full canonical diagram.
 
 All diagrams of one compilation share one unique table, so APPLY
 results are shared across messages for free.  Internally a diagram
@@ -32,6 +33,7 @@ from .structure import (
     chain_pseudo_tree,
     compute_buckets,
     generate_pseudo_tree,
+    min_fill_ordering,
 )
 
 
@@ -118,30 +120,27 @@ def _apply_node(v1, zs, tree, memo, table):
     cached = memo.get(key)
     if cached is not None:
         return cached
-    if not zs:
-        result = (1, 1, (v1,))
-    else:
-        same = len(zs) == 1 and zs[0].var == v1.var
-        den = node_total(v1, table.weighted)
+    same = len(zs) == 1 and zs[0].var == v1.var
+    den = node_total(v1, table.weighted)
+    if same:
+        den *= node_total(zs[0], table.weighted)
+    parts = []
+    for i, (w, children) in enumerate(v1.arcs):
+        others = zs
         if same:
-            den *= node_total(zs[0], table.weighted)
-        parts = []
-        for i, (w, children) in enumerate(v1.arcs):
-            others = zs
-            if same:
-                w2, others = zs[0].arcs[i]
-                w *= w2
-            if w == 0:
-                parts.append((0, 1, ()))
-                continue
-            num, q, children = yield _combine_lists(children, others, tree, memo, table)
-            parts.append((w * num, q, children))
-        common = lcm(*[q for _, q, _ in parts])
-        arcs = [(w * (common // q), children) for w, q, children in parts]
-        const, nodes = make_node(v1.var, arcs, table)
-        den *= common
-        g = gcd(const, den)
-        result = (const // g, den // g, nodes)
+            w2, others = zs[0].arcs[i]
+            w *= w2
+        if w == 0:
+            parts.append((0, 1, ()))
+            continue
+        num, q, children = yield _combine_lists(children, others, tree, memo, table)
+        parts.append((w * num, q, children))
+    common = lcm(*[q for _, q, _ in parts])
+    arcs = [(w * (common // q), children) for w, q, children in parts]
+    const, nodes = make_node(v1.var, arcs, table)
+    den *= common
+    g = gcd(const, den)
+    result = (const // g, den // g, nodes)
     memo[key] = result
     return result
 
@@ -173,47 +172,43 @@ def apply_fragments(a, b, tree, memo, table):
     return ca * cb * ratio(num, den), nodes
 
 
-def compile_be(model, d=None, tree=None, table=None, node_cap=None, chain=False):
-    """Compile a model by the bucket-elimination APPLY schedule.
+def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
+    """Compile a model by bucket elimination along the pseudo tree ``tree``.
 
-    ``chain=True`` forces the degenerate chain pseudo tree (MDD/OBDD
-    mode).  The result is structurally equal to the search compiler's
-    output for the same pseudo tree.
+    Buckets are processed bottom-up (reverse DFS order) and each sends
+    its message to its parent's bucket, so the result is structurally
+    equal to ``compile_search(model, tree)``.  ``d`` and ``chain`` only
+    choose the tree when none is given: the pseudo tree of ``d``
+    (default: a min-fill ordering), or with ``chain=True`` the
+    degenerate chain along ``d`` (MDD/OBDD mode).
     """
-    g = build_primal_graph(model)
-    if d is None:
-        from .structure import min_fill_ordering
-
-        d = min_fill_ordering(g)
     if tree is None:
+        g = build_primal_graph(model)
+        if d is None:
+            d = min_fill_ordering(g)
         tree = chain_pseudo_tree(g, d) if chain else generate_pseudo_tree(g, d)
     buckets = compute_buckets(tree, model)
     weighted = model.kind == WEIGHTED
-    if table is None:
-        table = UniqueTable(weighted, node_cap, model.domains)
+    table = UniqueTable(weighted, node_cap, model.domains)
     domains = model.domains
     functions, factor = integer_tables(model)
     memo = {}
-    pos = {v: i for i, v in enumerate(d)}
+    depth = tree.depth_of.__getitem__
 
     inbox = [[] for _ in range(tree.n)]
-    final = None
-    for var in reversed(d):
+    for var in reversed(tree.dfs_order):
         message = (1, ())
         for fid in buckets[var]:
             f = functions[fid]
-            chain_vars = tuple(sorted(f.scope, key=pos.__getitem__))
-            fragment = _chain_fragment(f, chain_vars, domains, table)
+            fragment = _chain_fragment(f, tuple(sorted(f.scope, key=depth)), domains, table)
             message = apply_fragments(message, fragment, tree, memo, table)
         for fragment in inbox[var]:
             message = apply_fragments(message, fragment, tree, memo, table)
-        parent = tree.parent[var]
-        if parent is None:
-            final = apply_fragments(message, (1, ()) if final is None else final, tree, memo, table)
-        else:
-            inbox[parent].append(message)
+        if var != tree.root:
+            inbox[tree.parent[var]].append(message)
 
-    const, nodes = final
+    # the root comes last in reverse DFS order: ``message`` is its bucket's
+    const, nodes = message
     constant = const * factor
     if constant == 0:
         nodes = ()

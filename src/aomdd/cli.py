@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 import traceback
+from fractions import Fraction
 
 from .be_compiler import compile_be
 from .diagram import count_stats, structural_equal, to_dot
@@ -92,7 +93,36 @@ def _parse_model(args):
 def _number_str(value, args):
     if getattr(args, "exact", False):
         return str(value)
-    return "%.*g" % (args.precision, float(value))
+    return _decimal_str(Fraction(value), max(args.precision, 1))
+
+
+def _decimal_str(value, digits):
+    """``'%.*g' % (digits, value)`` for an exact rational ``value >= 0``.
+
+    The value is rounded half-even to ``digits`` significant digits
+    without passing through ``float``, which overflows past 1e308 and
+    underflows to 0 below 1e-324.
+    """
+    if value == 0:
+        return "0"
+    # exp = floor(log10(value)), estimated from bit lengths and corrected
+    exp = int((value.numerator.bit_length() - value.denominator.bit_length()) * 0.30103)
+    while value >= Fraction(10) ** (exp + 1):
+        exp += 1
+    while value < Fraction(10) ** exp:
+        exp -= 1
+    mantissa = round(value / Fraction(10) ** (exp - digits + 1))
+    if mantissa == 10**digits:  # rounding carried into a new digit
+        mantissa //= 10
+        exp += 1
+    text = str(mantissa)
+    if -4 <= exp < digits:
+        if exp < 0:
+            text = "0" * -exp + text
+        point = max(exp, 0) + 1
+        return (text[:point] + "." + text[point:]).rstrip("0").rstrip(".")
+    body = (text[0] + "." + text[1:]).rstrip("0").rstrip(".")
+    return "%se%+03d" % (body, exp)
 
 
 def cmd_compile(args):
@@ -108,7 +138,7 @@ def cmd_compile(args):
         hook = bcp_hook(model) if args.prune == "bcp" else None
         compiled = compile_search(model, tree, hook=hook, node_cap=args.mem_cap)
     else:
-        compiled = compile_be(model, d=order, tree=tree, node_cap=args.mem_cap)
+        compiled = compile_be(model, tree=tree, node_cap=args.mem_cap)
     elapsed = time.perf_counter() - start
     if args.out:
         _write(args.out, dumps(compiled))

@@ -1,4 +1,4 @@
-"""Discrete graphical models: variables, domains, table functions.
+"""Discrete graphical models: variable domains and table functions.
 
 A model is a set of variables with finite domains plus a set of
 non-negative table functions combined by product.  Constraint networks
@@ -24,17 +24,10 @@ WEIGHTED = "weighted"
 #: Default cap on the number of entries of a brute-force table.
 BRUTE_FORCE_CAP = 1 << 24
 
-
-@dataclass(frozen=True)
-class Variable:
-    """A variable with a dense integer id and a finite domain size."""
-
-    id: int
-    domain_size: int
-
-    def __post_init__(self):
-        if self.domain_size < 1:
-            raise ValueError("domain size must be >= 1, got %d" % self.domain_size)
+#: Largest decimal exponent magnitude of a UAI table entry: Python's
+#: int-to-string digit limit, past which ``dumps`` cannot spell the
+#: weight, while building the exact rational would take seconds.
+MAX_EXPONENT = 4300
 
 
 @dataclass(frozen=True)
@@ -76,24 +69,23 @@ class TableFunction:
 
 @dataclass(frozen=True)
 class GraphicalModel:
-    """Variables plus table functions combined by product."""
+    """Domain sizes of variables 0..n-1 plus table functions combined by product."""
 
-    variables: tuple
+    domains: tuple
     functions: tuple
     kind: str
 
     def __post_init__(self):
         if self.kind not in (CONSTRAINT, WEIGHTED):
             raise ValueError("kind must be %r or %r" % (CONSTRAINT, WEIGHTED))
-        for i, v in enumerate(self.variables):
-            if v.id != i:
-                raise ValueError("variable ids must be dense 0..n-1")
-        doms = self.domains
+        for k in self.domains:
+            if k < 1:
+                raise ValueError("domain size must be >= 1, got %d" % k)
         for f in self.functions:
             for var, k in zip(f.scope, f.shape):
-                if not 0 <= var < len(doms):
+                if not 0 <= var < self.n:
                     raise ValueError("scope variable %d out of range" % var)
-                if doms[var] != k:
+                if self.domains[var] != k:
                     raise ValueError("shape mismatch for variable %d" % var)
             if self.kind == CONSTRAINT:
                 for v in f.values:
@@ -102,11 +94,7 @@ class GraphicalModel:
 
     @property
     def n(self):
-        return len(self.variables)
-
-    @property
-    def domains(self):
-        return tuple(v.domain_size for v in self.variables)
+        return len(self.domains)
 
 
 def make_model(domains, functions, kind=WEIGHTED):
@@ -114,13 +102,12 @@ def make_model(domains, functions, kind=WEIGHTED):
 
     ``functions`` is an iterable of ``(scope, values)`` pairs.
     """
-    variables = tuple(Variable(i, k) for i, k in enumerate(domains))
     tabs = []
     for scope, values in functions:
         scope = tuple(scope)
         shape = tuple(domains[v] for v in scope)
         tabs.append(TableFunction(scope, shape, tuple(values)))
-    return GraphicalModel(variables, tuple(tabs), kind)
+    return GraphicalModel(tuple(domains), tuple(tabs), kind)
 
 
 def weight_of_full_assignment(model, x):
@@ -192,6 +179,15 @@ class _Reader:
 
     def next_value(self, what):
         tok = self.next(what)
+        _, e, exp = tok.lower().partition("e")
+        try:
+            huge = e and abs(int(exp)) > MAX_EXPONENT
+        except ValueError:
+            huge = False  # not a number: Fraction rejects it below
+        if huge:
+            raise ParseError(
+                "%s exponent exceeds %d: %r" % (what, MAX_EXPONENT, tok), self.line
+            )
         try:
             val = Fraction(tok)
         except ValueError:

@@ -72,7 +72,7 @@ def integer_tables(model):
     return tables, ratio(constant, scale)
 
 
-def compile_search(model, tree=None, hook=None, table=None, node_cap=None):
+def compile_search(model, tree=None, hook=None, node_cap=None):
     """Compile a model into its canonical diagram by AND/OR search.
 
     ``hook``, when given, is a sound pruning test with the protocol of
@@ -89,8 +89,7 @@ def compile_search(model, tree=None, hook=None, table=None, node_cap=None):
     contexts = _contexts_of(tree, model)
     buckets = compute_buckets(tree, model)
     weighted = model.kind == WEIGHTED
-    if table is None:
-        table = UniqueTable(weighted, node_cap, model.domains)
+    table = UniqueTable(weighted, node_cap, model.domains)
     domains = model.domains
     functions, factor = integer_tables(model)
     stats = CompileStats()

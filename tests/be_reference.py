@@ -1,9 +1,55 @@
-"""Reference implementation of BE's APPLY grouping, kept for identity tests.
+"""Reference forms of BE's schedule and APPLY grouping, kept as oracles.
 
-This is the all-pairs form of what ``aomdd.be_compiler.group_descendants``
-computes by one merge over DFS intervals: every node of one list is
-tested against every node of the other with ``is_ancestor_or_self``.
+``group_descendants`` is the all-pairs form of what
+``aomdd.be_compiler.group_descendants`` computes by one merge over DFS
+intervals: every node of one list is tested against every node of the
+other with ``is_ancestor_or_self``.
+
+``compile_be`` is the earlier BE schedule, driven by an ordering ``d``
+next to the tree: buckets in reverse ``d``, scopes sorted by position in
+``d``.  For a tree generated from ``d`` (or the chain along ``d``) it
+folds the same fragments in the same order as the tree schedule.
 """
+
+from aomdd.be_compiler import _chain_fragment, apply_fragments
+from aomdd.diagram import Aomdd, UniqueTable
+from aomdd.model import WEIGHTED
+from aomdd.search_compiler import integer_tables
+from aomdd.structure import compute_buckets
+
+
+def compile_be(model, d, tree):
+    """BE along ``tree``, scheduled by the ordering ``d`` it came from."""
+    buckets = compute_buckets(tree, model)
+    weighted = model.kind == WEIGHTED
+    table = UniqueTable(weighted, None, model.domains)
+    domains = model.domains
+    functions, factor = integer_tables(model)
+    memo = {}
+    pos = {v: i for i, v in enumerate(d)}
+
+    inbox = [[] for _ in range(tree.n)]
+    final = None
+    for var in reversed(d):
+        message = (1, ())
+        for fid in buckets[var]:
+            f = functions[fid]
+            chain_vars = tuple(sorted(f.scope, key=pos.__getitem__))
+            fragment = _chain_fragment(f, chain_vars, domains, table)
+            message = apply_fragments(message, fragment, tree, memo, table)
+        for fragment in inbox[var]:
+            message = apply_fragments(message, fragment, tree, memo, table)
+        parent = tree.parent[var]
+        if parent is None:
+            final = apply_fragments(message, (1, ()) if final is None else final, tree, memo, table)
+        else:
+            inbox[parent].append(message)
+
+    const, nodes = final
+    constant = const * factor
+    if constant == 0:
+        nodes = ()
+    return Aomdd(tree, domains, tuple(nodes), constant, table, weighted, None)
 
 
 def group_descendants(list_f, list_g, tree):

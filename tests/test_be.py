@@ -3,13 +3,17 @@ from fractions import Fraction
 
 from aomdd import (
     build_primal_graph,
+    chain_pseudo_tree,
     compile_be,
     compile_search,
     count_stats,
+    dumps,
     evaluate,
     generate_pseudo_tree,
     make_model,
+    min_fill_ordering,
     parse_dimacs_cnf,
+    parse_uai,
     structural_equal,
 )
 from aomdd import be_compiler
@@ -17,7 +21,7 @@ from aomdd.be_compiler import apply_fragments, group_descendants
 from aomdd.diagram import UniqueTable, reachable_nodes, weight_strs
 
 import be_reference
-from conftest import queens_model, random_model, seeded_rng
+from conftest import bench_workloads, queens_model, random_model, seeded_rng
 
 A, B, C, D, E, F, G, H = range(8)
 
@@ -129,17 +133,49 @@ def test_bucket_fold_order_independent(example_model, example_tree):
 
 
 def test_be_matches_search_randomized():
+    # BE follows the tree it is given, whatever ``d`` says
     rng = seeded_rng(32)
-    for _ in range(25):
+    for i in range(60):
         m = random_model(rng, weighted=rng.random() < 0.5)
         g = build_primal_graph(m)
-        from aomdd import min_fill_ordering
-
         d = min_fill_ordering(g, seed=4)
-        tree = generate_pseudo_tree(g, d)
-        a = compile_search(m, tree)
-        b = compile_be(m, d=d, tree=tree)
-        assert structural_equal(a, b)
+        shuffled = rng.sample(range(m.n), m.n)
+        for tree in (generate_pseudo_tree(g, d), chain_pseudo_tree(g, d)):
+            expected = dumps(compile_search(m, tree))
+            assert dumps(compile_be(m, tree=tree)) == expected
+            assert dumps(compile_be(m, d=shuffled, tree=tree)) == expected
+            assert dumps(compile_be(m, d=shuffled, tree=tree, chain=i % 2 == 0)) == expected
+
+
+def _assert_same_as_oracle(model, d, tree):
+    a = compile_be(model, tree=tree)
+    b = be_reference.compile_be(model, d, tree)
+    assert dumps(a) == dumps(b)
+    assert a.table.created_per_var == b.table.created_per_var
+    assert len(a.table) == len(b.table)
+
+
+def test_tree_schedule_matches_ordering_schedule():
+    # for a tree built from ``d`` the tree schedule folds the same
+    # fragments in the same order as the schedule along ``d``
+    rng = seeded_rng(2024)
+    for i in range(300):
+        m = random_model(rng, weighted=i % 3 != 0)
+        g = build_primal_graph(m)
+        d = min_fill_ordering(g, seed=i)
+        tree = chain_pseudo_tree(g, d) if i % 4 == 0 else generate_pseudo_tree(g, d)
+        _assert_same_as_oracle(m, d, tree)
+
+
+def test_tree_schedule_matches_ordering_schedule_on_bench_workloads():
+    workloads = bench_workloads()
+    for name in ("grid", "chain", "cnf"):
+        w = workloads.WORKLOADS[name](1)
+        parse = parse_uai if w.model_file.endswith(".uai") else parse_dimacs_cnf
+        m = parse(w.model_text)
+        g = build_primal_graph(m)
+        d = min_fill_ordering(g)
+        _assert_same_as_oracle(m, d, generate_pseudo_tree(g, d))
 
 
 def test_group_descendants_matches_reference(monkeypatch):

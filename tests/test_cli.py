@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
 import pytest
 
-from aomdd.cli import main
+import aomdd
+from aomdd.cli import _decimal_str, main
 
 from conftest import EXAMPLE_CNF, queens_model, shuffled_chain_cnf_text
 
@@ -92,6 +98,37 @@ def test_query_sum_and_mpe(tmp_path, capsys):
     assert witness == "1 1"
 
 
+@pytest.mark.parametrize(
+    "entry, total, best",
+    [("1e200", "8e+600", "1e+600"), ("1e-200", "8e-600", "1e-600")],
+)
+def test_query_decimal_beyond_float_range(tmp_path, capsys, entry, total, best):
+    # three unary tables (x, x): the sum is (2x)^3, the MPE value x^3
+    table = "2\n%s %s\n" % (entry, entry)
+    uai = _write(
+        tmp_path / "m.uai", "MARKOV\n3\n2 2 2\n3\n1 0\n1 1\n1 2\n" + table * 3
+    )
+    out = tmp_path / "m.aomdd"
+    assert main(["compile", uai, "--out", str(out)]) == 0
+    assert main(["query", str(out), "--query", "sum"]) == 0
+    assert capsys.readouterr().out.strip() == total
+    assert main(["query", str(out), "--query", "mpe"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == best
+
+
+def test_decimal_str_rounds_exactly():
+    # the %g rules, on values float cannot hold exactly
+    assert _decimal_str(Fraction(1, 3), 12) == "0.333333333333"
+    assert _decimal_str(Fraction(2, 300000), 3) == "6.67e-06"
+    assert _decimal_str(Fraction(99995, 10**9), 4) == "0.0001"  # half-even tie up
+    assert _decimal_str(Fraction(125, 1000), 2) == "0.12"  # half-even tie down
+    assert _decimal_str(Fraction(999999), 3) == "1e+06"
+    assert _decimal_str(Fraction(10**12 - 1), 12) == "999999999999"
+    assert _decimal_str(Fraction(10**12), 12) == "1e+12"
+    assert _decimal_str(Fraction(10**13 - 5, 10), 12) == "1e+12"  # carry
+    assert _decimal_str(Fraction(3, 20000), 12) == "0.00015"
+
+
 def test_query_eval(example_cnf, order_file, tmp_path, capsys):
     out = _compile(example_cnf, order_file, tmp_path)
     bad = _write(tmp_path / "x.txt", "0 0 0 0 0 0 0 0\n")
@@ -173,6 +210,19 @@ def test_removed_compile_flags_are_usage_errors(example_cnf, flag, capsys):
         main(["compile", example_cnf, *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_huge_exponent_exit_code(tmp_path):
+    # building this exact rational would not finish; the parser refuses it
+    path = _write(tmp_path / "huge.uai", "MARKOV 1 2 1 1 0 2 1e1000000000 1\n")
+    src = os.path.dirname(os.path.dirname(aomdd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "aomdd.cli", "compile", path],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 2
+    assert "exponent" in proc.stderr
 
 
 def test_missing_file_exit_code(capsys):

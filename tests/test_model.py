@@ -42,6 +42,19 @@ def test_parse_uai_truncated():
         parse_uai("MARKOV 2 2 2 1 2 0 1 4 0.1 0.2 0.3")
 
 
+def test_parse_uai_decimal_entries_exact():
+    m = parse_uai("MARKOV 1 2 1 1 0 2 1e-05 2.5E+3")
+    assert m.functions[0].values == (Fraction(1, 100000), Fraction(2500))
+    m = parse_uai("MARKOV 1 2 1 1 0 2 .5 1e4300")
+    assert m.functions[0].values == (Fraction(1, 2), Fraction(10**4300))
+
+
+@pytest.mark.parametrize("entry", ["1e100000", "1e-4301", "1E+4301"])
+def test_parse_uai_huge_exponent(entry):
+    with pytest.raises(ParseError, match="exponent"):
+        parse_uai("MARKOV 1 2 1 1 0 2 %s 1" % entry)
+
+
 def test_weight_of_full_assignment_product():
     m = make_model([2, 2], [((0,), [Fraction(1, 2), Fraction(1, 2)]),
                             ((1,), [Fraction(1, 4), Fraction(3, 4)])])
