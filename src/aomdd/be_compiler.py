@@ -189,7 +189,7 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
         tree = chain_pseudo_tree(g, d) if chain else generate_pseudo_tree(g, d)
     buckets = compute_buckets(tree, model)
     weighted = model.kind == WEIGHTED
-    table = UniqueTable(weighted, node_cap, model.domains)
+    table = UniqueTable(weighted, model.domains, node_cap)
     domains = model.domains
     functions, factor = integer_tables(model)
     memo = {}

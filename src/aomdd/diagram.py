@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
-from ._recursion import run
 from .errors import ResourceLimitError, StructuralError
 
 
@@ -47,7 +47,7 @@ class MetaNode:
 class UniqueTable:
     """Per-compilation arena interning meta-nodes by (var, arcs) key."""
 
-    def __init__(self, weighted, node_cap=None, domains=None):
+    def __init__(self, weighted, domains, node_cap=None):
         self.weighted = weighted
         self.node_cap = node_cap
         self.domains = domains
@@ -70,6 +70,10 @@ class UniqueTable:
                 )
             self.created_per_var[var] = self.created_per_var.get(var, 0) + 1
         return node
+
+    def find(self, var, arcs):
+        """The node interned under ``(var, arcs)``, or None; creates nothing."""
+        return self._table.get((var, arcs))
 
     def all_nodes(self):
         return list(self._table.values())
@@ -115,7 +119,7 @@ def make_node(var, arcs, table):
       (1 in constraint mode).
     """
     arcs = tuple((w, tuple(ch)) if w != 0 else (0, ()) for w, ch in arcs)
-    if table.domains is not None and len(arcs) != table.domains[var]:
+    if len(arcs) != table.domains[var]:
         raise StructuralError(
             "variable %d has %d arcs, domain size is %d"
             % (var, len(arcs), table.domains[var])
@@ -147,23 +151,24 @@ class Aomdd:
     weighted: bool
     stats: object = None
 
-    @property
-    def is_terminal(self):
-        return not self.roots
-
 
 def reachable_nodes(diagram):
-    """All meta-nodes reachable from the roots, deduplicated."""
-    seen = {}
+    """All meta-nodes reachable from the roots, each after its children.
+
+    ``intern`` creates a node only once its children exist, so the
+    table's creation order (``uid``) restricted to the reachable set is
+    children first.  Sorting the reachable set costs O(r log r), not a
+    pass over a table that may hold many more dead nodes.
+    """
+    seen = set()
     stack = list(diagram.roots)
     while stack:
         u = stack.pop()
-        if id(u) in seen:
-            continue
-        seen[id(u)] = u
-        for _, children in u.arcs:
-            stack.extend(children)
-    return list(seen.values())
+        if u not in seen:
+            seen.add(u)
+            for _, children in u.arcs:
+                stack.extend(children)
+    return sorted(seen, key=attrgetter("uid"))
 
 
 def count_stats(diagram):
@@ -187,56 +192,39 @@ def count_stats(diagram):
 
 
 def structural_equal(a, b):
-    """Exact diagram equality for two AOMDDs over the same pseudo tree.
+    """Exact equality of two AOMDDs over the same pseudo tree, domains and mode.
 
-    With a shared unique table this is root identity plus root-constant
-    equality; across tables it is a memoized isomorphism check, run on
-    an explicit stack so that any diagram depth works.
+    Canonical diagrams are equal exactly when they are the same nodes of
+    one unique table.  With a shared table this is root identity; across
+    tables each of ``b``'s nodes, children first, is looked up in ``a``'s
+    table under the image of its key, creating nothing: one lookup per
+    node of ``b``.
     """
-    if a.tree != b.tree or a.domains != b.domains:
-        raise StructuralError("diagrams have different pseudo trees")
+    if a.tree != b.tree or a.domains != b.domains or a.weighted != b.weighted:
+        raise StructuralError("diagrams have different pseudo trees, domains or modes")
     if a.constant != b.constant:
         return False
     if a.table is b.table:
         return a.roots == b.roots
-    if len(a.roots) != len(b.roots):
-        return False
-    memo = {}
-
-    def iso(u, v):
-        key = (id(u), id(v))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        ok = u.var == v.var and len(u.arcs) == len(v.arcs)
-        if ok:
-            for (wu, cu), (wv, cv) in zip(u.arcs, v.arcs):
-                if wu != wv or len(cu) != len(cv):
-                    ok = False
-                    break
-                for x, y in zip(cu, cv):
-                    if not (yield iso(x, y)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        memo[key] = ok
-        return ok
-
-    return all(run(iso(u, v)) for u, v in zip(a.roots, b.roots))
+    image = {}  # a node with no counterpart in ``a`` maps to None, as do its ancestors
+    for v in reachable_nodes(b):
+        image[v] = a.table.find(
+            v.var, tuple((w, tuple(image[c] for c in ch)) for w, ch in v.arcs)
+        )
+    return tuple(image[r] for r in b.roots) == a.roots
 
 
 def normalized_root_sum(diagram):
     """Sum-traversal of the root nodes with unit don't-care factors.
 
-    Every meta-node's normalized weights ``n_i / sum(n)`` sum to 1, so
-    this evaluates to exactly 1; exposed as a numeric sanity check.
+    Every weighted meta-node's values ``n_i / sum(n)`` sum to 1, so on a
+    weighted diagram with a nonzero constant this is exactly 1; exposed
+    as a numeric sanity check.  In constraint mode the arc values are the
+    0/1 table entries, so the result counts the reduced diagram's
+    solution trees instead and is not 1 in general.
     """
     memo = {}
-    order = sorted(
-        reachable_nodes(diagram), key=lambda u: -diagram.tree.dfs_index[u.var]
-    )
-    for u in order:
+    for u in reachable_nodes(diagram):
         total = 0
         for w, children in u.arcs:
             term = w
@@ -255,8 +243,10 @@ def check_reduced(table):
 
     Isomorphism freedom is structural (the table is keyed by the full
     arc tuple, which is canonical because every weight is a non-negative
-    ``int`` and each node's weights have gcd 1); redundancy freedom and
-    the weight form are re-checked per node.
+    ``int`` and each node's weights have gcd 1); redundancy freedom, the
+    weight form and children-first creation (every child's ``uid`` below
+    its parent's, which the bottom-up traversals rely on) are re-checked
+    per node.
     """
     for node in table.all_nodes():
         first = node.arcs[0]
@@ -267,6 +257,9 @@ def check_reduced(table):
                 raise AssertionError("weight %r of %r is not a non-negative int" % (w, node))
             if w == 0 and children:
                 raise AssertionError("zero-weight arc with children on %r" % node)
+            for c in children:
+                if c.uid >= node.uid:
+                    raise AssertionError("child %r not created before %r" % (c, node))
         g = gcd(*[w for w, _ in node.arcs])
         if g != 1:
             raise AssertionError("weights of %r have gcd %d, not 1" % (node, g))

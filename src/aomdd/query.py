@@ -77,12 +77,6 @@ def evaluate(diagram, x):
     return diagram.constant * ratio(num, den)
 
 
-def _bottom_up(diagram):
-    return sorted(
-        reachable_nodes(diagram), key=lambda u: -diagram.tree.dfs_index[u.var]
-    )
-
-
 def _sum_traversal(diagram, evidence, count):
     """Memoized sum over e-consistent assignments with don't-care factors.
 
@@ -107,7 +101,7 @@ def _sum_traversal(diagram, evidence, count):
                 den *= q
         return num, den
 
-    for u in _bottom_up(diagram):
+    for u in reachable_nodes(diagram):
         num, den = 0, 1
         fixed = evidence.get(u.var)
         lo, hi = tree.dfs_index[u.var] + 1, tree.subtree_end[u.var]
@@ -153,7 +147,7 @@ def mpe(diagram, evidence=None):
     domains = diagram.domains
     best = {}
     best_val = {}
-    for u in _bottom_up(diagram):
+    for u in reachable_nodes(diagram):
         top, top_den = None, 1
         top_val = 0
         fixed = evidence.get(u.var)

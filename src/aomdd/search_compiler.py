@@ -89,7 +89,7 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
     contexts = _contexts_of(tree, model)
     buckets = compute_buckets(tree, model)
     weighted = model.kind == WEIGHTED
-    table = UniqueTable(weighted, node_cap, model.domains)
+    table = UniqueTable(weighted, model.domains, node_cap)
     domains = model.domains
     functions, factor = integer_tables(model)
     stats = CompileStats()

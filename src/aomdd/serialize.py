@@ -193,7 +193,7 @@ def loads(text):
         weights[tok] = w
         return w
 
-    table = UniqueTable(weighted, domains=domains)
+    table = UniqueTable(weighted, domains)
     index = {}  # record id token -> record id
     nodes = []
     pos_of = []  # record id -> DFS position of its variable

@@ -22,7 +22,7 @@ def compile_be(model, d, tree):
     """BE along ``tree``, scheduled by the ordering ``d`` it came from."""
     buckets = compute_buckets(tree, model)
     weighted = model.kind == WEIGHTED
-    table = UniqueTable(weighted, None, model.domains)
+    table = UniqueTable(weighted, model.domains)
     domains = model.domains
     functions, factor = integer_tables(model)
     memo = {}

@@ -7,11 +7,15 @@ compilers multiply the model's rational tables directly.  Patching
 model that way; ``dumps`` writes the resulting diagram as the earlier
 serializer did.  The integer form must give the same bytes, unique-table
 uids and per-variable creation counts.
+
+``structural_equal`` is the earlier memoized isomorphism walk, kept as
+the oracle for identity-based equality on diagrams of one mode.
 """
 
 from fractions import Fraction
 
 from aomdd import compile_search, search_compiler
+from aomdd._recursion import run
 from aomdd.diagram import reachable_nodes
 from aomdd.errors import StructuralError
 from aomdd.model import CONSTRAINT, WEIGHTED
@@ -133,3 +137,43 @@ def dumps(diagram):
         out.append("roots .")
     out.append("constant %s" % _weight_str(diagram.constant))
     return "\n".join(out) + "\n"
+
+
+def structural_equal(a, b):
+    """Exact diagram equality for two AOMDDs over the same pseudo tree.
+
+    With a shared unique table this is root identity plus root-constant
+    equality; across tables it is a memoized isomorphism check, run on
+    an explicit stack so that any diagram depth works.
+    """
+    if a.tree != b.tree or a.domains != b.domains:
+        raise StructuralError("diagrams have different pseudo trees")
+    if a.constant != b.constant:
+        return False
+    if a.table is b.table:
+        return a.roots == b.roots
+    if len(a.roots) != len(b.roots):
+        return False
+    memo = {}
+
+    def iso(u, v):
+        key = (id(u), id(v))
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        ok = u.var == v.var and len(u.arcs) == len(v.arcs)
+        if ok:
+            for (wu, cu), (wv, cv) in zip(u.arcs, v.arcs):
+                if wu != wv or len(cu) != len(cv):
+                    ok = False
+                    break
+                for x, y in zip(cu, cv):
+                    if not (yield iso(x, y)):
+                        ok = False
+                        break
+                if not ok:
+                    break
+        memo[key] = ok
+        return ok
+
+    return all(run(iso(u, v)) for u, v in zip(a.roots, b.roots))

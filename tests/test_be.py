@@ -38,7 +38,7 @@ def test_chain_diagram_xor():
 def test_chain_diagram_constant():
     m = make_model([2], [((), [Fraction(5, 2)])])
     compiled = compile_be(m, d=[0])
-    assert compiled.is_terminal
+    assert not compiled.roots
     assert compiled.constant == Fraction(5, 2)
 
 

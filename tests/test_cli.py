@@ -144,6 +144,12 @@ def test_equiv_exit_codes(example_cnf, order_file, tmp_path, capsys):
     out = _compile(example_cnf, order_file, tmp_path)
     # identical files -> 0
     assert main(["equiv", str(out), str(out)]) == 0
+    # a copy with other whitespace is compared across unique tables -> 0
+    spaced = out.read_text().replace(" ", "  \t").replace("\n", " \n\n")
+    spaced = _write(tmp_path / "spaced.aomdd", spaced)
+    capsys.readouterr()
+    assert main(["equiv", str(out), spaced]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
     # flip a literal in the last clause (same primal graph) -> 1
     smaller_cnf = _write(
         tmp_path / "smaller.cnf", EXAMPLE_CNF.replace("2 3 0\n", "-2 3 0\n")
@@ -171,7 +177,14 @@ def test_equiv_exit_codes(example_cnf, order_file, tmp_path, capsys):
         == 0
     )
     assert main(["equiv", str(out), str(chain)]) == 2
-    capsys.readouterr()
+    # a constraint and a weighted diagram with equal arc values -> 2
+    half = Fraction(1, 2)
+    files = []
+    for kind, values in (("constraint", [1, 1, 0]), ("weighted", [half, half, 0])):
+        compiled = aomdd.compile_search(aomdd.make_model([3], [((0,), values)], kind))
+        files.append(_write(tmp_path / (kind + ".aomdd"), aomdd.dumps(compiled)))
+    assert main(["equiv", *files]) == 2
+    assert "modes" in capsys.readouterr().err
 
 
 def test_dot_deterministic(example_cnf, order_file, tmp_path, capsys):

@@ -10,13 +10,21 @@ from aomdd import (
     count_stats,
     dumps,
     generate_pseudo_tree,
+    loads,
+    make_model,
     min_fill_ordering,
     normalized_root_sum,
     parse_uai,
     structural_equal,
     to_dot,
 )
-from aomdd.diagram import UniqueTable, check_reduced, make_node, normalize_arcs
+from aomdd.diagram import (
+    MetaNode,
+    UniqueTable,
+    check_reduced,
+    make_node,
+    normalize_arcs,
+)
 from aomdd.errors import ResourceLimitError
 
 import diagram_reference as ref
@@ -86,7 +94,7 @@ class _CountedWeight:
 
 
 def test_intern_hashes_key_once():
-    table = UniqueTable(weighted=True)
+    table = UniqueTable(weighted=True, domains=(2,))
     arcs = ((_CountedWeight(1), ()), (_CountedWeight(2), ()))
     _CountedWeight.hashes = 0
     node = table.intern(0, arcs)
@@ -150,6 +158,43 @@ def test_structural_equal_tree_mismatch(example_model):
         structural_equal(a, b)
 
 
+def _one_entry_changed(model, rng):
+    """A copy of ``model`` with one table entry set to 0, or to 1 if it was 0."""
+    functions = [(f.scope, list(f.values)) for f in model.functions]
+    values = rng.choice(functions)[1]
+    i = rng.randrange(len(values))
+    values[i] = 1 if values[i] == 0 else 0
+    return make_model(model.domains, functions, kind=model.kind)
+
+
+def test_structural_equal_matches_reference():
+    rng = seeded_rng(10)
+    changed_verdicts = set()
+    for i in range(100):
+        model = random_model(rng, weighted=i % 2 == 0)
+        a = compile_search(model)
+        b = compile_be(model, tree=a.tree)
+        changed = compile_search(_one_entry_changed(model, rng), a.tree)
+        for x, y in ((a, b), (a, changed), (loads(dumps(changed)), a)):
+            verdict = structural_equal(x, y)
+            assert verdict == structural_equal(y, x) == ref.structural_equal(x, y)
+        assert structural_equal(a, b)
+        changed_verdicts.add(structural_equal(a, changed))
+    assert changed_verdicts == {True, False}
+
+
+def test_structural_equal_mode_mismatch():
+    c = compile_search(make_model([3], [((0,), [1, 1, 0])], kind="constraint"))
+    half = Fraction(1, 2)
+    w = compile_search(make_model([3], [((0,), [half, half, 0])]), c.tree)
+    # the isomorphism walk compared the arcs and never the mode
+    assert ref.structural_equal(c, w)
+    with pytest.raises(StructuralError):
+        structural_equal(c, w)
+    with pytest.raises(StructuralError):
+        structural_equal(w, c)
+
+
 def test_normalized_root_sum_is_one():
     rng = seeded_rng(6)
     for _ in range(10):
@@ -181,6 +226,20 @@ def test_check_reduced_enforces_primitive_integers():
     table = UniqueTable(weighted=True, domains=(2,))
     table.intern(0, ((Fraction(1, 3), ()), (Fraction(2, 3), ())))
     with pytest.raises(AssertionError, match="not a non-negative int"):
+        check_reduced(table)
+
+
+def test_check_reduced_enforces_children_first():
+    rng = seeded_rng(9)
+    for i in range(20):
+        model = random_model(rng, weighted=i % 2 == 0)
+        a = compile_search(model)
+        for d in (a, compile_be(model, tree=a.tree), loads(dumps(a))):
+            assert check_reduced(d.table)
+    table = UniqueTable(weighted=False, domains=(2, 2))
+    orphan = MetaNode(1, ((0, ()), (1, ())), 5)  # never interned, uid past the table
+    table.intern(0, ((0, ()), (1, (orphan,))))
+    with pytest.raises(AssertionError, match="not created before"):
         check_reduced(table)
 
 

@@ -42,14 +42,14 @@ A, B, C, D, E, F, G, H = range(8)
 def test_compile_constant_model():
     m = make_model([2, 2], [((0, 1), [1, 1, 1, 1])])
     compiled = compile_search(m)
-    assert compiled.is_terminal
+    assert not compiled.roots
     assert compiled.constant == 1
 
 
 def test_compile_unsatisfiable():
     m = parse_dimacs_cnf("p cnf 1 2\n1 0\n-1 0\n")
     compiled = compile_search(m)
-    assert compiled.is_terminal
+    assert not compiled.roots
     assert compiled.constant == 0
 
 
@@ -222,7 +222,7 @@ def test_bcp_root_conflict_compiles_to_zero():
                 assert _verdicts(hook, [(var, val)]) == [False]
         plain = compile_search(m)
         pruned = compile_search(m, hook=hook)
-        assert pruned.is_terminal and pruned.constant == 0
+        assert not pruned.roots and pruned.constant == 0
         assert dumps(pruned) == dumps(plain)
 
 
@@ -305,7 +305,7 @@ def test_table_scaling_edge_cases(monkeypatch):
         for x in full_assignments(model.domains):
             assert evaluate(a, x) == evaluate(b, x) == oracle.value_at(x)
         if len(set(values)) == 1:
-            assert a.is_terminal and a.constant == values[0]
+            assert not a.roots and a.constant == values[0]
 
 
 def test_compile_search_builds_no_fraction_per_arc():

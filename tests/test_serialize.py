@@ -122,7 +122,7 @@ def test_terminal_round_trip():
     unsat = parse_dimacs_cnf("p cnf 1 2\n1 0\n-1 0\n")
     a = compile_search(unsat)
     b = loads(dumps(a))
-    assert b.is_terminal
+    assert not b.roots
     assert b.constant == 0
 
 
