@@ -11,7 +11,7 @@ submodules hold the rest.
 """
 
 from .be_compiler import compile_be
-from .diagram import count_stats, normalized_root_sum, structural_equal, to_dot
+from .diagram import count_stats, structural_equal, to_dot
 from .errors import AomddError, ParseError, ResourceLimitError, StructuralError
 from .model import (
     brute_force_table,
@@ -20,7 +20,14 @@ from .model import (
     parse_uai,
     parse_uai_evidence,
 )
-from .query import count_solutions, enumerate_solutions, evaluate, mpe, sum_over
+from .query import (
+    count_solutions,
+    enumerate_solutions,
+    evaluate,
+    mpe,
+    normalized_root_sum,
+    sum_over,
+)
 from .search_compiler import bcp_hook, compile_search
 from .serialize import dumps, loads
 from .structure import (

@@ -214,30 +214,6 @@ def structural_equal(a, b):
     return tuple(image[r] for r in b.roots) == a.roots
 
 
-def normalized_root_sum(diagram):
-    """Sum-traversal of the root nodes with unit don't-care factors.
-
-    Every weighted meta-node's values ``n_i / sum(n)`` sum to 1, so on a
-    weighted diagram with a nonzero constant this is exactly 1; exposed
-    as a numeric sanity check.  In constraint mode the arc values are the
-    0/1 table entries, so the result counts the reduced diagram's
-    solution trees instead and is not 1 in general.
-    """
-    memo = {}
-    for u in reachable_nodes(diagram):
-        total = 0
-        for w, children in u.arcs:
-            term = w
-            for c in children:
-                term *= memo[id(c)]
-            total += term
-        memo[id(u)] = ratio(total, node_total(u, diagram.weighted))
-    result = diagram.constant * 0 + 1
-    for r in diagram.roots:
-        result *= memo[id(r)]
-    return result
-
-
 def check_reduced(table):
     """Assert the unique-table invariants: no isomorphic pair, no redundant node.
 

@@ -29,6 +29,10 @@ BRUTE_FORCE_CAP = 1 << 24
 #: weight, while building the exact rational would take seconds.
 MAX_EXPONENT = 4300
 
+#: Largest table a DIMACS clause may expand to: a clause over w
+#: variables becomes a table of 2**w entries.
+MAX_CLAUSE_TABLE = 1 << 24
+
 
 @dataclass(frozen=True)
 class TableFunction:
@@ -300,6 +304,11 @@ def parse_dimacs_cnf(text):
         scope = tuple(sorted(signs))
         forbidden = tuple(0 if signs[v] else 1 for v in scope)
         size = 1 << len(scope)
+        if size > MAX_CLAUSE_TABLE:
+            raise ResourceLimitError(
+                "line %d: clause over %d variables needs a %d-entry table, cap is %d"
+                % (lineno, len(scope), size, MAX_CLAUSE_TABLE)
+            )
         values = [1] * size
         idx = 0
         for v, fval in zip(scope, forbidden):
@@ -319,5 +328,7 @@ def parse_uai_evidence(text, n=None):
         val = r.next_int("evidence value", low=0)
         if n is not None and not 0 <= var < n:
             raise ParseError("evidence variable %d out of range" % var, r.line)
+        if var in evidence:
+            raise ParseError("evidence variable %d given twice" % var, r.line)
         evidence[var] = val
     return evidence

@@ -1,9 +1,8 @@
 """Queries over a compiled diagram: eval, sum, count, MPE, enumeration.
 
 Redundancy removal deletes don't-care variables from paths, so the
-traversals here must account for the variables an arc skips: summation
-multiplies a domain-size factor per skipped unobserved variable, while
-evaluation and maximization multiply 1.  The skipped set of an arc is
+queries must account for the variables an arc skips.  The skipped set
+of an arc is
 
     uncovered(u, i) = subtree(var(u)) - {var(u)} - union of subtree(c)
                       for c in children_i
@@ -13,9 +12,22 @@ subtree is a DFS interval and an arc's children are unrelated and in
 DFS order, so the skipped variables are the ``dfs_order`` slices
 between the children's intervals.
 
-A weighted meta-node stores integer arc weights whose values are
-``n_i / sum(n)``; the traversals multiply the integers and divide by a
-node's sum once per node, not once per arc.
+Sum, count, MPE and the root sum are one bottom-up fold, ``_fold``,
+over the reachable nodes in the semiring style of algebraic model
+counting.  Three inputs fix the query:
+
+- how a node's arcs combine: ``+`` (sum, count, root sum) or max (MPE,
+  which also keeps each node's first maximizing value);
+- what a skipped unobserved variable contributes: its domain size
+  (sum, count) or 1 (MPE, root sum);
+- what an arc counts: its weight (sum, MPE, root sum) or 1 (count).
+
+Each node's value is an integer pair ``(num, den)`` in lowest terms:
+one gcd per node, and no ``Fraction`` until the result.  A weighted
+meta-node stores integer arc weights whose values are ``n_i / sum(n)``;
+the fold multiplies the integers and divides by a node's sum once per
+node, not once per arc.  ``evaluate`` reads one solution tree and
+``enumerate_solutions`` walks the paths, so neither is a fold.
 """
 
 from __future__ import annotations
@@ -77,26 +89,29 @@ def evaluate(diagram, x):
     return diagram.constant * ratio(num, den)
 
 
-def _sum_traversal(diagram, evidence, count):
-    """Memoized sum over e-consistent assignments with don't-care factors.
+def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
+    """Fold the reachable nodes, children first; return ``(argmax, value)``.
 
-    Sums the arc values, or with ``count`` the number of nonzero paths.
-    Each node's sum is kept as an integer pair ``(num, den)`` in lowest
-    terms: one gcd per node, and no ``Fraction`` until the result.
+    Arcs combine by max when ``maximize``, else by ``+``; a skipped
+    unobserved variable contributes its domain size when ``sizes``, else
+    1; an arc counts its weight when ``weights``, else 1.  ``value`` is
+    the roots' value without the root constant; ``argmax`` maps each
+    node to its first maximizing value when ``maximize``.
     """
     domains = diagram.domains
     tree = diagram.tree
-    divide = diagram.weighted and not count
+    divide = weights and diagram.weighted
     memo = {}
+    argmax = {}
 
-    def product(num, items):
+    def product(num, lo, hi, children):
         den = 1
-        for item in items:
+        for item in _arc_items(tree, lo, hi, children) if sizes else children:
             if type(item) is int:
                 if item not in evidence:
                     num *= domains[item]
             else:
-                p, q = memo[id(item)]
+                p, q = memo[item]
                 num *= p
                 den *= q
         return num, den
@@ -104,27 +119,31 @@ def _sum_traversal(diagram, evidence, count):
     for u in reachable_nodes(diagram):
         num, den = 0, 1
         fixed = evidence.get(u.var)
+        arg = fixed or 0  # a node of value 0 takes its first allowed value
         lo, hi = tree.dfs_index[u.var] + 1, tree.subtree_end[u.var]
         for val, (w, children) in enumerate(u.arcs):
-            if fixed is not None and val != fixed:
+            if w == 0 or fixed is not None and val != fixed:
                 continue
-            if w != 0:
-                p, q = product(1 if count else w, _arc_items(tree, lo, hi, children))
-                if q == den:
-                    num += p
-                else:
-                    num, den = num * q + p * den, den * q
+            p, q = product(w if weights else 1, lo, hi, children)
+            if maximize:
+                if p * den > num * q:
+                    num, den, arg = p, q, val
+            elif q == den:
+                num += p
+            else:
+                num, den = num * q + p * den, den * q
         if divide:
             den *= node_total(u, True)
         g = gcd(num, den)
-        memo[id(u)] = (num // g, den // g)
-    return ratio(*product(1, _arc_items(tree, 0, tree.n, diagram.roots)))
+        memo[u] = (num // g, den // g)
+        argmax[u] = arg
+    return argmax, ratio(*product(1, 0, tree.n, diagram.roots))
 
 
 def sum_over(diagram, evidence=None):
     """Sum of the function over all full assignments consistent with evidence."""
     evidence = _check_evidence(diagram, evidence)
-    return diagram.constant * _sum_traversal(diagram, evidence, False)
+    return diagram.constant * _fold(diagram, evidence)[1]
 
 
 def count_solutions(diagram, evidence=None):
@@ -132,7 +151,20 @@ def count_solutions(diagram, evidence=None):
     evidence = _check_evidence(diagram, evidence)
     if diagram.constant == 0:
         return 0
-    return _sum_traversal(diagram, evidence, True)
+    return _fold(diagram, evidence, weights=False)[1]
+
+
+def normalized_root_sum(diagram):
+    """Sum over the solution trees of their arc-value products.
+
+    Skipped variables count 1 and the root constant is left out.  Every
+    weighted meta-node's values ``n_i / sum(n)`` sum to 1, so on a
+    weighted diagram this is exactly 1; exposed as a numeric sanity
+    check.  In constraint mode the arc values are the 0/1 table entries,
+    so the result counts the reduced diagram's solution trees instead
+    and is not 1 in general.
+    """
+    return _fold(diagram, {}, sizes=False)[1]
 
 
 def mpe(diagram, evidence=None):
@@ -140,53 +172,22 @@ def mpe(diagram, evidence=None):
 
     Don't-care variables contribute factor 1 and take value 0 in the
     witness (evidence values when observed); ``evaluate`` at the witness
-    reproduces the value exactly.  Each node's best value is kept as an
-    integer pair ``(num, den)`` in lowest terms, as in ``sum_over``.
+    reproduces the value exactly.  Each node on the witness takes its
+    first maximizing value.
     """
     evidence = _check_evidence(diagram, evidence)
-    domains = diagram.domains
-    best = {}
-    best_val = {}
-    for u in reachable_nodes(diagram):
-        top, top_den = None, 1
-        top_val = 0
-        fixed = evidence.get(u.var)
-        for val, (w, children) in enumerate(u.arcs):
-            if fixed is not None and val != fixed:
-                continue
-            num, den = w, 1
-            for c in children:
-                p, q = best[id(c)]
-                num *= p
-                den *= q
-            if top is None or num * top_den > top * den:
-                top, top_den = num, den
-                top_val = val
-        if top is None:
-            top = 0
-        top_den *= node_total(u, diagram.weighted)
-        g = gcd(top, top_den)
-        best[id(u)] = (top // g, top_den // g)
-        best_val[id(u)] = top_val
-
-    num = den = 1
-    for r in diagram.roots:
-        p, q = best[id(r)]
-        num *= p
-        den *= q
-    value = diagram.constant * ratio(num, den)
-
-    witness = [None] * len(domains)
+    argmax, value = _fold(diagram, evidence, maximize=True, sizes=False)
+    witness = [None] * len(diagram.domains)
     stack = list(diagram.roots)
     while stack:
         u = stack.pop()
-        val = best_val[id(u)]
+        val = argmax[u]
         witness[u.var] = val
         stack.extend(u.arcs[val][1])
-    for var in range(len(domains)):
-        if witness[var] is None:
+    for var, val in enumerate(witness):
+        if val is None:
             witness[var] = evidence.get(var, 0)
-    return value, witness
+    return diagram.constant * value, witness
 
 
 def enumerate_solutions(diagram, limit=None, evidence=None):

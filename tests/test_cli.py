@@ -209,6 +209,13 @@ def test_mem_cap_exit_code(example_cnf, order_file, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_wide_clause_exit_code(tmp_path, capsys):
+    text = "p cnf 64 1\n%s 0\n" % " ".join(str(v) for v in range(1, 65))
+    wide = _write(tmp_path / "wide.cnf", text)
+    assert main(["compile", str(wide)]) == 3
+    assert "cap" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = _write(tmp_path / "bad.uai", "FOO 1 2 0")
     assert main(["compile", str(bad)]) == 2

@@ -115,6 +115,13 @@ def test_dimacs_tautology_dropped():
     assert not m.functions
 
 
+def test_dimacs_wide_clause_is_a_resource_error():
+    # a 64-literal clause would need a 2**64-entry table
+    text = "p cnf 64 1\n%s 0\n" % " ".join(str(v) for v in range(1, 65))
+    with pytest.raises(ResourceLimitError, match="64 variables"):
+        parse_dimacs_cnf(text)
+
+
 def test_dimacs_errors():
     with pytest.raises(ParseError, match="exceeds"):
         parse_dimacs_cnf("p cnf 2 1\n3 0\n")
@@ -139,3 +146,5 @@ def test_parse_evidence():
     assert parse_uai_evidence("2 0 1 3 0", n=4) == {0: 1, 3: 0}
     with pytest.raises(ParseError, match="out of range"):
         parse_uai_evidence("1 9 0", n=4)
+    with pytest.raises(ParseError, match="twice"):
+        parse_uai_evidence("2 0 1 0 0", n=2)

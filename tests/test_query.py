@@ -110,6 +110,34 @@ def test_mpe_matches_brute_force():
             assert witness[v] == val
 
 
+def test_mpe_witness_is_first_maximizer_in_dfs_order():
+    # ties go to the lowest value index at each node, so a positive MPE's
+    # witness is the maximizer that comes first when assignments are
+    # compared in pseudo-tree DFS order; at value 0 each root component
+    # picks its own maximum and the rule does not hold
+    rng = seeded_rng(48)
+    checked = 0
+    for _ in range(100):
+        m = random_model(rng, weighted=rng.random() < 0.5)
+        compiled = compile_search(m)
+        order = compiled.tree.dfs_order
+        for evidence in ({}, _random_evidence(rng, m.domains)):
+            value, witness = mpe(compiled, evidence)
+            if value == 0:
+                continue
+            consistent = [
+                x for x in full_assignments(m.domains)
+                if all(x[v] == val for v, val in evidence.items())
+            ]
+            first = min(
+                (x for x in consistent if weight_of_full_assignment(m, x) == value),
+                key=lambda x: [x[v] for v in order],
+            )
+            assert witness == first
+            checked += 1
+    assert checked > 100
+
+
 def test_mpe_simple_and_unsat():
     m = make_model([2], [((0,), [Fraction(3, 10), Fraction(7, 10)])])
     value, witness = mpe(compile_search(m))
