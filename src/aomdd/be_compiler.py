@@ -25,7 +25,6 @@ from math import gcd, lcm
 
 from ._recursion import run
 from .diagram import Aomdd, UniqueTable, make_node, node_total, ratio
-from .errors import StructuralError
 from .model import WEIGHTED
 from .search_compiler import integer_tables
 from .structure import (
@@ -47,7 +46,8 @@ def _chain_fragment(f, chain, domains, table):
 
     def build(i):
         if i == len(chain):
-            return f.value_at(assignment), ()
+            w = f.value_at(assignment)
+            return (w, ()) if w else (0, ())  # dead arcs share one tuple
         var = chain[i]
         arcs = []
         for val in range(domains[var]):
@@ -59,13 +59,6 @@ def _chain_fragment(f, chain, domains, table):
     return build(0)
 
 
-def _run_below(nodes, k, stop, pos):
-    """End of the run of ``nodes`` from index ``k`` at DFS positions below ``stop``."""
-    while k < len(nodes) and pos[nodes[k].var] < stop:
-        k += 1
-    return k
-
-
 def group_descendants(list_f, list_g, tree):
     """Group two DFS-ordered node lists by ancestor relationship.
 
@@ -75,29 +68,23 @@ def group_descendants(list_f, list_g, tree):
     case puts the g-node in the f-node's group), and nodes unrelated to
     the whole other list become singleton groups.
 
-    One merge of the two lists by DFS position, O(|f| + |g|): the next
-    node of either list is a head, the f-node on a tie, and its members
-    are the run of the other list's nodes that follow it inside its DFS
-    interval ``[dfs_index, subtree_end)``.
+    One stable sort of both lists by DFS position (an f-node before a
+    g-node of the same variable) and one scan: a node outside the
+    current head's DFS interval ``[dfs_index, subtree_end)`` starts a
+    new group, and each node inside it joins the head's group.  Each
+    list being pairwise unrelated, every member comes from the other
+    list.
     """
     pos, end = tree.dfs_index, tree.subtree_end
     groups = []
-    i = j = 0
-    while i < len(list_f) or j < len(list_g):
-        if j == len(list_g) or (
-            i < len(list_f) and pos[list_f[i].var] <= pos[list_g[j].var]
-        ):
-            head = list_f[i]
-            i += 1
-            k = _run_below(list_g, j, end[head.var], pos)
-            groups.append((head, list(list_g[j:k])))
-            j = k
+    stop = 0
+    for u in sorted((*list_f, *list_g), key=lambda x: pos[x.var]):
+        if pos[u.var] < stop:
+            members.append(u)
         else:
-            head = list_g[j]
-            j += 1
-            k = _run_below(list_f, i, end[head.var], pos)
-            groups.append((head, list(list_f[i:k])))
-            i = k
+            members = []
+            groups.append((u, members))
+            stop = end[u.var]
     return groups
 
 
@@ -111,11 +98,6 @@ def _apply_node(v1, zs, tree, memo, table):
     arcs' child constants are brought to their lcm denominator, so
     ``make_node`` sees integers and no arc is divided.
     """
-    for z in zs:
-        if not tree.is_ancestor_or_self(v1.var, z.var):
-            raise StructuralError(
-                "APPLY head %d is not an ancestor of %d" % (v1.var, z.var)
-            )
     key = (id(v1),) + tuple(id(z) for z in zs)
     cached = memo.get(key)
     if cached is not None:
@@ -136,7 +118,7 @@ def _apply_node(v1, zs, tree, memo, table):
         num, q, children = yield _combine_lists(children, others, tree, memo, table)
         parts.append((w * num, q, children))
     common = lcm(*[q for _, q, _ in parts])
-    arcs = [(w * (common // q), children) for w, q, children in parts]
+    arcs = [(w * (common // q), children) if w else (0, ()) for w, q, children in parts]
     const, nodes = make_node(v1.var, arcs, table)
     den *= common
     g = gcd(const, den)

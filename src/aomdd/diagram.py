@@ -109,16 +109,17 @@ def make_node(var, arcs, table):
     """Reduce-and-intern one candidate meta-node.
 
     ``arcs`` is a sequence of ``(weight, children)`` pairs, one per
-    domain value, with non-negative integer weights and children
-    hash-consed and sorted by pseudo-tree DFS order.  Returns
-    ``(constant, children)``:
+    domain value: a non-negative integer weight and a tuple of
+    hash-consed children sorted by pseudo-tree DFS order, with each
+    zero-weight arc spelled ``(0, ())``; arcs are interned as given.
+    Returns ``(constant, children)``:
 
     - dead node: ``(0, ())``
     - redundant node: the common weight (unchanged) and children
     - otherwise: ``(s, (node,))`` where ``s`` is the sum of the weights
       (1 in constraint mode).
     """
-    arcs = tuple((w, tuple(ch)) if w != 0 else (0, ()) for w, ch in arcs)
+    arcs = tuple(arcs)
     if len(arcs) != table.domains[var]:
         raise StructuralError(
             "variable %d has %d arcs, domain size is %d"
@@ -256,20 +257,21 @@ def weight_strs(node, weighted):
 
 
 def canonical_nodes(diagram):
-    """Reachable nodes in canonical emission order, their dense ids and weights.
+    """Reachable nodes in canonical emission order, their dense ids and signatures.
 
     Variables are visited bottom-up (reverse DFS); within a variable,
-    nodes sort by their arc signature (``weight_strs`` with child ids
-    already assigned), so equal diagrams enumerate identically
-    regardless of creation order.  Returns ``(ordered, ids, labels)``,
-    ``labels[i]`` being the weight strings of ``ordered[i]``.
+    nodes sort by their signature, one ``(weight string, child ids)``
+    pair per arc, so equal diagrams enumerate identically regardless of
+    creation order.  Returns ``(ordered, ids, sigs)``: ``ordered[i]`` has
+    id ``i`` and signature ``sigs[i]``; weight string ``"0"`` is exactly
+    a zero-weight arc.
     """
     by_var = {}
     for u in reachable_nodes(diagram):
         by_var.setdefault(u.var, []).append(u)
     ids = {}
     ordered = []
-    labels = []
+    sigs = []
     for var in reversed(diagram.tree.dfs_order):
         keyed = []
         for u in by_var.get(var, ()):
@@ -277,35 +279,34 @@ def canonical_nodes(diagram):
             sig = tuple(
                 (s, tuple(ids[id(c)] for c in ch)) for s, (_, ch) in zip(strs, u.arcs)
             )
-            keyed.append((sig, strs, u))
+            keyed.append((sig, u))
         keyed.sort(key=lambda p: p[0])
-        for _, strs, u in keyed:
+        for sig, u in keyed:
             ids[id(u)] = len(ordered)
             ordered.append(u)
-            labels.append(strs)
-    return ordered, ids, labels
+            sigs.append(sig)
+    return ordered, ids, sigs
 
 
 def to_dot(diagram):
     """DOT rendering: record nodes with one port per value, square terminals."""
-    ordered, ids, labels = canonical_nodes(diagram)
+    ordered, _, sigs = canonical_nodes(diagram)
     lines = ["digraph aomdd {", "  node [shape=record];"]
     used_t0 = used_t1 = False
     arrows = []
-    for u, strs in zip(ordered, labels):
-        i = ids[id(u)]
-        ports = " | ".join("<p%d> %d: %s" % (j, j, s) for j, s in enumerate(strs))
+    for i, (u, sig) in enumerate(zip(ordered, sigs)):
+        ports = " | ".join("<p%d> %d: %s" % (j, j, s) for j, (s, _) in enumerate(sig))
         lines.append('  n%d [label="{X%d | { %s }}"];' % (i, u.var, ports))
-        for j, (w, children) in enumerate(u.arcs):
-            if w == 0:
+        for j, (s, kids) in enumerate(sig):
+            if s == "0":
                 arrows.append("  n%d:p%d -> t0;" % (i, j))
                 used_t0 = True
-            elif not children:
+            elif not kids:
                 arrows.append("  n%d:p%d -> t1;" % (i, j))
                 used_t1 = True
             else:
-                for c in children:
-                    arrows.append("  n%d:p%d -> n%d;" % (i, j, ids[id(c)]))
+                for c in kids:
+                    arrows.append("  n%d:p%d -> n%d;" % (i, j, c))
     if not diagram.roots:
         if diagram.constant == 0:
             used_t0 = True

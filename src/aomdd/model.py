@@ -33,6 +33,10 @@ MAX_EXPONENT = 4300
 #: variables becomes a table of 2**w entries.
 MAX_CLAUSE_TABLE = 1 << 24
 
+#: Most variables a DIMACS ``p cnf`` header may declare: each one gets a
+#: domain entry before any clause is read.
+MAX_CNF_VARS = 1 << 20
+
 
 @dataclass(frozen=True)
 class TableFunction:
@@ -263,6 +267,11 @@ def parse_dimacs_cnf(text):
                 int(toks[3])
             except ValueError:
                 raise ParseError("malformed problem line %r" % line, lineno)
+            if nvars > MAX_CNF_VARS:
+                raise ResourceLimitError(
+                    "line %d: header declares %d variables, cap is %d"
+                    % (lineno, nvars, MAX_CNF_VARS)
+                )
             continue
         if nvars is None:
             raise ParseError("clause before 'p cnf' header", lineno)

@@ -49,13 +49,12 @@ def dumps(diagram):
         + " ".join("-1" if p is None else str(p) for p in tree.parent)
     )
     out.append("dfs " + " ".join(str(v) for v in tree.dfs_order))
-    ordered, ids, labels = canonical_nodes(diagram)
+    ordered, ids, sigs = canonical_nodes(diagram)
     out.append("nodes %d" % len(ordered))
-    for u, strs in zip(ordered, labels):
-        fields = ["n", str(ids[id(u)]), str(u.var)]
-        for s, (_, children) in zip(strs, u.arcs):
-            kids = ",".join(str(ids[id(c)]) for c in children) or "."
-            fields.append("%s:%s" % (s, kids))
+    for i, (u, sig) in enumerate(zip(ordered, sigs)):
+        fields = ["n", str(i), str(u.var)]
+        for s, kids in sig:
+            fields.append("%s:%s" % (s, ",".join(map(str, kids)) or "."))
         out.append(" ".join(fields))
     if diagram.roots:
         out.append("roots " + " ".join(str(ids[id(r)]) for r in diagram.roots))

@@ -1,9 +1,10 @@
 """Reference forms of BE's schedule and APPLY grouping, kept as oracles.
 
 ``group_descendants`` is the all-pairs form of what
-``aomdd.be_compiler.group_descendants`` computes by one merge over DFS
-intervals: every node of one list is tested against every node of the
-other with ``is_ancestor_or_self``.
+``aomdd.be_compiler.group_descendants`` computes by one sort of both
+lists by DFS position and one scan over DFS intervals: every node of one
+list is tested against every node of the other with
+``is_ancestor_or_self``.
 
 ``compile_be`` is the earlier BE schedule, driven by an ordering ``d``
 next to the tree: buckets in reverse ``d``, scopes sorted by position in

@@ -1,7 +1,10 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from aomdd import (
+    StructuralError,
     build_primal_graph,
     chain_pseudo_tree,
     compile_be,
@@ -75,6 +78,18 @@ def test_group_descendants_singletons(example_tree):
     assert group_descendants([nd], [], example_tree) == [(nd, [])]
     groups = group_descendants([nd], [ng], example_tree)
     assert [(h.var, members) for h, members in groups] == [(D, []), (G, [])]
+
+
+def test_compilers_reject_scope_outside_contexts():
+    # the chain 0 - 1 - 2 gives context(2) = {1}; a table over (0, 2)
+    # lies on a root-to-leaf path of that tree but outside 2's context
+    chain = make_model([2, 2, 2], [((0, 1), [1, 2, 3, 4]), ((1, 2), [1, 2, 3, 4])])
+    tree = generate_pseudo_tree(build_primal_graph(chain), [0, 1, 2])
+    assert tree.context[2] == (1,)
+    model = make_model([2, 2, 2], [((0, 2), [1, 2, 3, 4])])
+    for compile_ in (compile_search, lambda m, t: compile_be(m, tree=t)):
+        with pytest.raises(StructuralError, match="outside"):
+            compile_(model, tree)
 
 
 def test_apply_terminal_absorption(example_tree):

@@ -7,6 +7,7 @@ import pytest
 
 import aomdd
 from aomdd.cli import _decimal_str, main
+from aomdd.model import MAX_CNF_VARS
 
 from conftest import EXAMPLE_CNF, queens_model, shuffled_chain_cnf_text
 
@@ -138,6 +139,9 @@ def test_query_eval(example_cnf, order_file, tmp_path, capsys):
     assert main(["query", str(out), "--query", "eval", "--assignment", good]) == 0
     assert capsys.readouterr().out.strip() == "1"
     assert main(["query", str(out), "--query", "eval"]) == 2
+    short = _write(tmp_path / "z.txt", "1 1 1\n")
+    assert main(["query", str(out), "--query", "eval", "--assignment", short]) == 2
+    assert "assignment has 3 values" in capsys.readouterr().err
 
 
 def test_equiv_exit_codes(example_cnf, order_file, tmp_path, capsys):
@@ -196,6 +200,32 @@ def test_dot_deterministic(example_cnf, order_file, tmp_path, capsys):
     assert first.startswith("digraph")
 
 
+def test_compile_dot_matches_dot_command(example_cnf, order_file, tmp_path, capsys):
+    search_dot = tmp_path / "search.dot"
+    be_dot = tmp_path / "be.dot"
+    _compile(example_cnf, order_file, tmp_path, "--method", "be", "--dot", str(be_dot))
+    out = _compile(example_cnf, order_file, tmp_path, "--dot", str(search_dot))
+    assert main(["dot", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("digraph")
+    assert search_dot.read_text() == printed == be_dot.read_text()
+    written = tmp_path / "written.dot"
+    assert main(["dot", str(out), "--out", str(written)]) == 0
+    assert capsys.readouterr().out == ""
+    assert written.read_text() == printed
+
+
+def test_empty_clause_counts_zero(tmp_path, capsys):
+    cnf = _write(tmp_path / "empty_clause.cnf", "p cnf 2 2\n1 2 0\n0\n")
+    for method in ("search", "be"):
+        out = tmp_path / (method + ".aomdd")
+        assert main(["compile", cnf, "--method", method, "--out", str(out)]) == 0
+        compiled = aomdd.loads(out.read_text())
+        assert not compiled.roots and compiled.constant == 0
+        assert main(["query", str(out), "--query", "count"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
+
 def test_mem_cap_exit_code(example_cnf, order_file, capsys):
     assert (
         main(
@@ -213,6 +243,13 @@ def test_wide_clause_exit_code(tmp_path, capsys):
     text = "p cnf 64 1\n%s 0\n" % " ".join(str(v) for v in range(1, 65))
     wide = _write(tmp_path / "wide.cnf", text)
     assert main(["compile", str(wide)]) == 3
+    assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nvars", [2**62, MAX_CNF_VARS + 1])
+def test_huge_cnf_header_exit_code(tmp_path, capsys, nvars):
+    huge = _write(tmp_path / "huge.cnf", "p cnf %d 0\n" % nvars)
+    assert main(["compile", huge]) == 3
     assert "cap" in capsys.readouterr().err
 
 

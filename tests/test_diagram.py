@@ -14,6 +14,7 @@ from aomdd import (
     make_model,
     min_fill_ordering,
     normalized_root_sum,
+    parse_dimacs_cnf,
     parse_uai,
     structural_equal,
     to_dot,
@@ -210,6 +211,89 @@ def test_dot_deterministic(example_model, example_tree):
     text = to_dot(a)
     assert text == to_dot(b)
     assert text.count("shape=square") >= 1
+
+
+DOT_THREE_CLAUSES = """\
+digraph aomdd {
+  node [shape=record];
+  n0 [label="{X2 | { <p0> 0: 0 | <p1> 1: 1 }}"];
+  n1 [label="{X2 | { <p0> 0: 1 | <p1> 1: 0 }}"];
+  n2 [label="{X1 | { <p0> 0: 0 | <p1> 1: 1 }}"];
+  n3 [label="{X1 | { <p0> 0: 1 | <p1> 1: 0 }}"];
+  n4 [label="{X0 | { <p0> 0: 1 | <p1> 1: 1 }}"];
+  t0 [shape=square, label="0"];
+  t1 [shape=square, label="1"];
+  n0:p0 -> t0;
+  n0:p1 -> t1;
+  n1:p0 -> t1;
+  n1:p1 -> t0;
+  n2:p0 -> t0;
+  n2:p1 -> n1;
+  n3:p0 -> n0;
+  n3:p1 -> t0;
+  n4:p0 -> n2;
+  n4:p1 -> n3;
+  label="root constant 1";
+}
+"""
+
+DOT_WEIGHTED_BRANCHES = """\
+digraph aomdd {
+  node [shape=record];
+  n0 [label="{X2 | { <p0> 0: 1/3 | <p1> 1: 2/3 }}"];
+  n1 [label="{X1 | { <p0> 0: 1/3 | <p1> 1: 2/3 | <p2> 2: 0 }}"];
+  n2 [label="{X1 | { <p0> 0: 2/3 | <p1> 1: 1/6 | <p2> 2: 1/6 }}"];
+  n3 [label="{X0 | { <p0> 0: 1/21 | <p1> 1: 20/21 }}"];
+  t0 [shape=square, label="0"];
+  t1 [shape=square, label="1"];
+  n0:p0 -> t1;
+  n0:p1 -> t1;
+  n1:p0 -> t1;
+  n1:p1 -> t1;
+  n1:p2 -> t0;
+  n2:p0 -> t1;
+  n2:p1 -> t1;
+  n2:p2 -> t1;
+  n3:p0 -> n1;
+  n3:p0 -> n0;
+  n3:p1 -> n2;
+  label="root constant 189/2";
+}
+"""
+
+
+def _along(model, order):
+    return generate_pseudo_tree(build_primal_graph(model), order)
+
+
+def test_dot_golden_text():
+    cnf = parse_dimacs_cnf("p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n")
+    weighted = make_model(
+        [2, 3, 2],
+        [((0,), [1, 3]),
+         ((0, 1), [1, 2, 0, 4, 1, 1]),
+         ((0, 2), [Fraction(1, 2), 1, 5, 5])],
+    )
+    for model, golden in ((cnf, DOT_THREE_CLAUSES), (weighted, DOT_WEIGHTED_BRANCHES)):
+        tree = _along(model, [0, 1, 2])
+        for compiled in (compile_search(model, tree), compile_be(model, tree=tree)):
+            assert to_dot(compiled) == golden
+            assert to_dot(loads(dumps(compiled))) == golden
+
+
+def test_dot_golden_text_terminal_diagrams():
+    unsat = compile_search(parse_dimacs_cnf("p cnf 2 2\n1 0\n-1 0\n"))
+    assert not unsat.roots and unsat.constant == 0
+    assert to_dot(unsat) == (
+        'digraph aomdd {\n  node [shape=record];\n  t0 [shape=square, label="0"];\n'
+        '  label="root constant 0";\n}\n'
+    )
+    constant = compile_search(make_model([2], [((), [Fraction(5, 2)])]))
+    assert not constant.roots and constant.constant == Fraction(5, 2)
+    assert to_dot(constant) == (
+        'digraph aomdd {\n  node [shape=record];\n  t1 [shape=square, label="1"];\n'
+        '  label="root constant 5/2";\n}\n'
+    )
 
 
 def test_check_reduced_enforces_primitive_integers():

@@ -11,7 +11,7 @@ from aomdd import (
     parse_uai,
     parse_uai_evidence,
 )
-from aomdd.model import full_assignments, weight_of_full_assignment
+from aomdd.model import MAX_CNF_VARS, full_assignments, weight_of_full_assignment
 
 
 def test_parse_uai_minimal():
@@ -120,6 +120,13 @@ def test_dimacs_wide_clause_is_a_resource_error():
     text = "p cnf 64 1\n%s 0\n" % " ".join(str(v) for v in range(1, 65))
     with pytest.raises(ResourceLimitError, match="64 variables"):
         parse_dimacs_cnf(text)
+
+
+@pytest.mark.parametrize("nvars", [2**62, MAX_CNF_VARS + 1])
+def test_dimacs_huge_header_is_a_resource_error(nvars):
+    # checked before the per-variable domain list is built
+    with pytest.raises(ResourceLimitError, match="%d variables" % nvars):
+        parse_dimacs_cnf("p cnf %d 0\n" % nvars)
 
 
 def test_dimacs_errors():

@@ -133,6 +133,13 @@ def test_loads_rejects_garbage():
         loads("aomdd 2\n")
 
 
+def test_loads_bytes(example_model, example_tree):
+    text = dumps(compile_search(example_model, example_tree))
+    assert dumps(loads(text.encode("utf-8"))) == text
+    with pytest.raises(ParseError, match="UTF-8"):
+        loads(b"\xff\xfe")
+
+
 def test_split_join_round_trip(example_model, example_tree):
     text = dumps(compile_search(example_model, example_tree))
     assert _join(*_split(text)) == text
