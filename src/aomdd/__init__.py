@@ -11,7 +11,7 @@ submodules hold the rest.
 """
 
 from .be_compiler import compile_be
-from .diagram import count_stats, structural_equal, to_dot
+from .diagram import count_stats, structural_equal
 from .errors import AomddError, ParseError, ResourceLimitError, StructuralError
 from .model import (
     brute_force_table,
@@ -29,7 +29,7 @@ from .query import (
     sum_over,
 )
 from .search_compiler import bcp_hook, compile_search
-from .serialize import dumps, loads
+from .serialize import dumps, loads, to_dot
 from .structure import (
     build_primal_graph,
     chain_pseudo_tree,

@@ -14,12 +14,12 @@ import traceback
 from fractions import Fraction
 
 from .be_compiler import compile_be
-from .diagram import count_stats, structural_equal, to_dot
+from .diagram import count_stats, structural_equal
 from .errors import ParseError, ResourceLimitError, StructuralError
 from .model import parse_dimacs_cnf, parse_uai, parse_uai_evidence
 from .query import count_solutions, evaluate, mpe, sum_over
 from .search_compiler import bcp_hook, compile_search
-from .serialize import dumps, loads
+from .serialize import dumps, loads, to_dot
 from .structure import (
     build_primal_graph,
     chain_pseudo_tree,
@@ -27,6 +27,9 @@ from .structure import (
     induced_width,
     min_fill_ordering,
 )
+
+# Python's default limit on the digits of an int converted to a string
+MAX_PRECISION = 4300
 
 
 def _build_parser():
@@ -216,7 +219,12 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if (getattr(args, "mem_cap", None) or 0) < 0:
+        parser.error("--mem-cap must not be negative")
+    if getattr(args, "precision", 0) > MAX_PRECISION:
+        parser.error("--precision is at most %d digits" % MAX_PRECISION)
     try:
         return _COMMANDS[args.command](args)
     except ResourceLimitError as exc:

@@ -1,4 +1,4 @@
-"""Hash-consed meta-nodes and the two reduction rules.
+"""The node core: hash-consed meta-nodes and the two reduction rules.
 
 A meta-node fuses one OR variable node with its k weighted AND value
 arcs.  Each arc holds a weight and an ordered tuple of child meta-nodes,
@@ -17,7 +17,8 @@ weights are, and no ``Fraction`` is built per arc.  In constraint mode
 the weights are the 0/1 table values themselves.  The compilers feed
 ``make_node`` integer weights (each weighted table is scaled to
 integers once, before compiling) and keep the rational scale in the
-root constant.
+root constant.  Spelling, ordering, writing and drawing a diagram's
+records live in ``serialize``.
 """
 
 from __future__ import annotations
@@ -241,82 +242,3 @@ def check_reduced(table):
         if g != 1:
             raise AssertionError("weights of %r have gcd %d, not 1" % (node, g))
     return True
-
-
-def weight_strs(node, weighted):
-    """Each arc's normalized weight spelled as ``str(Fraction)`` spells it.
-
-    One integer gcd per arc reduces ``n_i / sum(n)`` to lowest terms.
-    """
-    total = node_total(node, weighted)
-    out = []
-    for w, _ in node.arcs:
-        g = gcd(w, total)
-        out.append(str(w // g) if g == total else "%d/%d" % (w // g, total // g))
-    return out
-
-
-def canonical_nodes(diagram):
-    """Reachable nodes in canonical emission order, their dense ids and signatures.
-
-    Variables are visited bottom-up (reverse DFS); within a variable,
-    nodes sort by their signature, one ``(weight string, child ids)``
-    pair per arc, so equal diagrams enumerate identically regardless of
-    creation order.  Returns ``(ordered, ids, sigs)``: ``ordered[i]`` has
-    id ``i`` and signature ``sigs[i]``; weight string ``"0"`` is exactly
-    a zero-weight arc.
-    """
-    by_var = {}
-    for u in reachable_nodes(diagram):
-        by_var.setdefault(u.var, []).append(u)
-    ids = {}
-    ordered = []
-    sigs = []
-    for var in reversed(diagram.tree.dfs_order):
-        keyed = []
-        for u in by_var.get(var, ()):
-            strs = weight_strs(u, diagram.weighted)
-            sig = tuple(
-                (s, tuple(ids[id(c)] for c in ch)) for s, (_, ch) in zip(strs, u.arcs)
-            )
-            keyed.append((sig, u))
-        keyed.sort(key=lambda p: p[0])
-        for sig, u in keyed:
-            ids[id(u)] = len(ordered)
-            ordered.append(u)
-            sigs.append(sig)
-    return ordered, ids, sigs
-
-
-def to_dot(diagram):
-    """DOT rendering: record nodes with one port per value, square terminals."""
-    ordered, _, sigs = canonical_nodes(diagram)
-    lines = ["digraph aomdd {", "  node [shape=record];"]
-    used_t0 = used_t1 = False
-    arrows = []
-    for i, (u, sig) in enumerate(zip(ordered, sigs)):
-        ports = " | ".join("<p%d> %d: %s" % (j, j, s) for j, (s, _) in enumerate(sig))
-        lines.append('  n%d [label="{X%d | { %s }}"];' % (i, u.var, ports))
-        for j, (s, kids) in enumerate(sig):
-            if s == "0":
-                arrows.append("  n%d:p%d -> t0;" % (i, j))
-                used_t0 = True
-            elif not kids:
-                arrows.append("  n%d:p%d -> t1;" % (i, j))
-                used_t1 = True
-            else:
-                for c in kids:
-                    arrows.append("  n%d:p%d -> n%d;" % (i, j, c))
-    if not diagram.roots:
-        if diagram.constant == 0:
-            used_t0 = True
-        else:
-            used_t1 = True
-    if used_t0:
-        lines.append('  t0 [shape=square, label="0"];')
-    if used_t1:
-        lines.append('  t1 [shape=square, label="1"];')
-    lines.extend(arrows)
-    lines.append('  label="root constant %s";' % diagram.constant)
-    lines.append("}")
-    return "\n".join(lines) + "\n"

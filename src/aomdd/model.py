@@ -264,9 +264,11 @@ def parse_dimacs_cnf(text):
                 raise ParseError("malformed problem line %r" % line, lineno)
             try:
                 nvars = int(toks[2])
-                int(toks[3])
+                nclauses = int(toks[3])
             except ValueError:
                 raise ParseError("malformed problem line %r" % line, lineno)
+            if nvars < 0 or nclauses < 0:
+                raise ParseError("negative count in problem line %r" % line, lineno)
             if nvars > MAX_CNF_VARS:
                 raise ResourceLimitError(
                     "line %d: header declares %d variables, cap is %d"

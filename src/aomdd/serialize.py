@@ -1,10 +1,14 @@
-"""Canonical text format for compiled diagrams.
+"""Canonical text format for compiled diagrams, and its DOT rendering.
 
 Node records are emitted bottom-up in a content-determined order
 (variables in reverse DFS order, nodes sorted by their arc signature),
 with dense ids and exact rational weights, so two equal diagrams —
 however they were compiled — serialize to byte-identical files.  That
 makes file equality a valid fast path for the equivalence command.
+This module alone spells and orders the records (``canonical_records``),
+prints them (``dumps``, ``to_dot``) and checks them (``loads``); the
+writer holds one variable block of signatures at a time, the reader one
+64k-character chunk of lines.
 
 A weighted node holds the primitive integer vector ``n`` of its arc
 weights; the file spells arc ``i`` as the reduced fraction
@@ -29,39 +33,112 @@ Format (whitespace-separated ASCII, one record per line)::
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import itemgetter
 
-from .diagram import Aomdd, UniqueTable, canonical_nodes, ratio
+from .diagram import Aomdd, UniqueTable, node_total, ratio, reachable_nodes
 from .diagram import make_node  # noqa: F401  (bench/tracing.py wraps serialize.make_node)
 from .errors import ParseError, StructuralError
 from .model import CONSTRAINT, WEIGHTED
 from .structure import _finish_tree
 
+_CHUNK = 1 << 16  # characters ``loads`` splits into lines at a time
+
+
+def weight_strs(node, weighted):
+    """Each arc's normalized weight spelled as ``str(Fraction)`` spells it.
+
+    One integer gcd per arc reduces ``n_i / sum(n)`` to lowest terms.
+    """
+    total = node_total(node, weighted)
+    out = []
+    for w, _ in node.arcs:
+        g = gcd(w, total)
+        out.append(str(w // g) if g == total else "%d/%d" % (w // g, total // g))
+    return out
+
+
+def canonical_records(diagram, ids):
+    """Yield ``(var, sig)`` for each reachable node, in canonical order.
+
+    Variables are visited bottom-up (reverse DFS); within a variable,
+    nodes sort by their signature, one ``(weight string, child ids)``
+    pair per arc, so equal diagrams enumerate identically regardless of
+    creation order.  Weight string ``"0"`` is exactly a zero-weight arc.
+    As its record is yielded, a node enters ``ids`` under its dense id.
+    """
+    by_var = {}
+    for u in reachable_nodes(diagram):
+        by_var.setdefault(u.var, []).append(u)
+    for var in reversed(diagram.tree.dfs_order):
+        block = []
+        for u in by_var.pop(var, ()):
+            strs = weight_strs(u, diagram.weighted)
+            sig = tuple(
+                (s, tuple(map(ids.__getitem__, ch))) for s, (_, ch) in zip(strs, u.arcs)
+            )
+            block.append((sig, u))
+        block.sort(key=itemgetter(0))
+        for sig, u in block:
+            ids[u] = len(ids)
+            yield var, sig
+
 
 def dumps(diagram):
     """Render a diagram to canonical text."""
-    tree = diagram.tree
-    out = ["aomdd 1"]
-    out.append("mode %s" % (WEIGHTED if diagram.weighted else CONSTRAINT))
-    out.append("vars %d" % len(diagram.domains))
-    out.append("domains " + " ".join(str(k) for k in diagram.domains))
-    out.append(
-        "parents "
-        + " ".join("-1" if p is None else str(p) for p in tree.parent)
-    )
-    out.append("dfs " + " ".join(str(v) for v in tree.dfs_order))
-    ordered, ids, sigs = canonical_nodes(diagram)
-    out.append("nodes %d" % len(ordered))
-    for i, (u, sig) in enumerate(zip(ordered, sigs)):
-        fields = ["n", str(i), str(u.var)]
-        for s, kids in sig:
-            fields.append("%s:%s" % (s, ",".join(map(str, kids)) or "."))
-        out.append(" ".join(fields))
-    if diagram.roots:
-        out.append("roots " + " ".join(str(ids[id(r)]) for r in diagram.roots))
-    else:
-        out.append("roots .")
-    out.append("constant %s" % diagram.constant)
+    ids = {}
+    records = [
+        "n %d %d %s"
+        % (i, var, " ".join("%s:%s" % (s, ",".join(map(str, kids)) or ".") for s, kids in sig))
+        for i, (var, sig) in enumerate(canonical_records(diagram, ids))
+    ]
+    out = [
+        "aomdd 1",
+        "mode %s" % (WEIGHTED if diagram.weighted else CONSTRAINT),
+        "vars %d" % len(diagram.domains),
+        "domains " + " ".join(map(str, diagram.domains)),
+        "parents " + " ".join("-1" if p is None else str(p) for p in diagram.tree.parent),
+        "dfs " + " ".join(map(str, diagram.tree.dfs_order)),
+        "nodes %d" % len(records),
+        *records,
+        "roots " + (" ".join(str(ids[r]) for r in diagram.roots) or "."),
+        "constant %s" % diagram.constant,
+    ]
     return "\n".join(out) + "\n"
+
+
+def to_dot(diagram):
+    """DOT rendering: record nodes with one port per value, square terminals."""
+    lines = ["digraph aomdd {", "  node [shape=record];"]
+    arrows = []
+    terminals = set() if diagram.roots else {"t0" if diagram.constant == 0 else "t1"}
+    for i, (var, sig) in enumerate(canonical_records(diagram, {})):
+        ports = " | ".join("<p%d> %d: %s" % (j, j, s) for j, (s, _) in enumerate(sig))
+        lines.append('  n%d [label="{X%d | { %s }}"];' % (i, var, ports))
+        for j, (s, kids) in enumerate(sig):
+            targets = ["n%d" % c for c in kids]
+            if not targets:  # weight "0" is exactly an arc into the terminal 0
+                targets = ["t0" if s == "0" else "t1"]
+                terminals.update(targets)
+            arrows.extend("  n%d:p%d -> %s;" % (i, j, t) for t in targets)
+    lines.extend('  %s [shape=square, label="%s"];' % (t, t[1]) for t in sorted(terminals))
+    lines.extend(arrows)
+    lines.append('  label="root constant %s";' % diagram.constant)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _lines(text):
+    """``(lineno, fields)`` of each non-blank line, as ``str.splitlines`` numbers them.
+
+    Splits about ``_CHUNK`` characters at a time, each chunk ending after a ``"\\n"``.
+    """
+    lineno = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        for lineno, line in enumerate(text[start:end].splitlines(), lineno + 1):
+            if fields := line.split():
+                yield lineno, fields
+        start = end
 
 
 def _expect(fields, lineno, tag, count=None):
@@ -137,8 +214,7 @@ def loads(text):
             text = text.decode("utf-8")
         except UnicodeDecodeError:
             raise ParseError("diagram file is not UTF-8 text")
-    lines = [(i, f) for i, l in enumerate(text.splitlines(), 1) if (f := l.split())]
-    it = iter(lines)
+    it = _lines(text)
 
     def next_line(tag, count=None):
         try:
@@ -180,7 +256,8 @@ def loads(text):
     var_of = {str(v): v for v in range(n)}
 
     lineno, (mstr,) = next_line("nodes", 1)
-    m = _int(mstr, lineno, "node count", 0, len(lines))
+    # every record takes more than one character of the text
+    m = _int(mstr, lineno, "node count", 0, len(text))
     weights = {} if weighted else {"0": (0, 1), "1": (1, 1)}  # token -> (num, den)
 
     def parse_weight(tok, lineno):

@@ -21,7 +21,8 @@ from aomdd import (
 )
 from aomdd import be_compiler
 from aomdd.be_compiler import apply_fragments, group_descendants
-from aomdd.diagram import UniqueTable, reachable_nodes, weight_strs
+from aomdd.diagram import UniqueTable, reachable_nodes
+from aomdd.serialize import weight_strs
 
 import be_reference
 from conftest import bench_workloads, queens_model, random_model, seeded_rng

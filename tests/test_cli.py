@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import aomdd
-from aomdd.cli import _decimal_str, main
+from aomdd.cli import MAX_PRECISION, _decimal_str, main
 from aomdd.model import MAX_CNF_VARS
 
 from conftest import EXAMPLE_CNF, queens_model, shuffled_chain_cnf_text
@@ -251,6 +251,32 @@ def test_huge_cnf_header_exit_code(tmp_path, capsys, nvars):
     huge = _write(tmp_path / "huge.cnf", "p cnf %d 0\n" % nvars)
     assert main(["compile", huge]) == 3
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["p cnf 2 -3", "p cnf -1 0"])
+def test_negative_cnf_header_exit_code(tmp_path, capsys, header):
+    path = _write(tmp_path / "neg.cnf", header + "\n1 2 0\n")
+    assert main(["compile", path]) == 2
+    assert "negative count" in capsys.readouterr().err
+
+
+def test_negative_mem_cap_is_a_usage_error(example_cnf, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", example_cnf, "--mem-cap", "-5"])
+    assert exc.value.code == 2
+    assert "--mem-cap" in capsys.readouterr().err
+
+
+def test_precision_cap(capsys):
+    # past the cap is a usage error before the diagram file is even read
+    for digits in (MAX_PRECISION + 1, 10**7):
+        argv = ["query", "/no/such/file.aomdd", "--query", "sum", "--precision", str(digits)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+    assert _decimal_str(Fraction(1, 3), MAX_PRECISION) == "0." + "3" * MAX_PRECISION
+    assert _decimal_str(Fraction(2, 3), MAX_PRECISION) == "0." + "6" * (MAX_PRECISION - 1) + "7"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

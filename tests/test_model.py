@@ -136,6 +136,9 @@ def test_dimacs_errors():
         parse_dimacs_cnf("p cnf 2 1\n1 2\n")
     with pytest.raises(ParseError, match="header"):
         parse_dimacs_cnf("c nothing\n")
+    for header in ("p cnf 2 -3", "p cnf -1 0"):
+        with pytest.raises(ParseError, match="negative count"):
+            parse_dimacs_cnf(header + "\n1 2 0\n")
 
 
 def test_constraint_weights_binary(example_model):

@@ -18,6 +18,7 @@ from aomdd import (
     structural_equal,
     sum_over,
 )
+from aomdd import serialize
 
 from conftest import random_model, seeded_rng
 
@@ -282,6 +283,29 @@ def _mutate(text, rng):
         f1[j1], f2[j2] = w1 + ":" + k2, w2 + ":" + k1
         lines[i1], lines[i2] = " ".join(f1), " ".join(f2)
     return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "count, message", [("1000000000", "bad node count"), ("5", "expected 'n'")]
+)
+def test_loads_rejects_node_count_past_records(count, message):
+    # a count past the text's length is refused before anything is allocated
+    with pytest.raises(ParseError, match=message):
+        loads(UNARY.replace("nodes 1", "nodes " + count))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, serialize._CHUNK])
+@pytest.mark.parametrize("brk", ["\r\n", "\r", "\f", "\x1e", "\u2028"])
+def test_loads_breaks_lines_as_splitlines_does(monkeypatch, brk, chunk):
+    # lines break where str.splitlines breaks them, also across the reader's chunks
+    monkeypatch.setattr(serialize, "_CHUNK", chunk)
+    assert dumps(loads(STAR.replace("\n", brk))) == STAR
+    bad = STAR.replace("n 1 2", "n 1 x").replace("\n", brk)
+    with pytest.raises(ParseError, match="line 9: bad node variable"):
+        loads(bad)
+    # a line break inside a record splits it
+    with pytest.raises(StructuralError):
+        loads(STAR.replace("n 0 1 0:. ", "n 0 1 0:." + brk))
 
 
 def test_loads_mutation_fuzz():
