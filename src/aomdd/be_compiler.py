@@ -21,6 +21,7 @@ pair ``(num, den)``, reduced once per result, so no arc is divided and
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd, lcm
 
 from ._recursion import run
@@ -40,23 +41,26 @@ def _chain_fragment(f, chain, domains, table):
     """Reduce the decision-tree unfolding of a table along a variable chain.
 
     ``chain`` is the scope sorted ancestor-first; returns a
-    ``(constant, nodes)`` fragment.
+    ``(constant, nodes)`` fragment.  Built bottom-up: values are read in
+    chain order by their strides, and each level's run of ``k`` arcs is
+    one ``make_node`` call, whose result is the next arc one level up.
     """
-    assignment = {}
-
-    def build(i):
-        if i == len(chain):
-            w = f.value_at(assignment)
-            return (w, ()) if w else (0, ())  # dead arcs share one tuple
-        var = chain[i]
-        arcs = []
-        for val in range(domains[var]):
-            assignment[var] = val
-            arcs.append(build(i + 1))
-        del assignment[var]
-        return make_node(var, arcs, table)
-
-    return build(0)
+    stride = {}
+    step = 1
+    for var, k in zip(reversed(f.scope), reversed(f.shape)):
+        stride[var] = step
+        step *= k
+    pending = [[] for _ in chain]
+    for index in map(sum, product(*[range(0, domains[v] * stride[v], stride[v]) for v in chain])):
+        w = f.values[index]
+        arc = (w, ()) if w else (0, ())  # dead arcs share one tuple
+        for d in range(len(chain) - 1, -1, -1):
+            pending[d].append(arc)
+            if len(pending[d]) < domains[chain[d]]:
+                break
+            arc = make_node(chain[d], pending[d], table)
+            pending[d] = []
+    return arc  # the last value completes every level
 
 
 def group_descendants(list_f, list_g, tree):

@@ -45,8 +45,7 @@ def _build_parser():
     c = sub.add_parser(
         "compile", help="compile a model file into a diagram", allow_abbrev=False
     )
-    c.add_argument("input", help="model file (UAI network or DIMACS CNF)")
-    c.add_argument("--format", choices=["uai", "cnf"], help="input format (default: by file extension)")
+    c.add_argument("input", help="model file: DIMACS CNF if its first token is c or p, else UAI")
     c.add_argument("--method", choices=["search", "be"], default="search", help="compilation strategy")
     c.add_argument("--order-file", help="file with an explicit variable ordering (whitespace-separated ids)")
     c.add_argument("--chain", action="store_true", help="force a chain pseudo tree (MDD/OBDD mode)")
@@ -85,12 +84,12 @@ def _write(path, text):
         handle.write(text)
 
 
-def _parse_model(args):
-    fmt = args.format
-    if fmt is None:
-        fmt = "cnf" if args.input.endswith((".cnf", ".dimacs")) else "uai"
-    text = _read(args.input)
-    return parse_uai(text) if fmt == "uai" else parse_dimacs_cnf(text)
+def _parse_model(path):
+    text = _read(path)
+    # DIMACS starts with a 'c' comment or the 'p cnf' header, UAI with its preamble
+    if text.split(None, 1)[:1] in (["c"], ["p"]):
+        return parse_dimacs_cnf(text)
+    return parse_uai(text)
 
 
 def _number_str(value, args):
@@ -129,7 +128,7 @@ def _decimal_str(value, digits):
 
 
 def cmd_compile(args):
-    model = _parse_model(args)
+    model = _parse_model(args.input)
     g = build_primal_graph(model)
     if args.order_file:
         order = [int(tok) for tok in _read(args.order_file).split()]

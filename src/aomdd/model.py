@@ -7,6 +7,9 @@ are the special case where every table value is 0 or 1.
 Table values are stored as exact rationals (``int`` or
 ``fractions.Fraction``), so products, sums and normalizations are exact.
 UAI decimal text parses to exact rationals.
+
+``_lines`` is the package's one text reader: the UAI, evidence and
+DIMACS parsers here and ``serialize.loads`` all read through it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ MAX_CLAUSE_TABLE = 1 << 24
 #: Most variables a DIMACS ``p cnf`` header may declare: each one gets a
 #: domain entry before any clause is read.
 MAX_CNF_VARS = 1 << 20
+
+#: Largest UAI domain size: a compiler builds one arc per value.
+MAX_DOMAIN = 1 << 20
+
+_CHUNK = 1 << 16  # characters ``_lines`` splits into lines at a time
 
 
 @dataclass(frozen=True)
@@ -156,17 +164,29 @@ def brute_force_table(model, cap=BRUTE_FORCE_CAP):
 # ---------------------------------------------------------------------------
 # Parsers (UAI, DIMACS CNF, UAI evidence)
 
-def _tokenize(text):
+def _lines(text):
+    """``(lineno, fields)`` of each non-blank line of ``str`` or UTF-8 ``bytes``.
+
+    Split about ``_CHUNK`` characters at a time, each chunk ending after
+    a ``"\\n"``, with the line breaks and numbers of one whole-text split.
+    """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        for tok in line.split():
-            yield tok, lineno
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("input is not UTF-8 text")
+    lineno = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        for lineno, line in enumerate(text[start:end].splitlines(), lineno + 1):
+            if fields := line.split():
+                yield lineno, fields
+        start = end
 
 
 class _Reader:
     def __init__(self, text):
-        self._it = _tokenize(text)
+        self._it = ((tok, lineno) for lineno, fields in _lines(text) for tok in fields)
         self.line = 0
 
     def next(self, what):
@@ -175,7 +195,7 @@ class _Reader:
             return tok
         raise ParseError("unexpected end of input while reading %s" % what, self.line)
 
-    def next_int(self, what, low=None):
+    def next_int(self, what, low=None, cap=None):
         tok = self.next(what)
         try:
             val = int(tok)
@@ -183,6 +203,8 @@ class _Reader:
             raise ParseError("expected integer %s, got %r" % (what, tok), self.line)
         if low is not None and val < low:
             raise ParseError("%s must be >= %d, got %d" % (what, low, val), self.line)
+        if cap is not None and val > cap:
+            raise ResourceLimitError("line %d: %s is %d, cap is %d" % (self.line, what, val, cap))
         return val
 
     def next_value(self, what):
@@ -216,7 +238,7 @@ def parse_uai(text):
     if preamble not in ("BAYES", "MARKOV"):
         raise ParseError("unknown preamble %r (expected BAYES or MARKOV)" % preamble, r.line)
     n = r.next_int("variable count", low=0)
-    domains = [r.next_int("domain size of variable %d" % i, low=1) for i in range(n)]
+    domains = [r.next_int("domain size of variable %d" % i, 1, MAX_DOMAIN) for i in range(n)]
     nfun = r.next_int("function count", low=0)
     scopes = []
     for i in range(nfun):
@@ -229,6 +251,8 @@ def parse_uai(text):
                     "scope variable %d of function %d out of range" % (var, i), r.line
                 )
             scope.append(var)
+        if len(set(scope)) != arity:
+            raise ParseError("scope of function %d repeats a variable" % i, r.line)
         scopes.append(tuple(scope))
     functions = []
     for i, scope in enumerate(scopes):
@@ -250,16 +274,14 @@ def parse_dimacs_cnf(text):
     Each clause forbids exactly the one assignment falsifying all its
     literals.  Tautological clauses become constant-1 tables.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     nvars = None
     clauses = []
     current = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        toks = line.split()
-        if not toks or toks[0] == "c":
+    for lineno, toks in _lines(text):
+        if toks[0] == "c":
             continue
         if toks[0] == "p":
+            line = " ".join(toks)
             if len(toks) != 4 or toks[1] != "cnf":
                 raise ParseError("malformed problem line %r" % line, lineno)
             try:

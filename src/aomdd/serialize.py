@@ -7,8 +7,8 @@ however they were compiled — serialize to byte-identical files.  That
 makes file equality a valid fast path for the equivalence command.
 This module alone spells and orders the records (``canonical_records``),
 prints them (``dumps``, ``to_dot``) and checks them (``loads``); the
-writer holds one variable block of signatures at a time, the reader one
-64k-character chunk of lines.
+writer holds one variable block of signatures at a time, the reader
+(``model._lines``, shared with the model parsers) one 64k chunk of lines.
 
 A weighted node holds the primitive integer vector ``n`` of its arc
 weights; the file spells arc ``i`` as the reduced fraction
@@ -38,10 +38,8 @@ from operator import itemgetter
 from .diagram import Aomdd, UniqueTable, node_total, ratio, reachable_nodes
 from .diagram import make_node  # noqa: F401  (bench/tracing.py wraps serialize.make_node)
 from .errors import ParseError, StructuralError
-from .model import CONSTRAINT, WEIGHTED
+from .model import CONSTRAINT, WEIGHTED, _lines
 from .structure import _finish_tree
-
-_CHUNK = 1 << 16  # characters ``loads`` splits into lines at a time
 
 
 def weight_strs(node, weighted):
@@ -127,20 +125,6 @@ def to_dot(diagram):
     return "\n".join(lines) + "\n"
 
 
-def _lines(text):
-    """``(lineno, fields)`` of each non-blank line, as ``str.splitlines`` numbers them.
-
-    Splits about ``_CHUNK`` characters at a time, each chunk ending after a ``"\\n"``.
-    """
-    lineno = start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        for lineno, line in enumerate(text[start:end].splitlines(), lineno + 1):
-            if fields := line.split():
-                yield lineno, fields
-        start = end
-
-
 def _expect(fields, lineno, tag, count=None):
     if not fields or fields[0] != tag:
         raise ParseError("expected %r record" % tag, lineno)
@@ -209,11 +193,6 @@ def loads(text):
     A weighted node stores ``num_i * L / den_i``: reduced fractions that
     sum to 1 scale to integers with gcd 1, the compilers' primitive form.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError("diagram file is not UTF-8 text")
     it = _lines(text)
 
     def next_line(tag, count=None):
@@ -256,7 +235,7 @@ def loads(text):
     var_of = {str(v): v for v in range(n)}
 
     lineno, (mstr,) = next_line("nodes", 1)
-    # every record takes more than one character of the text
+    # every record takes more than one character, or byte, of the text
     m = _int(mstr, lineno, "node count", 0, len(text))
     weights = {} if weighted else {"0": (0, 1), "1": (1, 1)}  # token -> (num, den)
 

@@ -57,6 +57,14 @@ def test_chain_diagram_unary_weighted():
     assert weight_strs(node, True) == ["2/5", "3/5"]
 
 
+def test_chain_fragment_deeper_than_recursion_limit():
+    # one table over 1,500 domain-1 variables unfolds along a 1,500-level chain
+    n = 1500
+    m = make_model([1] * n, [(range(n), [Fraction(3, 2)])])
+    tree = chain_pseudo_tree(build_primal_graph(m), range(n))
+    assert dumps(compile_be(m, tree=tree)) == dumps(compile_search(m, tree))
+
+
 def test_group_descendants_paper_case(example_model, example_tree):
     table = UniqueTable(weighted=False, domains=example_model.domains)
 

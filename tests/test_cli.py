@@ -286,13 +286,38 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--order", "minfill"], ["--epsilon-digits", "6"]]
+    "flag", [["--order", "minfill"], ["--epsilon-digits", "6"], ["--format", "cnf"]]
 )
 def test_removed_compile_flags_are_usage_errors(example_cnf, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compile", example_cnf, *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_model_format_comes_from_the_text(tmp_path):
+    # DIMACS starts with 'c' or 'p', UAI with its preamble, whatever the name
+    uai = "MARKOV\n2\n2 2\n2\n1 0\n2 0 1\n2\n0.3 0.7\n4\n0.5 0.25 1 0.75\n"
+    for text, usual, other in [(EXAMPLE_CNF, "m.cnf", "m.txt"), (uai, "w.uai", "w.cnf")]:
+        outs = []
+        for name in (usual, other):
+            out = tmp_path / (name + ".aomdd")
+            assert main(["compile", _write(tmp_path / name, text), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
+def test_huge_domain_exit_code(tmp_path, capsys):
+    path = _write(tmp_path / "huge.uai", "MARKOV 1 1000000000 0")
+    assert main(["compile", path]) == 3
+    assert "domain size of variable 0 is 1000000000" in capsys.readouterr().err
+
+
+def test_non_utf8_model_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.uai"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["compile", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_huge_exponent_exit_code(tmp_path):

@@ -11,7 +11,17 @@ from aomdd import (
     parse_uai,
     parse_uai_evidence,
 )
-from aomdd.model import MAX_CNF_VARS, full_assignments, weight_of_full_assignment
+from aomdd import model
+from aomdd.model import (
+    MAX_CNF_VARS,
+    MAX_DOMAIN,
+    full_assignments,
+    weight_of_full_assignment,
+)
+
+# a two-variable UAI network and a three-variable CNF, each with a blank line
+UAI = "MARKOV\n2\n2 2\n\n2\n1 0\n2 0 1\n2\n0.3 0.7\n4\n0.5 0.25 1 0.75\n"
+CNF = "c example\np cnf 3 3\n\n1 2 0\n-1 3 0\n-2 -3 0\n"
 
 
 def test_parse_uai_minimal():
@@ -40,6 +50,49 @@ def test_parse_uai_scope_out_of_range():
 def test_parse_uai_truncated():
     with pytest.raises(ParseError, match="end of input"):
         parse_uai("MARKOV 2 2 2 1 2 0 1 4 0.1 0.2 0.3")
+
+
+def test_parse_uai_repeated_scope_variable():
+    with pytest.raises(ParseError, match="line 5: scope of function 0 repeats a variable"):
+        parse_uai("MARKOV\n2\n2 2\n1\n2 0 0\n4\n1 1 1 1\n")
+
+
+def test_parse_uai_domain_cap():
+    assert parse_uai("MARKOV 1 %d 0" % MAX_DOMAIN).domains == (MAX_DOMAIN,)
+    # checked before any arc or table over the domain is built
+    message = "line 3: domain size of variable 0 is 1000000000, cap is"
+    with pytest.raises(ResourceLimitError, match=message):
+        parse_uai("MARKOV\n1\n1000000000\n0\n")
+
+
+@pytest.mark.parametrize(
+    "parse", [parse_uai, parse_dimacs_cnf, parse_uai_evidence]
+)
+def test_parsers_reject_non_utf8_bytes(parse):
+    with pytest.raises(ParseError, match="UTF-8"):
+        parse(b"\xff\xfe")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, model._CHUNK])
+@pytest.mark.parametrize("brk", ["\r\n", "\r", "\f", "\x1e", "\u2028"])
+@pytest.mark.parametrize(
+    "parse, text, good, bad, message",
+    [
+        (parse_uai, UAI, "0.25", "x", "expected number"),
+        (parse_dimacs_cnf, CNF, "-1 3 0", "-1 y 0", "bad literal"),
+    ],
+)
+def test_parsers_break_lines_as_splitlines_does(
+    monkeypatch, brk, chunk, parse, text, good, bad, message
+):
+    # lines break where str.splitlines breaks them, also across the reader's chunks
+    monkeypatch.setattr(model, "_CHUNK", chunk)
+    assert parse(text.replace("\n", brk)) == parse(text)
+    assert parse(text.replace("\n", brk).encode("utf-8")) == parse(text)
+    broken = text.replace(good, bad, 1).replace("\n", brk)
+    lineno = 1 + next(i for i, line in enumerate(broken.splitlines()) if bad in line)
+    with pytest.raises(ParseError, match="line %d: %s" % (lineno, message)):
+        parse(broken)
 
 
 def test_parse_uai_decimal_entries_exact():

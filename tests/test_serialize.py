@@ -18,7 +18,7 @@ from aomdd import (
     structural_equal,
     sum_over,
 )
-from aomdd import serialize
+from aomdd import model
 
 from conftest import random_model, seeded_rng
 
@@ -294,11 +294,11 @@ def test_loads_rejects_node_count_past_records(count, message):
         loads(UNARY.replace("nodes 1", "nodes " + count))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, serialize._CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, model._CHUNK])
 @pytest.mark.parametrize("brk", ["\r\n", "\r", "\f", "\x1e", "\u2028"])
 def test_loads_breaks_lines_as_splitlines_does(monkeypatch, brk, chunk):
     # lines break where str.splitlines breaks them, also across the reader's chunks
-    monkeypatch.setattr(serialize, "_CHUNK", chunk)
+    monkeypatch.setattr(model, "_CHUNK", chunk)
     assert dumps(loads(STAR.replace("\n", brk))) == STAR
     bad = STAR.replace("n 1 2", "n 1 x").replace("\n", brk)
     with pytest.raises(ParseError, match="line 9: bad node variable"):
