@@ -118,9 +118,13 @@ def _apply_node(v1, zs, tree, memo, table):
             w *= w2
         if w == 0:
             parts.append((0, 1, ()))
-            continue
-        num, q, children = yield _combine_lists(children, others, tree, memo, table)
-        parts.append((w * num, q, children))
+        elif not others:
+            parts.append((w, 1, children))
+        elif not children:
+            parts.append((w, 1, tuple(others)))
+        else:
+            num, q, children = yield _combine_lists(children, others, tree, memo, table)
+            parts.append((w * num, q, children))
     common = lcm(*[q for _, q, _ in parts])
     arcs = [(w * (common // q), children) if w else (0, ()) for w, q, children in parts]
     const, nodes = make_node(v1.var, arcs, table)

@@ -73,6 +73,11 @@ def evaluate(diagram, x):
     Root constant times the product of arc values along the unique
     solution-tree read of ``x``; skipped variables contribute factor 1.
     """
+    if len(x) != len(diagram.domains):
+        raise ValueError(
+            "assignment has %d values, model has %d variables"
+            % (len(x), len(diagram.domains))
+        )
     for var, k in enumerate(diagram.domains):
         if x[var] is None or not 0 <= x[var] < k:
             raise ValueError("variable %d unassigned or out of domain" % var)

@@ -138,7 +138,13 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
         caches[var][key] = result
         return result
 
-    const, children = run(solve(tree.root))
+    try:
+        const, children = run(solve(tree.root))
+    finally:
+        # ``solve`` names itself; the cycle through its closure cell would
+        # keep the caches and the trace's nodes alive until the cyclic
+        # collector ran, so break it and let reference counting free them
+        del solve
     constant = const * factor
     if constant == 0:
         children = ()

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -439,3 +440,45 @@ def test_empty_model_exit_code(tmp_path, capsys):
     assert main(["compile", empty]) == 2
     assert main(["compile", empty, "--chain"]) == 2
     assert "no variables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_collector_state(
+    enabled, example_cnf, order_file, tmp_path, monkeypatch, capsys
+):
+    from aomdd import cli
+
+    out = str(_compile(example_cnf, order_file, tmp_path))
+    smaller_cnf = _write(
+        tmp_path / "smaller.cnf", EXAMPLE_CNF.replace("2 3 0\n", "-2 3 0\n")
+    )
+    smaller = str(tmp_path / "smaller.aomdd")
+    assert main(["compile", smaller_cnf, "--order-file", order_file, "--out", smaller]) == 0
+    seen = []
+
+    def broken(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "dot", broken)
+    cases = [
+        (["equiv", out, out], 0),
+        (["equiv", out, smaller], 1),
+        (["query", str(tmp_path / "missing.aomdd"), "--query", "count"], 2),
+        (["compile", example_cnf, "--mem-cap", "3"], 3),
+        (["dot", out], 4),
+        (["--help"], SystemExit),
+        (["compile", example_cnf, "--no-such-option"], SystemExit),
+    ]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, expected in cases:
+            try:
+                code = main(argv)
+            except SystemExit:
+                code = SystemExit
+            assert (code, gc.isenabled()) == (expected, enabled), argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]  # the command itself ran with the collector paused

@@ -48,6 +48,14 @@ def test_evaluate_validates_assignment(example_model):
         evaluate(compiled, [0] * 7 + [5])
 
 
+def test_evaluate_rejects_wrong_length():
+    compiled = compile_search(parse_dimacs_cnf("p cnf 3 1\n1 2 3 0\n"))
+    assert evaluate(compiled, [0, 1, 1]) == 1
+    for x in ([0], [0, 1], [0, 1, 1, 1]):
+        with pytest.raises(ValueError, match="assignment has %d values" % len(x)):
+            evaluate(compiled, x)
+
+
 def test_sum_over_with_evidence():
     rng = seeded_rng(42)
     for _ in range(15):
