@@ -8,7 +8,17 @@ and passes the result to its parent's bucket.  No variable is
 eliminated, so the root bucket's message is the full canonical diagram.
 
 All diagrams of one compilation share one unique table, so APPLY
-results are shared across messages for free.  Internally a diagram
+results are shared across messages for free.  The bucket of ``X``
+makes nodes only on the path from the root to ``X``: its tables'
+chain diagrams lie there, and APPLY makes a node at a variable only
+where one operand has a node there and the other has one in that
+variable's subtree, which below ``X`` never happens, because only one
+child's message reaches into each child's subtree.  So once ``X``'s
+bucket is done no node of ``X`` will be made again, and the table
+closes ``X``'s level; reference counting then frees the message nodes,
+intermediate products and chain diagrams that the final diagram does
+not use.  The APPLY memo lives for one ``apply_fragments`` call: it
+keys by ``id()``, and ids of freed nodes are reused.  Internally a diagram
 fragment is carried as a ``(constant, nodes)`` pair — the same shape
 ``make_node`` returns — where ``nodes`` is a DFS-ordered tuple with at
 most one node per pseudo-tree branch.
@@ -25,7 +35,15 @@ from itertools import product
 from math import gcd, lcm
 
 from ._recursion import run
-from .diagram import Aomdd, UniqueTable, make_node, node_total, ratio
+from .diagram import (
+    Aomdd,
+    UniqueTable,
+    collector_paused,
+    make_node,
+    node_total,
+    ratio,
+    reachable_nodes,
+)
 from .model import WEIGHTED
 from .search_compiler import integer_tables
 from .structure import (
@@ -152,16 +170,21 @@ def _combine_lists(list_f, list_g, tree, memo, table):
     return num, den, tuple(out)
 
 
-def apply_fragments(a, b, tree, memo, table):
-    """Product of two (constant, nodes) fragments."""
+def apply_fragments(a, b, tree, table):
+    """Product of two (constant, nodes) fragments.
+
+    The memo of node pairs lives for this call only, while the operands
+    keep every keyed node alive.
+    """
     ca, na = a
     cb, nb = b
     if ca == 0 or cb == 0:
         return 0, ()
-    num, den, nodes = run(_combine_lists(na, nb, tree, memo, table))
+    num, den, nodes = run(_combine_lists(na, nb, tree, {}, table))
     return ca * cb * ratio(num, den), nodes
 
 
+@collector_paused()
 def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     """Compile a model by bucket elimination along the pseudo tree ``tree``.
 
@@ -171,6 +194,9 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     choose the tree when none is given: the pseudo tree of ``d``
     (default: a min-fill ordering), or with ``chain=True`` the
     degenerate chain along ``d`` (MDD/OBDD mode).
+
+    Each variable's level of the unique table is closed when its bucket
+    is done; the returned table is reopened with the diagram's nodes.
     """
     if tree is None:
         g = build_primal_graph(model)
@@ -182,7 +208,6 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     table = UniqueTable(weighted, model.domains, node_cap)
     domains = model.domains
     functions, factor = integer_tables(model)
-    memo = {}
     depth = tree.depth_of.__getitem__
 
     inbox = [[] for _ in range(tree.n)]
@@ -191,9 +216,11 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
         for fid in buckets[var]:
             f = functions[fid]
             fragment = _chain_fragment(f, tuple(sorted(f.scope, key=depth)), domains, table)
-            message = apply_fragments(message, fragment, tree, memo, table)
+            message = apply_fragments(message, fragment, tree, table)
         for fragment in inbox[var]:
-            message = apply_fragments(message, fragment, tree, memo, table)
+            message = apply_fragments(message, fragment, tree, table)
+        inbox[var] = None
+        table.close(var)
         if var != tree.root:
             inbox[tree.parent[var]].append(message)
 
@@ -202,4 +229,6 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     constant = const * factor
     if constant == 0:
         nodes = ()
-    return Aomdd(tree, domains, tuple(nodes), constant, table, weighted, None)
+    diagram = Aomdd(tree, domains, tuple(nodes), constant, table, weighted, None)
+    table.reopen(reachable_nodes(diagram))
+    return diagram

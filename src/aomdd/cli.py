@@ -8,14 +8,13 @@ Exit codes: 0 success / 1 negative answer (equiv: not equivalent) /
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 import time
 import traceback
 from fractions import Fraction
 
 from .be_compiler import compile_be
-from .diagram import count_stats, structural_equal
+from .diagram import collector_paused, count_stats, structural_equal
 from .errors import ParseError, ResourceLimitError, StructuralError
 from .model import parse_dimacs_cnf, parse_uai, parse_uai_evidence
 from .query import count_solutions, evaluate, mpe, sum_over
@@ -144,7 +143,9 @@ def cmd_compile(args):
         compiled = compile_be(model, tree=tree, node_cap=args.mem_cap)
     elapsed = time.perf_counter() - start
     if args.out:
-        _write(args.out, dumps(compiled))
+        # opened only now, so a failed compile leaves no file behind
+        with open(args.out, "w", encoding="utf-8") as handle:
+            dumps(compiled, handle)
     if args.dot:
         _write(args.dot, to_dot(compiled))
     if args.stats:
@@ -220,12 +221,9 @@ def main(argv=None):
         parser.error("--mem-cap must not be negative")
     if getattr(args, "precision", 0) > MAX_PRECISION:
         parser.error("--precision is at most %d digits" % MAX_PRECISION)
-    # The package's structures are acyclic, so reference counting frees
-    # them; the cyclic collector would only re-walk the growing diagram.
-    enabled = gc.isenabled()
-    gc.disable()
     try:
-        return _COMMANDS[args.command](args)
+        with collector_paused():
+            return _COMMANDS[args.command](args)
     except ResourceLimitError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
@@ -236,9 +234,6 @@ def main(argv=None):
         traceback.print_exc()
         print("error: internal: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 4
-    finally:
-        if enabled:
-            gc.enable()
 
 
 if __name__ == "__main__":

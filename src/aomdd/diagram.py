@@ -23,6 +23,8 @@ records live in ``serialize``.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -46,38 +48,80 @@ class MetaNode:
 
 
 class UniqueTable:
-    """Per-compilation arena interning meta-nodes by (var, arcs) key."""
+    """Per-compilation arena interning meta-nodes, one dict per variable.
+
+    Each variable's dict is keyed by the arc tuple; uids come from one
+    counter, so creation order is children first across all variables.
+    ``close(var)`` drops a variable's dict once no more nodes will be
+    made there, which lets reference counting free the dead ones;
+    interning at a closed variable raises.  ``len`` counts every node
+    created, open or closed.
+    """
 
     def __init__(self, weighted, domains, node_cap=None):
         self.weighted = weighted
         self.node_cap = node_cap
         self.domains = domains
-        self._table = {}
+        self._levels = [{} for _ in domains]
+        self._created = 0
         self.created_per_var = {}
 
     def __len__(self):
-        return len(self._table)
+        return self._created
 
     def intern(self, var, arcs):
-        fresh = MetaNode(var, arcs, len(self._table))
-        # one dict operation, so the (var, arcs) key is hashed once
-        node = self._table.setdefault((var, arcs), fresh)
+        level = self._levels[var]
+        if level is None:
+            raise RuntimeError("unique table of variable %d is closed" % var)
+        fresh = MetaNode(var, arcs, self._created)
+        # one dict operation, so the arcs key is hashed once
+        node = level.setdefault(arcs, fresh)
         if node is fresh:
             if self.node_cap is not None and fresh.uid >= self.node_cap:
-                del self._table[var, arcs]
+                del level[arcs]
                 raise ResourceLimitError(
                     "node cap %d exceeded after %d meta-nodes"
                     % (self.node_cap, fresh.uid)
                 )
+            self._created += 1
             self.created_per_var[var] = self.created_per_var.get(var, 0) + 1
         return node
 
+    def close(self, var):
+        """Intern nothing more at ``var``; forget the nodes interned there."""
+        self._levels[var] = None
+
+    def reopen(self, nodes):
+        """Open every variable again, holding exactly ``nodes``."""
+        self._levels = [{} for _ in self.domains]
+        for u in nodes:
+            self._levels[u.var][u.arcs] = u
+
     def find(self, var, arcs):
         """The node interned under ``(var, arcs)``, or None; creates nothing."""
-        return self._table.get((var, arcs))
+        return self._levels[var].get(arcs)
 
     def all_nodes(self):
-        return list(self._table.values())
+        """The nodes of the open variables, in creation order."""
+        nodes = [u for level in self._levels if level for u in level.values()]
+        return sorted(nodes, key=attrgetter("uid"))
+
+
+@contextmanager
+def collector_paused():
+    """Run with the cyclic collector paused; then restore the caller's state.
+
+    The package's structures are acyclic, so reference counting frees
+    them; the collector could free nothing and would only re-walk the
+    growing diagram.  Usable as a decorator too.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def normalize_arcs(arcs):

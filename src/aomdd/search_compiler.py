@@ -15,7 +15,7 @@ from math import lcm
 from operator import itemgetter
 
 from ._recursion import run
-from .diagram import Aomdd, UniqueTable, make_node, ratio
+from .diagram import Aomdd, UniqueTable, collector_paused, make_node, ratio
 from .model import WEIGHTED, TableFunction
 from .structure import (
     build_primal_graph,
@@ -72,6 +72,7 @@ def integer_tables(model):
     return tables, ratio(constant, scale)
 
 
+@collector_paused()
 def compile_search(model, tree=None, hook=None, node_cap=None):
     """Compile a model into its canonical diagram by AND/OR search.
 

@@ -7,8 +7,9 @@ however they were compiled — serialize to byte-identical files.  That
 makes file equality a valid fast path for the equivalence command.
 This module alone spells and orders the records (``canonical_records``),
 prints them (``dumps``, ``to_dot``) and checks them (``loads``); the
-writer holds one variable block of signatures at a time, the reader
-(``model._lines``, shared with the model parsers) one 64k chunk of lines.
+writer holds one variable block of signatures at a time and can write
+each line to a file as it is made, the reader (``model._lines``, shared
+with the model parsers) one 64k chunk of lines.
 
 A weighted node holds the primitive integer vector ``n`` of its arc
 weights; the file spells arc ``i`` as the reduced fraction
@@ -56,8 +57,9 @@ def weight_strs(node, weighted):
 
 
 def canonical_records(diagram, ids):
-    """Yield ``(var, sig)`` for each reachable node, in canonical order.
+    """The number of reachable nodes, and an iterator of their records.
 
+    The iterator yields ``(var, sig)`` per node in canonical order.
     Variables are visited bottom-up (reverse DFS); within a variable,
     nodes sort by their signature, one ``(weight string, child ids)``
     pair per arc, so equal diagrams enumerate identically regardless of
@@ -67,6 +69,10 @@ def canonical_records(diagram, ids):
     by_var = {}
     for u in reachable_nodes(diagram):
         by_var.setdefault(u.var, []).append(u)
+    return sum(map(len, by_var.values())), _records(diagram, by_var, ids)
+
+
+def _records(diagram, by_var, ids):
     for var in reversed(diagram.tree.dfs_order):
         block = []
         for u in by_var.pop(var, ()):
@@ -81,27 +87,32 @@ def canonical_records(diagram, ids):
             yield var, sig
 
 
-def dumps(diagram):
-    """Render a diagram to canonical text."""
+def dumps(diagram, file=None):
+    """Render a diagram to canonical text, or write the text to ``file``.
+
+    ``file`` is an open text file; each line is written as it is made,
+    and nothing is returned.  Without one the text is returned.
+    """
+    lines = []
+    write = lines.append if file is None else file.write
     ids = {}
-    records = [
-        "n %d %d %s"
-        % (i, var, " ".join("%s:%s" % (s, ",".join(map(str, kids)) or ".") for s, kids in sig))
-        for i, (var, sig) in enumerate(canonical_records(diagram, ids))
-    ]
-    out = [
-        "aomdd 1",
-        "mode %s" % (WEIGHTED if diagram.weighted else CONSTRAINT),
-        "vars %d" % len(diagram.domains),
-        "domains " + " ".join(map(str, diagram.domains)),
-        "parents " + " ".join("-1" if p is None else str(p) for p in diagram.tree.parent),
-        "dfs " + " ".join(map(str, diagram.tree.dfs_order)),
-        "nodes %d" % len(records),
-        *records,
-        "roots " + (" ".join(str(ids[r]) for r in diagram.roots) or "."),
-        "constant %s" % diagram.constant,
-    ]
-    return "\n".join(out) + "\n"
+    count, records = canonical_records(diagram, ids)
+    write("aomdd 1\n")
+    write("mode %s\n" % (WEIGHTED if diagram.weighted else CONSTRAINT))
+    write("vars %d\n" % len(diagram.domains))
+    write("domains %s\n" % " ".join(map(str, diagram.domains)))
+    write("parents %s\n" % " ".join("-1" if p is None else str(p) for p in diagram.tree.parent))
+    write("dfs %s\n" % " ".join(map(str, diagram.tree.dfs_order)))
+    write("nodes %d\n" % count)
+    for i, (var, sig) in enumerate(records):
+        write(
+            "n %d %d %s\n"
+            % (i, var, " ".join("%s:%s" % (s, ",".join(map(str, kids)) or ".") for s, kids in sig))
+        )
+    write("roots %s\n" % (" ".join(str(ids[r]) for r in diagram.roots) or "."))
+    write("constant %s\n" % diagram.constant)
+    if file is None:
+        return "".join(lines)
 
 
 def to_dot(diagram):
@@ -109,7 +120,8 @@ def to_dot(diagram):
     lines = ["digraph aomdd {", "  node [shape=record];"]
     arrows = []
     terminals = set() if diagram.roots else {"t0" if diagram.constant == 0 else "t1"}
-    for i, (var, sig) in enumerate(canonical_records(diagram, {})):
+    _, records = canonical_records(diagram, {})
+    for i, (var, sig) in enumerate(records):
         ports = " | ".join("<p%d> %d: %s" % (j, j, s) for j, (s, _) in enumerate(sig))
         lines.append('  n%d [label="{X%d | { %s }}"];' % (i, var, ports))
         for j, (s, kids) in enumerate(sig):

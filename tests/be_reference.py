@@ -26,7 +26,6 @@ def compile_be(model, d, tree):
     table = UniqueTable(weighted, model.domains)
     domains = model.domains
     functions, factor = integer_tables(model)
-    memo = {}
     pos = {v: i for i, v in enumerate(d)}
 
     inbox = [[] for _ in range(tree.n)]
@@ -37,12 +36,12 @@ def compile_be(model, d, tree):
             f = functions[fid]
             chain_vars = tuple(sorted(f.scope, key=pos.__getitem__))
             fragment = _chain_fragment(f, chain_vars, domains, table)
-            message = apply_fragments(message, fragment, tree, memo, table)
+            message = apply_fragments(message, fragment, tree, table)
         for fragment in inbox[var]:
-            message = apply_fragments(message, fragment, tree, memo, table)
+            message = apply_fragments(message, fragment, tree, table)
         parent = tree.parent[var]
         if parent is None:
-            final = apply_fragments(message, (1, ()) if final is None else final, tree, memo, table)
+            final = apply_fragments(message, (1, ()) if final is None else final, tree, table)
         else:
             inbox[parent].append(message)
 

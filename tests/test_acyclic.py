@@ -1,9 +1,10 @@
 """The package's structures are acyclic, so reference counting frees them.
 
-The CLI runs each command with the cyclic collector paused.  That leaks
-nothing only if no entry point leaves a reference cycle behind: with the
-collector disabled, ``gc.collect()`` must find no unreachable object
-after each call, and none once every result is dropped.
+The CLI runs each command, and each compiler its compile, with the
+cyclic collector paused.  That leaks nothing only if no entry point
+leaves a reference cycle behind: with the collector disabled,
+``gc.collect()`` must find no unreachable object after each call, and
+none once every result is dropped.
 """
 
 import gc
@@ -36,6 +37,7 @@ from aomdd import (
     sum_over,
     to_dot,
 )
+from aomdd import be_compiler, search_compiler
 from aomdd.structure import compute_buckets, compute_contexts
 
 from conftest import bench_workloads
@@ -103,3 +105,32 @@ def test_entry_points_leave_no_cycles(name, collector_paused):
     del model, evidence, g, order, tree, searched, built, text, loaded
     step("results dropped")
     assert [(label, n) for label, n in steps if n] == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_compilers_restore_collector_state(enabled, example_model, monkeypatch):
+    seen = []
+
+    def recording(var, arcs, table, make_node=be_compiler.make_node):
+        seen.append(gc.isenabled())
+        return make_node(var, arcs, table)
+
+    for module in (be_compiler, search_compiler):
+        monkeypatch.setattr(module, "make_node", recording)
+    compiles = {
+        "search": lambda cap: compile_search(example_model, node_cap=cap),
+        "bcp": lambda cap: compile_search(example_model, hook=bcp_hook(example_model), node_cap=cap),
+        "be": lambda cap: compile_be(example_model, node_cap=cap),
+    }
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for name, compile_ in compiles.items():
+            compile_(None)
+            assert gc.isenabled() == enabled, name
+            with pytest.raises(ResourceLimitError):
+                compile_(3)
+            assert gc.isenabled() == enabled, name
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)  # every node was made with the collector paused

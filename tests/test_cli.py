@@ -240,6 +240,45 @@ def test_mem_cap_exit_code(example_cnf, order_file, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["search", "be"])
+def test_mem_cap_failure_leaves_no_out_file(example_cnf, tmp_path, capsys, method):
+    out = tmp_path / "capped.aomdd"
+    argv = ["compile", example_cnf, "--method", method, "--mem-cap", "3", "--out", str(out)]
+    assert main(argv) == 3
+    assert not out.exists()
+    assert "cap" in capsys.readouterr().err
+
+
+# name -> (parser, model text); the last two reduce to a bare constant
+OUT_MODELS = {
+    "weighted": (
+        aomdd.parse_uai, "MARKOV\n2\n2 2\n2\n1 0\n2 0 1\n2\n0.3 0.7\n4\n0.5 0.25 1 0.75\n"
+    ),
+    "constraint": (aomdd.parse_dimacs_cnf, EXAMPLE_CNF),
+    "unsatisfiable": (aomdd.parse_dimacs_cnf, "p cnf 2 3\n1 2 0\n-1 0\n-2 0\n"),
+    "constant": (aomdd.parse_uai, "MARKOV\n1\n2\n2\n0\n1 0\n1\n2.5\n2\n0.5 0.5\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_MODELS))
+@pytest.mark.parametrize("flags", [["--method", "search"], ["--method", "be"], ["--prune", "bcp"]])
+def test_compile_out_is_dumps_of_the_compile(tmp_path, name, flags):
+    parse, text = OUT_MODELS[name]
+    out = tmp_path / "out.aomdd"
+    assert main(["compile", _write(tmp_path / "model.txt", text), "--out", str(out), *flags]) == 0
+    model = parse(text)
+    g = aomdd.build_primal_graph(model)
+    tree = aomdd.generate_pseudo_tree(g, aomdd.min_fill_ordering(g))
+    if "be" in flags:
+        compiled = aomdd.compile_be(model, tree=tree)
+    else:
+        hook = aomdd.bcp_hook(model) if "bcp" in flags else None
+        compiled = aomdd.compile_search(model, tree, hook=hook)
+    assert out.read_text() == aomdd.dumps(compiled)
+    assert (compiled.constant == 0) == (name == "unsatisfiable")
+    assert bool(compiled.roots) == (name in ("weighted", "constraint"))
+
+
 def test_wide_clause_exit_code(tmp_path, capsys):
     text = "p cnf 64 1\n%s 0\n" % " ".join(str(v) for v in range(1, 65))
     wide = _write(tmp_path / "wide.cnf", text)
