@@ -87,8 +87,8 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
     """
     if tree is None:
         tree = _default_tree(model)
-    contexts = _contexts_of(tree, model)
     buckets = compute_buckets(tree, model)
+    contexts = _contexts_of(tree, model)
     weighted = model.kind == WEIGHTED
     table = UniqueTable(weighted, model.domains, node_cap)
     domains = model.domains

@@ -3,9 +3,10 @@
 The pseudo tree generated for an ordering ``d`` is the elimination tree
 of the graph induced along ``d``, which is also the bucket tree of
 bucket elimination along ``d``.  One reverse sweep along ``d`` yields
-both the tree and the induced width, and one bottom-up pass over the
-tree yields the contexts; min-fill updates by deltas only the scores
-of the vertices whose neighbourhood an elimination step changed.
+the tree, the contexts and the induced width: a variable's context is
+its set of earlier neighbours in the induced graph.  Min-fill updates
+by deltas only the scores of the vertices whose neighbourhood an
+elimination step changed.
 """
 
 from __future__ import annotations
@@ -104,39 +105,34 @@ def _unbucket(buckets, score, v):
         del buckets[score]
 
 
-def _elimination_sweep(g, order):
-    """Parents and induced width from one reverse sweep along ``order``.
+def _sweep(g, order, parent=None):
+    """Parents and contexts from one reverse sweep along ``order``.
 
-    Walking ``order`` back to front, each vertex's earlier neighbours
-    in the induced graph are its earlier primal neighbours plus those
-    passed up by its children; its parent is the latest of them, which
-    receives the rest.  This is the elimination tree of the induced
-    graph.  Vertices with no earlier neighbour get parent None.
+    A vertex's context is its earlier primal neighbours plus what its
+    children passed up; it passes that context, minus its parent, to its
+    parent.  Given parents, each earlier than its children, are followed.
+    Otherwise a vertex's parent is the latest member of its context, or
+    None if that is empty: the elimination tree of the graph induced
+    along ``order``, whose contexts are the earlier induced neighbours.
     """
-    _check_permutation(g.n, order)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    parent = [None] * g.n
-    passed = [set() for _ in range(g.n)]
-    width = 0
+    pos = {v: i for i, v in enumerate(order)}
+    chosen = [None] * g.n
+    context = [set() for _ in range(g.n)]
     for i in range(g.n - 1, -1, -1):
         v = order[i]
-        earlier = passed[v]
-        passed[v] = None
-        earlier.update(u for u in g.adj[v] if pos[u] < i)
-        if earlier:
-            width = max(width, len(earlier))
-            p = max(earlier, key=pos.__getitem__)
-            earlier.discard(p)
-            parent[v] = p
-            passed[p] |= earlier
-    return parent, width
+        ctx = context[v]
+        ctx.update(u for u in g.adj[v] if pos[u] < i)
+        p = max(ctx, key=pos.__getitem__, default=None) if parent is None else parent[v]
+        chosen[v] = p
+        if p is not None:
+            context[p] |= ctx - {p}
+    return chosen, context
 
 
 def induced_width(g, order):
     """Width of the induced graph along ``order``."""
-    return _elimination_sweep(g, order)[1]
+    _check_permutation(g.n, order)
+    return max(map(len, _sweep(g, order)[1]))
 
 
 def _check_permutation(n, order):
@@ -184,7 +180,8 @@ class PseudoTree:
         return self.parent == other.parent and self.dfs_order == other.dfs_order
 
 
-def _finish_tree(n, parent, children, root, g=None):
+def _finish_tree(n, parent, children, root, context=None):
+    """Index the tree; ``context`` sets become tuples, closest ancestor first."""
     dfs_order = []
     stack = [root]
     while stack:
@@ -210,30 +207,34 @@ def _finish_tree(n, parent, children, root, g=None):
         depth_of=tuple(depth_of),
         subtree_end=tuple(end),
     )
-    if g is not None:
-        tree.context = compute_contexts(tree, g)
+    if context is not None:
+        tree.context = _closest_first(tree, context)
     return tree
+
+
+def _closest_first(tree, context):
+    depth = tree.depth_of.__getitem__
+    return tuple(tuple(sorted(s, key=depth, reverse=True)) for s in context)
 
 
 def generate_pseudo_tree(g, order):
     """Pseudo tree for ``order``: the elimination tree of its induced graph.
 
-    One reverse sweep along ``order`` gives each variable's parent, the
-    latest-positioned of its earlier neighbours in the induced graph.
     This is the bucket tree of bucket elimination along ``order``, and
     the tree that recursive conditioning on the first variable of each
     component would build.  Disconnected primal graphs yield one tree:
     the root of every other component attaches below the globally first
     variable.  Children are listed in ``order``.
     """
-    parent, _ = _elimination_sweep(g, order)
+    _check_permutation(g.n, order)
+    parent, context = _sweep(g, order)
     root = order[0]
     children = [[] for _ in range(g.n)]
     for v in order[1:]:
         if parent[v] is None:
             parent[v] = root
         children[parent[v]].append(v)
-    return _finish_tree(g.n, parent, children, root, g)
+    return _finish_tree(g.n, parent, children, root, context)
 
 
 def chain_pseudo_tree(g, order):
@@ -244,34 +245,31 @@ def chain_pseudo_tree(g, order):
     for prev, v in zip(order, order[1:]):
         parent[v] = prev
         children[prev].append(v)
-    return _finish_tree(g.n, parent, children, order[0], g)
+    _, context = _sweep(g, order, parent)
+    return _finish_tree(g.n, parent, children, order[0], context)
 
 
 def compute_contexts(tree, g):
     """Per-variable ancestor lists, closest ancestor first.
 
     An ancestor is in context(X) iff the primal graph connects it to X
-    or to a descendant of X.  One bottom-up pass: context(X) is the set
-    of proper ancestors of X among its neighbours and its children's
-    contexts.
+    or to a descendant of X.  One reverse sweep along ``tree.dfs_order``
+    that follows ``tree.parent``.  A tree without the backarc property
+    also gets earlier neighbours that are not ancestors; ``compute_buckets``
+    rejects such a tree.
     """
-    ctx = [None] * tree.n
-    for v in reversed(tree.dfs_order):
-        s = {a for a in g.adj[v] if tree.is_ancestor_or_self(a, v)}
-        for c in tree.children[v]:
-            s |= ctx[c]
-        s.discard(v)
-        ctx[v] = s
-    depth = tree.depth_of.__getitem__
-    return tuple(tuple(sorted(s, key=depth, reverse=True)) for s in ctx)
+    return _closest_first(tree, _sweep(g, tree.dfs_order, tree.parent)[1])
 
 
 def compute_buckets(tree, model):
     """Function ids grouped by the deepest variable of their scope.
 
-    Raises a structural error when some scope does not lie along a
-    single root-to-leaf path of the tree.
+    Raises a structural error when the tree is not over the model's
+    variables, or some scope does not lie along a single root-to-leaf
+    path of the tree.
     """
+    if tree.n != model.n:
+        raise StructuralError("pseudo tree has %d variables, model has %d" % (tree.n, model.n))
     buckets = [[] for _ in range(tree.n)]
     for fid, f in enumerate(model.functions):
         if not f.scope:

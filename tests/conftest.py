@@ -39,6 +39,24 @@ p cnf 8 9
 
 EXAMPLE_ORDER = list(range(8))
 
+# each input the UAI parser rejects, with the message it gives
+BAD_UAI = [
+    ("MARKOV two 2 2 0", "expected integer variable count, got 'two'"),
+    ("MARKOV 1 0 0", "domain size of variable 0 must be >= 1, got 0"),
+    ("MARKOV 1 2 -1", "function count must be >= 0, got -1"),
+    ("MARKOV 1 2 1 1 0 2 0.5 -1", "table 0 entry must be non-negative, got -1"),
+    ("MARKOV 1 2 1 1 0 2 1ex 1", "expected number table 0 entry, got '1ex'"),
+]
+
+# each input the DIMACS parser rejects, with the message it gives
+BAD_CNF = [
+    ("p cnf 3\n1 0\n", "malformed problem line 'p cnf 3'"),
+    ("p dnf 3 1\n1 0\n", "malformed problem line 'p dnf 3 1'"),
+    ("p cnf x 1\n1 0\n", "malformed problem line 'p cnf x 1'"),
+    ("p cnf 3 1.5\n1 0\n", "malformed problem line 'p cnf 3 1.5'"),
+    ("c comment\n1 2 0\np cnf 2 1\n", "clause before 'p cnf' header"),
+]
+
 
 @pytest.fixture
 def example_model():

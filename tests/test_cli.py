@@ -1,5 +1,6 @@
 import gc
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import aomdd
 from aomdd.cli import MAX_PRECISION, _decimal_str, main
 from aomdd.model import MAX_CNF_VARS
 
-from conftest import EXAMPLE_CNF, queens_model, shuffled_chain_cnf_text
+from conftest import BAD_CNF, BAD_UAI, EXAMPLE_CNF, queens_model, shuffled_chain_cnf_text
 
 QUEENS_UAI_DOMAINS = None
 
@@ -317,6 +318,13 @@ def test_precision_cap(capsys):
         assert "--precision" in capsys.readouterr().err
     assert _decimal_str(Fraction(1, 3), MAX_PRECISION) == "0." + "3" * MAX_PRECISION
     assert _decimal_str(Fraction(2, 3), MAX_PRECISION) == "0." + "6" * (MAX_PRECISION - 1) + "7"
+
+
+@pytest.mark.parametrize("text, message", BAD_UAI + BAD_CNF)
+def test_rejected_model_exit_code(tmp_path, capsys, text, message):
+    path = _write(tmp_path / "bad.txt", text)
+    assert main(["compile", path]) == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -19,6 +19,8 @@ from aomdd.model import (
     weight_of_full_assignment,
 )
 
+from conftest import BAD_CNF, BAD_UAI
+
 # a two-variable UAI network and a three-variable CNF, each with a blank line
 UAI = "MARKOV\n2\n2 2\n\n2\n1 0\n2 0 1\n2\n0.3 0.7\n4\n0.5 0.25 1 0.75\n"
 CNF = "c example\np cnf 3 3\n\n1 2 0\n-1 3 0\n-2 -3 0\n"
@@ -30,6 +32,12 @@ def test_parse_uai_minimal():
     assert m.domains == (2,)
     assert m.functions[0].values == (Fraction(2, 5), Fraction(3, 5))
     assert m.kind == "weighted"
+
+
+@pytest.mark.parametrize("text, message", BAD_UAI)
+def test_parse_uai_rejects(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_uai(text)
 
 
 def test_parse_uai_bad_preamble():
@@ -121,6 +129,30 @@ def test_weight_unassigned_errors():
         weight_of_full_assignment(m, [None])
 
 
+@pytest.mark.parametrize(
+    "domains, functions, kind, message",
+    [
+        ([2, 2], [((0, 0), [1] * 4)], "weighted", "duplicate variable"),
+        ([2], [((0,), [1])], "weighted", "table has 1 entries, scope needs 2"),
+        ([2], [((0,), [1, -1])], "weighted", "negative table value -1"),
+        ([2, 2], [((-1,), [1, 1])], "weighted", "scope variable -1 out of range"),
+        ([2], [], "bogus", "kind must be"),
+        ([2, 0], [], "weighted", "domain size must be >= 1, got 0"),
+        ([2], [((0,), [1, 2])], "constraint", "constraint table value 2 not in"),
+    ],
+)
+def test_make_model_rejects(domains, functions, kind, message):
+    with pytest.raises(ValueError, match=message):
+        make_model(domains, functions, kind=kind)
+
+
+def test_value_at_unassigned_errors():
+    f = make_model([2, 2], [((0, 1), [1, 2, 3, 4])]).functions[0]
+    assert f.value_at([1, 0]) == 3
+    with pytest.raises(ValueError, match="variable 1 unassigned"):
+        f.value_at([1, None])
+
+
 def test_brute_force_matches_pointwise():
     m = make_model(
         [2, 2],
@@ -192,6 +224,12 @@ def test_dimacs_errors():
     for header in ("p cnf 2 -3", "p cnf -1 0"):
         with pytest.raises(ParseError, match="negative count"):
             parse_dimacs_cnf(header + "\n1 2 0\n")
+
+
+@pytest.mark.parametrize("text, message", BAD_CNF)
+def test_parse_dimacs_cnf_rejects(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_dimacs_cnf(text)
 
 
 def test_constraint_weights_binary(example_model):

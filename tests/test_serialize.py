@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -6,21 +7,28 @@ import pytest
 from aomdd import (
     ParseError,
     StructuralError,
+    build_primal_graph,
+    chain_pseudo_tree,
     compile_be,
     compile_search,
     count_solutions,
     count_stats,
     dumps,
     evaluate,
+    generate_pseudo_tree,
     loads,
     make_model,
+    min_fill_ordering,
     parse_dimacs_cnf,
+    parse_uai,
     structural_equal,
     sum_over,
 )
 from aomdd import model
+from aomdd.cli import main
+from aomdd.structure import compute_contexts
 
-from conftest import random_model, seeded_rng
+from conftest import bench_workloads, random_model, seeded_rng
 
 # dumps of a one-variable model with unary table [1/2, 3/2]
 UNARY = """\
@@ -119,6 +127,38 @@ def test_cross_compiler_bytes(example_model, example_tree):
     assert dumps(a) == dumps(b)
 
 
+def _loaded_tree_models():
+    workloads = bench_workloads()
+    small = [workloads.grid(1, side=4), workloads.chain(1, n=40), workloads.cnf(1, n=16, m=48)]
+    models = [
+        (parse_uai if w.model_file.endswith(".uai") else parse_dimacs_cnf)(w.model_text)
+        for w in small
+    ]
+    rng = seeded_rng(61)
+    return models + [random_model(rng, weighted=i % 2 == 0) for i in range(60)]
+
+
+def test_compiling_along_a_loaded_tree():
+    # a tree read back by ``loads`` carries no contexts: the compilers
+    # build them from the model and the tree's parents
+    for m in _loaded_tree_models():
+        g = build_primal_graph(m)
+        d = min_fill_ordering(g)
+        for tree in (generate_pseudo_tree(g, d), chain_pseudo_tree(g, d)):
+            text = dumps(compile_search(m, tree))
+            loaded = loads(text).tree
+            assert loaded == tree and loaded.context is None
+            assert compute_contexts(loaded, g) == tree.context
+            assert dumps(compile_search(m, loaded)) == text
+            assert dumps(compile_be(m, tree=loaded)) == text
+
+
+def test_structural_equal_on_one_table(example_model, example_tree):
+    a = compile_search(example_model, example_tree)
+    assert structural_equal(a, a)
+    assert not structural_equal(a, dataclasses.replace(a, roots=()))
+
+
 def test_terminal_round_trip():
     unsat = parse_dimacs_cnf("p cnf 1 2\n1 0\n-1 0\n")
     a = compile_search(unsat)
@@ -206,6 +246,29 @@ def test_loads_rejects_weight_spelling(arcs):
 def test_loads_rejects_bad_tail(old, new):
     with pytest.raises((ParseError, StructuralError)):
         loads(UNARY.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("aomdd 1", "aomdd 1 1"),
+        ("mode weighted", "mode"),
+        ("vars 1", "vars 1 1"),
+        ("domains 2", "domains 2 2"),
+        ("parents -1", "parents"),
+        ("dfs 0", "dfs 0 0"),
+        ("nodes 1", "nodes"),
+    ],
+)
+def test_loads_rejects_header_field_count(old, new, tmp_path, capsys):
+    text = UNARY.replace(old, new)
+    message = "%r record needs" % old.split()[0]
+    with pytest.raises(ParseError, match=message):
+        loads(text)
+    path = tmp_path / "bad.aomdd"
+    path.write_text(text)
+    assert main(["query", str(path), "--query", "sum"]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

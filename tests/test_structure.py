@@ -4,12 +4,16 @@ from aomdd import (
     StructuralError,
     build_primal_graph,
     chain_pseudo_tree,
+    compile_be,
+    compile_search,
+    dumps,
     generate_pseudo_tree,
     induced_width,
+    loads,
     make_model,
     min_fill_ordering,
 )
-from aomdd.structure import PrimalGraph, compute_buckets
+from aomdd.structure import PrimalGraph, compute_buckets, compute_contexts
 
 import structure_reference as ref
 from conftest import EXAMPLE_ORDER, random_model, seeded_rng
@@ -142,6 +146,37 @@ def test_buckets_off_path_scope_rejected():
         compute_buckets(t, m)
 
 
+def test_off_path_tree_fails_every_compile():
+    # the tree 0 -> {1, 2} breaks the backarc property on the edge 1-2:
+    # the context of 2 lists its earlier neighbour 1, which is no
+    # ancestor, and both compilers reject the tree from its buckets
+    m = make_model([2, 2, 2], [((0, 1), [1, 1, 1, 0]), ((1, 2), [1, 1, 1, 0])])
+    t = generate_pseudo_tree(_graph(3, [(0, 1), (0, 2)]), [0, 1, 2])
+    assert compute_contexts(t, build_primal_graph(m))[2] == (1,)
+    for compile_ in (compile_search, lambda m, t: compile_be(m, tree=t)):
+        with pytest.raises(StructuralError, match="not on a root-to-leaf path"):
+            compile_(m, t)
+
+
+def _path_model(n):
+    eq = [1, 0, 0, 1]
+    return make_model([2] * n, [((i, i + 1), eq) for i in range(n - 1)], kind="constraint")
+
+
+@pytest.mark.parametrize("method", ["search", "be"])
+@pytest.mark.parametrize("n, loaded", [(3, False), (5, False), (6, True)])
+def test_tree_over_another_variable_count_is_structural(method, n, loaded):
+    # checked before anything indexes the tree; a tree read back by
+    # ``loads`` has no contexts, so search would build them from the model
+    other = _path_model(n)
+    tree = generate_pseudo_tree(build_primal_graph(other), list(range(n)))
+    if loaded:
+        tree = loads(dumps(compile_search(other, tree))).tree
+    compile_ = compile_search if method == "search" else lambda m, t: compile_be(m, tree=t)
+    with pytest.raises(StructuralError, match="pseudo tree has %d variables, model has 4" % n):
+        compile_(_path_model(4), tree)
+
+
 def _random_graph(rng, n, density):
     return _graph(
         n,
@@ -201,6 +236,9 @@ def test_trees_and_contexts_match_reference():
             assert induced_width(g, order) == ref.induced_width(g, order)
             c = chain_pseudo_tree(g, order)
             assert c.context == ref.contexts(c, g)
+            # the same contexts from the parents alone
+            assert compute_contexts(t, g) == t.context
+            assert compute_contexts(c, g) == c.context
 
 
 def test_is_ancestor_or_self_matches_parent_walk():
