@@ -1,5 +1,8 @@
 """Command-line interface: compile, query, equiv, dot.
 
+``compile`` writes one file, the diagram (``--out``), plus ``--stats`` on
+stdout; ``dot`` prints a diagram file as DOT on stdout.
+
 Exit codes: 0 success / 1 negative answer (equiv: not equivalent) /
 2 usage, parse, or structural error / 3 resource cap exceeded /
 4 internal error.
@@ -53,7 +56,6 @@ def _build_parser():
     c.add_argument("--seed", type=int, default=0, help="seed for ordering tie-breaks")
     c.add_argument("--mem-cap", type=int, help="abort after this many meta-nodes")
     c.add_argument("--out", help="write the canonical diagram file here")
-    c.add_argument("--dot", help="write a DOT rendering here")
     c.add_argument("--stats", action="store_true", help="print a stats block")
 
     q = sub.add_parser("query", help="answer a query on a compiled diagram")
@@ -68,20 +70,14 @@ def _build_parser():
     e.add_argument("a")
     e.add_argument("b")
 
-    d = sub.add_parser("dot", help="render a diagram file as DOT")
+    d = sub.add_parser("dot", help="print a diagram file as DOT on stdout")
     d.add_argument("diagram")
-    d.add_argument("--out", help="output path (default stdout)")
     return parser
 
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
-
-
-def _write(path, text):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
 
 
 def _parse_model(path):
@@ -146,8 +142,6 @@ def cmd_compile(args):
         # opened only now, so a failed compile leaves no file behind
         with open(args.out, "w", encoding="utf-8") as handle:
             dumps(compiled, handle)
-    if args.dot:
-        _write(args.dot, to_dot(compiled))
     if args.stats:
         stats = count_stats(compiled)
         print("n %d" % model.n)
@@ -198,11 +192,7 @@ def cmd_equiv(args):
 
 
 def cmd_dot(args):
-    text = to_dot(loads(_read(args.diagram)))
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(to_dot(loads(_read(args.diagram))))
     return 0
 
 

@@ -121,6 +121,9 @@ def make_model(domains, functions, kind=WEIGHTED):
     tabs = []
     for scope, values in functions:
         scope = tuple(scope)
+        for v in scope:
+            if not 0 <= v < len(domains):
+                raise ValueError("scope variable %d out of range" % v)
         shape = tuple(domains[v] for v in scope)
         tabs.append(TableFunction(scope, shape, tuple(values)))
     return GraphicalModel(tuple(domains), tuple(tabs), kind)

@@ -11,7 +11,7 @@ import aomdd
 from aomdd.cli import MAX_PRECISION, _decimal_str, main
 from aomdd.model import MAX_CNF_VARS
 
-from conftest import BAD_CNF, BAD_UAI, EXAMPLE_CNF, queens_model, shuffled_chain_cnf_text
+from conftest import BAD_CNF, BAD_UAI, EXAMPLE_CNF, EXAMPLE_ORDER, queens_model, shuffled_chain_cnf_text
 
 QUEENS_UAI_DOMAINS = None
 
@@ -202,19 +202,33 @@ def test_dot_deterministic(example_cnf, order_file, tmp_path, capsys):
     assert first.startswith("digraph")
 
 
-def test_compile_dot_matches_dot_command(example_cnf, order_file, tmp_path, capsys):
-    search_dot = tmp_path / "search.dot"
-    be_dot = tmp_path / "be.dot"
-    _compile(example_cnf, order_file, tmp_path, "--method", "be", "--dot", str(be_dot))
-    out = _compile(example_cnf, order_file, tmp_path, "--dot", str(search_dot))
-    assert main(["dot", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert printed.startswith("digraph")
-    assert search_dot.read_text() == printed == be_dot.read_text()
-    written = tmp_path / "written.dot"
-    assert main(["dot", str(out), "--out", str(written)]) == 0
-    assert capsys.readouterr().out == ""
-    assert written.read_text() == printed
+def test_dot_prints_the_loaded_diagram(example_cnf, order_file, tmp_path, capsys):
+    printed = []
+    for method, prune in (("search", "none"), ("be", "none"), ("search", "bcp")):
+        out = tmp_path / ("%s-%s.aomdd" % (method, prune))
+        assert main(
+            [
+                "compile", example_cnf, "--order-file", order_file,
+                "--method", method, "--prune", prune, "--out", str(out),
+            ]
+        ) == 0
+        assert main(["dot", str(out)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0].startswith("digraph")
+    assert printed[1] == printed[0] == printed[2]
+    model = aomdd.parse_dimacs_cnf(EXAMPLE_CNF)
+    tree = aomdd.generate_pseudo_tree(aomdd.build_primal_graph(model), EXAMPLE_ORDER)
+    assert aomdd.to_dot(aomdd.compile_search(model, tree)) == printed[0]
+
+
+def test_dot_file_options_are_usage_errors(example_cnf, order_file, tmp_path):
+    out = _compile(example_cnf, order_file, tmp_path)
+    dot = tmp_path / "x.dot"
+    for argv in (["compile", example_cnf, "--dot", str(dot)], ["dot", str(out), "--out", str(dot)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not dot.exists()
 
 
 def test_empty_clause_counts_zero(tmp_path, capsys):

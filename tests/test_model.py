@@ -136,6 +136,7 @@ def test_weight_unassigned_errors():
         ([2], [((0,), [1])], "weighted", "table has 1 entries, scope needs 2"),
         ([2], [((0,), [1, -1])], "weighted", "negative table value -1"),
         ([2, 2], [((-1,), [1, 1])], "weighted", "scope variable -1 out of range"),
+        ([2, 2], [((2,), [1, 1])], "weighted", "scope variable 2 out of range"),
         ([2], [], "bogus", "kind must be"),
         ([2, 0], [], "weighted", "domain size must be >= 1, got 0"),
         ([2], [((0,), [1, 2])], "constraint", "constraint table value 2 not in"),

@@ -62,12 +62,15 @@ def test_sum_over_with_evidence():
         m = random_model(rng, weighted=True)
         compiled = compile_search(m)
         evidence = _random_evidence(rng, m.domains)
-        expected = sum(
+        weights = [
             weight_of_full_assignment(m, x)
             for x in full_assignments(m.domains)
             if all(x[v] == val for v, val in evidence.items())
-        )
-        assert sum_over(compiled, evidence) == expected
+        ]
+        assert sum_over(compiled, evidence) == sum(weights)
+        count = count_solutions(compiled, evidence)
+        assert count == sum(1 for w in weights if w != 0)
+        assert type(count) is int
 
 
 def test_sum_over_rejects_bad_evidence(example_model):
@@ -230,6 +233,29 @@ def test_deep_chain_queries():
     loaded = loads(text)
     assert dumps(loaded) == text
     assert structural_equal(loaded, compiled)
+
+
+def test_deep_dont_care_queries():
+    # x_i == x_{i+2} for even i; the odd variables are in no function,
+    # so every arc into an odd level skips a variable
+    n = 3000
+    eq = [1, 0, 0, 1]
+    m = make_model([2] * n, [((i, i + 2), eq) for i in range(0, n - 2, 2)], kind="constraint")
+    tree = chain_pseudo_tree(build_primal_graph(m), list(range(n)))
+    assert tree.height == n - 1
+    compiled = compile_search(m, tree)
+    count = count_solutions(compiled)
+    assert count == 2**1501
+    assert type(count) is int
+    assert count_solutions(compiled, {1: 0}) == count_solutions(compiled, {0: 1}) == 2**1500
+    assert sum_over(compiled, {3: 1}) == 2**1500
+    value, witness = mpe(compiled, {1: 1})
+    assert value == 1 and witness[1] == 1
+    assert evaluate(compiled, witness) == 1
+    assert list(enumerate_solutions(compiled, limit=2)) == [
+        ([0] * n, 1),
+        ([0] * (n - 1) + [1], 1),
+    ]
 
 
 def test_equivalent_detects_dropped_constraint(example_model, example_tree):
