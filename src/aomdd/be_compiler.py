@@ -23,7 +23,7 @@ fragment is carried as a ``(constant, nodes)`` pair — the same shape
 ``make_node`` returns — where ``nodes`` is a DFS-ordered tuple with at
 most one node per pseudo-tree branch.
 
-The tables enter as integers (``integer_tables``), and APPLY multiplies
+The tables enter as integers (``model.integer_tables``), and APPLY multiplies
 integer arc weights.  Inside APPLY a fragment's constant is an integer
 pair ``(num, den)``, reduced once per result, so no arc is divided and
 ``make_node`` only ever sees integers.
@@ -44,8 +44,7 @@ from .diagram import (
     ratio,
     reachable_nodes,
 )
-from .model import WEIGHTED
-from .search_compiler import integer_tables
+from .model import WEIGHTED, integer_tables
 from .structure import (
     build_primal_graph,
     chain_pseudo_tree,

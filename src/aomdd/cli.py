@@ -52,7 +52,7 @@ def _build_parser():
     c.add_argument("--method", choices=["search", "be"], default="search", help="compilation strategy")
     c.add_argument("--order-file", help="file with an explicit variable ordering (whitespace-separated ids)")
     c.add_argument("--chain", action="store_true", help="force a chain pseudo tree (MDD/OBDD mode)")
-    c.add_argument("--prune", choices=["none", "bcp"], default="none", help="pruning for the search method (ignored by be)")
+    c.add_argument("--prune", choices=["none", "bcp"], default="none", help="pruning for the search method")
     c.add_argument("--seed", type=int, default=0, help="seed for ordering tie-breaks")
     c.add_argument("--mem-cap", type=int, help="abort after this many meta-nodes")
     c.add_argument("--out", help="write the canonical diagram file here")
@@ -209,6 +209,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if (getattr(args, "mem_cap", None) or 0) < 0:
         parser.error("--mem-cap must not be negative")
+    if getattr(args, "prune", None) == "bcp" and args.method == "be":
+        parser.error("--prune bcp applies to --method search only")
     if getattr(args, "precision", 0) > MAX_PRECISION:
         parser.error("--precision is at most %d digits" % MAX_PRECISION)
     try:

@@ -129,6 +129,32 @@ def make_model(domains, functions, kind=WEIGHTED):
     return GraphicalModel(tuple(domains), tuple(tabs), kind)
 
 
+def integer_tables(model):
+    """The model's tables scaled to integers, and the constant that undoes it.
+
+    Each weighted table ``f`` is multiplied by ``L_f``, the lcm of its
+    entries' denominators, so every weight and constant the compilers
+    form is an ``int``.  Meta-nodes divide by their own sums, so the
+    scaling changes no node, only the root constant.  The returned
+    constant is the product of the empty-scope tables' values, times
+    ``1 / prod(L_f)``: one exact rational (an ``int`` if every ``L_f``
+    is 1), applied once at the root.  Constraint tables stay 0/1.
+    """
+    weighted = model.kind == WEIGHTED
+    tables = []
+    constant = scale = 1
+    for f in model.functions:
+        if weighted:
+            lcd = math.lcm(*(v.denominator for v in f.values))
+            values = tuple(v.numerator * (lcd // v.denominator) for v in f.values)
+            f = TableFunction(f.scope, f.shape, values)
+            scale *= lcd
+        if not f.scope:
+            constant *= f.values[0]
+        tables.append(f)
+    return tables, constant if scale == 1 else Fraction(constant, scale)
+
+
 def weight_of_full_assignment(model, x):
     """Product of all function values at a full assignment."""
     for i, v in enumerate(x):

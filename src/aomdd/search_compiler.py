@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import lcm
 from operator import itemgetter
 
 from ._recursion import run
-from .diagram import Aomdd, UniqueTable, collector_paused, make_node, ratio
-from .model import WEIGHTED, TableFunction
+from .diagram import Aomdd, UniqueTable, collector_paused, make_node
+from .model import WEIGHTED, integer_tables
 from .structure import (
     build_primal_graph,
     compute_buckets,
@@ -35,46 +34,12 @@ class CompileStats:
     cache_hits: Counter = field(default_factory=Counter)
 
 
-def _default_tree(model):
-    g = build_primal_graph(model)
-    return generate_pseudo_tree(g, min_fill_ordering(g))
-
-
-def _contexts_of(tree, model):
-    if tree.context is not None:
-        return tree.context
-    return compute_contexts(tree, build_primal_graph(model))
-
-
-def integer_tables(model):
-    """The model's tables scaled to integers, and the constant that undoes it.
-
-    Each weighted table ``f`` is multiplied by ``L_f``, the lcm of its
-    entries' denominators, so every weight and constant the compilers
-    form is an ``int``.  Meta-nodes divide by their own sums, so the
-    scaling changes no node, only the root constant.  The returned
-    constant is the product of the empty-scope tables' values, times
-    ``1 / prod(L_f)``: one exact rational, applied once at the root.
-    Constraint tables are 0/1 and stay as they are.
-    """
-    weighted = model.kind == WEIGHTED
-    tables = []
-    constant = scale = 1
-    for f in model.functions:
-        if weighted:
-            lcd = lcm(*(v.denominator for v in f.values))
-            values = tuple(v.numerator * (lcd // v.denominator) for v in f.values)
-            f = TableFunction(f.scope, f.shape, values)
-            scale *= lcd
-        if not f.scope:
-            constant *= f.values[0]
-        tables.append(f)
-    return tables, ratio(constant, scale)
-
-
 @collector_paused()
 def compile_search(model, tree=None, hook=None, node_cap=None):
     """Compile a model into its canonical diagram by AND/OR search.
+
+    The default ``tree`` is the pseudo tree of a min-fill ordering; a
+    tree read back by ``loads`` gets its contexts from the primal graph.
 
     ``hook``, when given, is a sound pruning test with the protocol of
     ``bcp_hook``: ``hook(var, val)`` is called once per value of nonzero
@@ -86,9 +51,10 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
     trace size.
     """
     if tree is None:
-        tree = _default_tree(model)
+        g = build_primal_graph(model)
+        tree = generate_pseudo_tree(g, min_fill_ordering(g))
     buckets = compute_buckets(tree, model)
-    contexts = _contexts_of(tree, model)
+    contexts = tree.context or compute_contexts(tree, build_primal_graph(model))
     weighted = model.kind == WEIGHTED
     table = UniqueTable(weighted, model.domains, node_cap)
     domains = model.domains

@@ -9,7 +9,8 @@ This module alone spells and orders the records (``canonical_records``),
 prints them (``dumps``, ``to_dot``) and checks them (``loads``); the
 writer holds one variable block of signatures at a time and can write
 each line to a file as it is made, the reader (``model._lines``, shared
-with the model parsers) one 64k chunk of lines.
+with the model parsers) one 64k chunk of lines.  ``loads`` rebuilds the
+tree with ``structure``'s one tree constructor and checks it against ``dfs``.
 
 A weighted node holds the primitive integer vector ``n`` of its arc
 weights; the file spells arc ``i`` as the reduced fraction
@@ -181,8 +182,10 @@ def loads(text):
     """Rebuild a diagram from canonical text.
 
     Accepts exactly the files ``dumps`` can write, up to whitespace, and
-    raises ``ParseError``/``StructuralError`` on anything else.  One pass
-    over the node records checks the canonical form on the tokens:
+    raises ``ParseError``/``StructuralError`` on anything else.  The tree
+    is rebuilt from ``parents`` along ``dfs``, which must start at the root
+    (so the DFS ends) and equal the rebuilt DFS order.  One pass over the
+    node records checks the canonical form on the tokens:
 
     - weights are spelled as ``str(Fraction)`` spells them, are >= 0,
       and are 0/1 in constraint mode;
@@ -229,19 +232,9 @@ def loads(text):
     parent = [None if p == "-1" else _int(p, lineno, "parent", 0, n) for p in parents]
     lineno, dfs = next_line("dfs", n)
     dfs_order = [_int(v, lineno, "dfs entry", 0, n) for v in dfs]
-    if len(set(dfs_order)) != n or parent.count(None) != 1:
+    if len(set(dfs_order)) != n or parent.count(None) != 1 or parent[dfs_order[0]] is not None:
         raise ParseError("malformed tree records", lineno)
-    dfs_index = {v: i for i, v in enumerate(dfs_order)}
-    children = [[] for _ in range(n)]
-    root = None
-    for v, p in enumerate(parent):
-        if p is None:
-            root = v
-        else:
-            children[p].append(v)
-    for c in children:
-        c.sort(key=dfs_index.__getitem__)
-    tree = _finish_tree(n, parent, children, root)
+    tree = _finish_tree(parent, dfs_order)
     if tree.dfs_order != tuple(dfs_order):
         raise ParseError("dfs record inconsistent with parents", lineno)
     var_of = {str(v): v for v in range(n)}
@@ -289,7 +282,7 @@ def loads(text):
                 "node %d has %d arcs, domain size is %d"
                 % (i, len(fields) - 2, domains[var])
             )
-        pos, stop = dfs_index[var], tree.subtree_end[var]
+        pos, stop = tree.dfs_index[var], tree.subtree_end[var]
         arcs = []
         dens = []
         sig = []

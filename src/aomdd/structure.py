@@ -6,7 +6,8 @@ bucket elimination along ``d``.  One reverse sweep along ``d`` yields
 the tree, the contexts and the induced width: a variable's context is
 its set of earlier neighbours in the induced graph.  Min-fill updates
 by deltas only the scores of the vertices whose neighbourhood an
-elimination step changed.
+elimination step changed.  ``_finish_tree`` builds every pseudo tree,
+``serialize.loads``' too, from its parents and an order of the children.
 """
 
 from __future__ import annotations
@@ -180,10 +181,16 @@ class PseudoTree:
         return self.parent == other.parent and self.dfs_order == other.dfs_order
 
 
-def _finish_tree(n, parent, children, root, context=None):
-    """Index the tree; ``context`` sets become tuples, closest ancestor first."""
+def _finish_tree(parent, order, context=None):
+    """Index the tree rooted at ``order[0]``, the one vertex without a parent,
+    with children in ``order``; ``context`` sets become closest-first tuples.
+    """
+    n = len(parent)
+    children = [[] for _ in range(n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
     dfs_order = []
-    stack = [root]
+    stack = [order[0]]
     while stack:
         v = stack.pop()
         dfs_order.append(v)
@@ -192,16 +199,15 @@ def _finish_tree(n, parent, children, root, context=None):
     for i, v in enumerate(dfs_order):
         dfs_index[v] = i
     depth_of = [0] * n
-    for v in dfs_order:
-        if parent[v] is not None:
-            depth_of[v] = depth_of[parent[v]] + 1
+    for v in dfs_order[1:]:
+        depth_of[v] = depth_of[parent[v]] + 1
     end = [0] * n
     for v in reversed(dfs_order):
         end[v] = end[children[v][-1]] if children[v] else dfs_index[v] + 1
     tree = PseudoTree(
         parent=tuple(parent),
         children=tuple(tuple(c) for c in children),
-        root=root,
+        root=order[0],
         dfs_order=tuple(dfs_order),
         dfs_index=tuple(dfs_index),
         depth_of=tuple(depth_of),
@@ -228,25 +234,18 @@ def generate_pseudo_tree(g, order):
     """
     _check_permutation(g.n, order)
     parent, context = _sweep(g, order)
-    root = order[0]
-    children = [[] for _ in range(g.n)]
-    for v in order[1:]:
-        if parent[v] is None:
-            parent[v] = root
-        children[parent[v]].append(v)
-    return _finish_tree(g.n, parent, children, root, context)
+    parent = [order[0] if p is None and v != order[0] else p for v, p in enumerate(parent)]
+    return _finish_tree(parent, order, context)
 
 
 def chain_pseudo_tree(g, order):
     """Degenerate chain pseudo tree following ``order`` (MDD/OBDD mode)."""
     _check_permutation(g.n, order)
     parent = [None] * g.n
-    children = [[] for _ in range(g.n)]
     for prev, v in zip(order, order[1:]):
         parent[v] = prev
-        children[prev].append(v)
     _, context = _sweep(g, order, parent)
-    return _finish_tree(g.n, parent, children, order[0], context)
+    return _finish_tree(parent, order, context)
 
 
 def compute_contexts(tree, g):

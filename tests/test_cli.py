@@ -322,6 +322,19 @@ def test_negative_mem_cap_is_a_usage_error(example_cnf, capsys):
     assert "--mem-cap" in capsys.readouterr().err
 
 
+def test_prune_bcp_with_be_is_a_usage_error(example_cnf, tmp_path, capsys):
+    # rejected before the model is read: a missing model file does not matter
+    out = tmp_path / "x.aomdd"
+    argv = ["compile", "/no/such/model.cnf", "--method", "be", "--prune", "bcp", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--prune" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["compile", example_cnf, "--method", "be", "--prune", "none"]) == 0
+    assert main(["compile", example_cnf, "--method", "be"]) == 0
+
+
 def test_precision_cap(capsys):
     # past the cap is a usage error before the diagram file is even read
     for digits in (MAX_PRECISION + 1, 10**7):

@@ -138,6 +138,11 @@ def _loaded_tree_models():
     return models + [random_model(rng, weighted=i % 2 == 0) for i in range(60)]
 
 
+TREE_FIELDS = (
+    "parent", "children", "root", "dfs_order", "dfs_index", "depth_of", "subtree_end"
+)
+
+
 def test_compiling_along_a_loaded_tree():
     # a tree read back by ``loads`` carries no contexts: the compilers
     # build them from the model and the tree's parents
@@ -147,7 +152,9 @@ def test_compiling_along_a_loaded_tree():
         for tree in (generate_pseudo_tree(g, d), chain_pseudo_tree(g, d)):
             text = dumps(compile_search(m, tree))
             loaded = loads(text).tree
-            assert loaded == tree and loaded.context is None
+            assert loaded.context is None
+            for name in TREE_FIELDS:
+                assert getattr(loaded, name) == getattr(tree, name), name
             assert compute_contexts(loaded, g) == tree.context
             assert dumps(compile_search(m, loaded)) == text
             assert dumps(compile_be(m, tree=loaded)) == text
@@ -306,8 +313,12 @@ def test_loads_rejects_structure(old, new):
         ("parents -1 0 0", "parents -1 0 -3"),
         ("parents -1 0 0", "parents -1 0 -1"),
         ("parents -1 0 0", "parents -1 2 1"),
+        ("parents -1 0 0", "parents -1 1 0"),  # a vertex is its own parent
         ("dfs 0 2 1", "dfs 0 2 2"),
         ("dfs 0 2 1", "dfs 0 1 3"),
+        ("dfs 0 2 1", "dfs 2 0 1"),  # the root is not first
+        # the first dfs entry lies on a parent cycle
+        ("parents -1 0 0\ndfs 0 2 1", "parents -1 2 1\ndfs 1 2 0"),
         ("nodes 2", "nodes 99999999999"),
         ("n 1 2", "n 01 2"),
         ("n 1 2", "n 1 +2"),
