@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import traceback
 from fractions import Fraction
 
 from .be_compiler import compile_be
@@ -223,6 +222,8 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback  # only here: loading it costs every command's start-up
+
         traceback.print_exc()
         print("error: internal: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 4

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
@@ -180,22 +179,25 @@ def make_node(var, arcs, table):
     return total, (table.intern(var, arcs),)
 
 
-@dataclass(eq=False)
 class Aomdd:
     """A compiled diagram: root meta-nodes, root constant, owning tree.
 
     ``roots`` may hold several nodes when the root variable itself
     reduced away; an empty tuple is a terminal diagram (constant
     function).  ``constant`` is 0 exactly for the always-zero function.
+    ``stats`` is the search compiler's ``CompileStats``, else None.
     """
 
-    tree: object
-    domains: tuple
-    roots: tuple
-    constant: object
-    table: UniqueTable
-    weighted: bool
-    stats: object = None
+    __slots__ = ("tree", "domains", "roots", "constant", "table", "weighted", "stats")
+
+    def __init__(self, tree, domains, roots, constant, table, weighted, stats=None):
+        self.tree = tree
+        self.domains = domains
+        self.roots = roots
+        self.constant = constant
+        self.table = table
+        self.weighted = weighted
+        self.stats = stats
 
 
 def reachable_nodes(diagram):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, ResourceLimitError
@@ -46,7 +45,6 @@ MAX_DOMAIN = 1 << 20
 _CHUNK = 1 << 16  # characters ``_lines`` splits into lines at a time
 
 
-@dataclass(frozen=True)
 class TableFunction:
     """A dense table over an ordered scope, last scope variable fastest.
 
@@ -54,23 +52,27 @@ class TableFunction:
     length ``prod(shape)``.
     """
 
-    scope: tuple
-    shape: tuple
-    values: tuple
+    __slots__ = ("scope", "shape", "values")
 
-    def __post_init__(self):
-        if len(self.scope) != len(set(self.scope)):
-            raise ValueError("duplicate variable in scope %r" % (self.scope,))
-        if len(self.scope) != len(self.shape):
+    def __init__(self, scope, shape, values):
+        if len(scope) != len(set(scope)):
+            raise ValueError("duplicate variable in scope %r" % (scope,))
+        if len(scope) != len(shape):
             raise ValueError("scope and shape length mismatch")
-        size = math.prod(self.shape)
-        if len(self.values) != size:
-            raise ValueError(
-                "table has %d entries, scope needs %d" % (len(self.values), size)
-            )
-        for v in self.values:
+        size = math.prod(shape)
+        if len(values) != size:
+            raise ValueError("table has %d entries, scope needs %d" % (len(values), size))
+        for v in values:
             if v < 0:
                 raise ValueError("negative table value %s" % (v,))
+        self.scope = scope
+        self.shape = shape
+        self.values = values
+
+    def __eq__(self, other):
+        if not isinstance(other, TableFunction):
+            return NotImplemented
+        return (self.scope, self.shape, self.values) == (other.scope, other.shape, other.values)
 
     def value_at(self, assignment):
         """Table value at a (possibly partial) assignment covering the scope."""
@@ -83,30 +85,37 @@ class TableFunction:
         return self.values[idx]
 
 
-@dataclass(frozen=True)
 class GraphicalModel:
     """Domain sizes of variables 0..n-1 plus table functions combined by product."""
 
-    domains: tuple
-    functions: tuple
-    kind: str
+    __slots__ = ("domains", "functions", "kind")
 
-    def __post_init__(self):
-        if self.kind not in (CONSTRAINT, WEIGHTED):
+    def __init__(self, domains, functions, kind):
+        if kind not in (CONSTRAINT, WEIGHTED):
             raise ValueError("kind must be %r or %r" % (CONSTRAINT, WEIGHTED))
-        for k in self.domains:
+        for k in domains:
             if k < 1:
                 raise ValueError("domain size must be >= 1, got %d" % k)
-        for f in self.functions:
+        for f in functions:
             for var, k in zip(f.scope, f.shape):
-                if not 0 <= var < self.n:
+                if not 0 <= var < len(domains):
                     raise ValueError("scope variable %d out of range" % var)
-                if self.domains[var] != k:
+                if domains[var] != k:
                     raise ValueError("shape mismatch for variable %d" % var)
-            if self.kind == CONSTRAINT:
+            if kind == CONSTRAINT:
                 for v in f.values:
                     if v != 0 and v != 1:
                         raise ValueError("constraint table value %s not in {0,1}" % (v,))
+        self.domains = domains
+        self.functions = functions
+        self.kind = kind
+
+    def __eq__(self, other):
+        if not isinstance(other, GraphicalModel):
+            return NotImplemented
+        return (self.domains, self.functions, self.kind) == (
+            other.domains, other.functions, other.kind
+        )
 
     @property
     def n(self):

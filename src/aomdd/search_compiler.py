@@ -10,7 +10,6 @@ the canonical diagram.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from ._recursion import run
@@ -25,13 +24,22 @@ from .structure import (
 )
 
 
-@dataclass
 class CompileStats:
     """Per-variable trace counters of one compilation."""
 
-    or_expansions: Counter = field(default_factory=Counter)
-    and_expansions: Counter = field(default_factory=Counter)
-    cache_hits: Counter = field(default_factory=Counter)
+    __slots__ = ("or_expansions", "and_expansions", "cache_hits")
+
+    def __init__(self):
+        self.or_expansions = Counter()
+        self.and_expansions = Counter()
+        self.cache_hits = Counter()
+
+    def __eq__(self, other):
+        if not isinstance(other, CompileStats):
+            return NotImplemented
+        return (self.or_expansions, self.and_expansions, self.cache_hits) == (
+            other.or_expansions, other.and_expansions, other.cache_hits
+        )
 
 
 @collector_paused()
@@ -67,12 +75,8 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
     keys = [itemgetter(*ctx) if ctx else lambda a: () for ctx in contexts]
     undo = hook.undo if hook is not None else None
 
-    def solve(var):
-        key = keys[var](assignment)
-        cached = caches[var].get(key)
-        if cached is not None:
-            stats.cache_hits[var] += 1
-            return cached
+    def solve(var, key):
+        """Expand ``var`` under the current assignment, ``key`` its context."""
         stats.or_expansions[var] += 1
         arcs = []
         for val in range(domains[var]):
@@ -91,7 +95,14 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
             stats.and_expansions[var] += 1
             children = []
             for child in tree.children[var]:
-                c_const, c_children = yield solve(child)
+                # a cache hit costs a lookup, not a generator and a trampoline step
+                c_key = keys[child](assignment)
+                solved = caches[child].get(c_key)
+                if solved is None:
+                    solved = yield solve(child, c_key)
+                else:
+                    stats.cache_hits[child] += 1
+                c_const, c_children = solved
                 if c_const == 0:
                     w = 0
                     break
@@ -106,7 +117,7 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
         return result
 
     try:
-        const, children = run(solve(tree.root))
+        const, children = run(solve(tree.root, keys[tree.root](assignment)))
     finally:
         # ``solve`` names itself; the cycle through its closure cell would
         # keep the caches and the trace's nodes alive until the cyclic

@@ -159,23 +159,10 @@ def _int(tok, lineno, what, low, high=None):
     return value
 
 
-def _rational(tok):
-    """``(num, den)`` of a token spelled as ``str(Fraction)`` spells a rational >= 0.
-
-    That is ``n`` or ``n/d`` with ``d >= 2`` and ``gcd(n, d) == 1``, both
-    canonical decimal integers; returns None for any other token.
-    """
-    ntok, slash, dtok = tok.partition("/")
-    try:
-        num = int(ntok)
-        den = int(dtok) if slash else 1
-    except ValueError:
-        return None
-    if str(num) != ntok or num < 0:
-        return None
-    if slash and (str(den) != dtok or den < 2 or gcd(num, den) != 1):
-        return None
-    return num, den
+def _misplaced_children(i, var):
+    return StructuralError(
+        "node %d: children must be unrelated, in DFS order and below variable %d" % (i, var)
+    )
 
 
 def loads(text):
@@ -245,48 +232,60 @@ def loads(text):
     weights = {} if weighted else {"0": (0, 1), "1": (1, 1)}  # token -> (num, den)
 
     def parse_weight(tok, lineno):
+        """``(num, den)`` of a token spelled as ``str(Fraction)`` spells a rational >= 0.
+
+        That is ``n`` or ``n/d`` with ``d >= 2`` and ``gcd(n, d) == 1``,
+        both canonical decimal integers.
+        """
         if not weighted:
             raise ParseError("constraint weight %r not 0/1" % tok, lineno)
-        w = _rational(tok)
-        if w is None:
+        ntok, slash, dtok = tok.partition("/")
+        try:
+            num = int(ntok)
+            den = int(dtok) if slash else 1
+        except ValueError:
+            num = -1
+        if str(num) != ntok or num < 0 or slash and (
+            str(den) != dtok or den < 2 or gcd(num, den) != 1
+        ):
             raise ParseError("weight %r is not a canonical non-negative rational" % tok, lineno)
-        weights[tok] = w
+        weights[tok] = w = num, den
         return w
 
     table = UniqueTable(weighted, domains)
+    intern = table.intern
+    dfs_index, subtree_end = tree.dfs_index, tree.subtree_end
     index = {}  # record id token -> record id
+    child_id = index.__getitem__
     nodes = []
+    node_of = nodes.__getitem__
     pos_of = []  # record id -> DFS position of its variable
     end_of = []  # record id -> end of that variable's subtree interval
     used = bytearray(m)
 
-    def unrelated(ids, low, stop):
-        """Records ``ids`` pairwise unrelated, in DFS order, inside [low, stop)."""
-        for c in ids:
-            if pos_of[c] < low:
-                return False
-            low = end_of[c]
-            used[c] = 1
-        return low <= stop
-
     prev_pos, prev_sig = n, None
     for i in range(m):
-        lineno, fields = next_line("n")
-        if len(fields) < 2 or fields[0] != str(i):
+        lineno, fields = next(it, (None, None))
+        if fields is None:
+            raise ParseError("unexpected end of file, wanted 'n'")
+        if fields[0] != "n":
+            raise ParseError("expected 'n' record", lineno)
+        if len(fields) < 3 or fields[1] != str(i):
             raise ParseError("node ids must be dense and in order", lineno)
-        var = var_of.get(fields[1])
+        var = var_of.get(fields[2])
         if var is None:
-            raise ParseError("bad node variable %r" % fields[1], lineno)
-        if len(fields) - 2 != domains[var]:
+            raise ParseError("bad node variable %r" % fields[2], lineno)
+        if len(fields) - 3 != domains[var]:
             raise StructuralError(
                 "node %d has %d arcs, domain size is %d"
-                % (i, len(fields) - 2, domains[var])
+                % (i, len(fields) - 3, domains[var])
             )
-        pos, stop = tree.dfs_index[var], tree.subtree_end[var]
-        arcs = []
+        pos, stop = dfs_index[var], subtree_end[var]
+        nums = []
         dens = []
+        kids_of = []
         sig = []
-        for tok in fields[2:]:
+        for tok in fields[3:]:
             wtok, colon, ktok = tok.partition(":")
             if not colon:
                 raise ParseError("bad arc %r" % tok, lineno)
@@ -299,24 +298,32 @@ def loads(text):
                 raise StructuralError("node %d has a zero-weight arc with children" % i)
             else:
                 try:
-                    ids = tuple(map(index.__getitem__, ktok.split(",")))
+                    ids = tuple(map(child_id, ktok.split(",")))
                 except KeyError:
                     raise ParseError("bad child list %r" % ktok, lineno)
-                if not unrelated(ids, pos + 1, stop):
-                    raise StructuralError(
-                        "node %d: children must be unrelated, in DFS order and"
-                        " below variable %d" % (i, var)
-                    )
-                kids = tuple(nodes[c] for c in ids)
-            arcs.append((w[0], kids))
+                # children pairwise unrelated, in DFS order, inside (pos, stop)
+                low = pos + 1
+                for c in ids:
+                    if pos_of[c] < low:
+                        raise _misplaced_children(i, var)
+                    low = end_of[c]
+                    used[c] = 1
+                if low > stop:
+                    raise _misplaced_children(i, var)
+                kids = tuple(map(node_of, ids))
+            nums.append(w[0])
             dens.append(w[1])
+            kids_of.append(kids)
             sig.append((wtok, ids))
         if weighted:
-            scale = lcm(*dens)
-            arcs = [(num * (scale // den), kids) for (num, kids), den in zip(arcs, dens)]
-            if sum(w for w, _ in arcs) != scale:
+            # a canonical record spells its arcs over one denominator
+            scale = dens[0]
+            if dens.count(scale) != len(dens):
+                scale = lcm(*dens)
+                nums = [num * (scale // den) for num, den in zip(nums, dens)]
+            if sum(nums) != scale:
                 raise StructuralError("node %d: weights do not sum to 1" % i)
-        elif all(w == "0" for w, _ in sig):
+        elif not any(nums):
             raise StructuralError("node %d is dead (all weights 0)" % i)
         if sig.count(sig[0]) == len(sig):
             raise StructuralError("node %d is redundant" % i)
@@ -324,8 +331,8 @@ def loads(text):
         if pos > prev_pos or (pos == prev_pos and sig <= prev_sig):
             raise StructuralError("node %d is out of canonical order" % i)
         prev_pos, prev_sig = pos, sig
-        index[fields[0]] = i
-        nodes.append(table.intern(var, tuple(arcs)))
+        index[fields[1]] = i
+        nodes.append(intern(var, tuple(zip(nums, kids_of))))
         pos_of.append(pos)
         end_of.append(stop)
 
@@ -338,8 +345,13 @@ def loads(text):
         root_ids = [index[r] for r in rtoks]
     except KeyError:
         raise ParseError("bad root list", lineno)
-    if not unrelated(root_ids, 0, n):
-        raise StructuralError("roots must be unrelated and in DFS order")
+    # roots pairwise unrelated and in DFS order
+    low = 0
+    for c in root_ids:
+        if pos_of[c] < low:
+            raise StructuralError("roots must be unrelated and in DFS order")
+        low = end_of[c]
+        used[c] = 1
     unused = used.find(0)
     if unused >= 0:
         raise StructuralError("node %d is unreachable" % unused)

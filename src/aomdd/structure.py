@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 
 from .errors import StructuralError
 
 
-@dataclass(frozen=True)
 class PrimalGraph:
     """Undirected graph over variable ids 0..n-1, no self loops."""
 
-    n: int
-    adj: tuple  # tuple of frozensets
+    __slots__ = ("n", "adj")
+
+    def __init__(self, n, adj):
+        self.n = n
+        self.adj = adj  # tuple of frozensets
 
     def edges(self):
         return {(u, v) for u in range(self.n) for v in self.adj[u] if u < v}
@@ -143,7 +144,6 @@ def _check_permutation(n, order):
         raise StructuralError("order is not a permutation of 0..%d" % (n - 1))
 
 
-@dataclass(eq=False)
 class PseudoTree:
     """Rooted tree over all variables with the backarc property.
 
@@ -154,14 +154,22 @@ class PseudoTree:
     ``dfs_order[dfs_index[v]:subtree_end[v]]``.
     """
 
-    parent: tuple
-    children: tuple
-    root: int
-    dfs_order: tuple
-    dfs_index: tuple
-    depth_of: tuple
-    subtree_end: tuple
-    context: tuple = None
+    __slots__ = (
+        "parent", "children", "root", "dfs_order", "dfs_index", "depth_of", "subtree_end",
+        "context",
+    )
+
+    def __init__(
+        self, parent, children, root, dfs_order, dfs_index, depth_of, subtree_end, context=None
+    ):
+        self.parent = parent
+        self.children = children
+        self.root = root
+        self.dfs_order = dfs_order
+        self.dfs_index = dfs_index
+        self.depth_of = depth_of
+        self.subtree_end = subtree_end
+        self.context = context
 
     @property
     def n(self):

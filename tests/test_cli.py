@@ -506,7 +506,26 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setitem(cli._COMMANDS, "dot", broken)
     assert main(["dot", str(tmp_path / "any.aomdd")]) == 4
-    assert "error: internal: RuntimeError: boom" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: internal: RuntimeError: boom" in err
+    assert "Traceback (most recent call last)" in err and 'raise RuntimeError("boom")' in err
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # every command starts a new interpreter; these modules come with
+    # dataclasses and traceback, and cost each command its start-up time
+    src = os.path.dirname(os.path.dirname(aomdd.__file__))
+    code = (
+        "import sys; before = set(sys.modules); import aomdd.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+    )
+    added = set(proc.stdout.split())
+    assert "aomdd.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "traceback"}
 
 
 def test_empty_model_exit_code(tmp_path, capsys):

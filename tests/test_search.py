@@ -226,6 +226,47 @@ def test_bcp_root_conflict_compiles_to_zero():
         assert dumps(pruned) == dumps(plain)
 
 
+class _Logged:
+    """A trail hook that logs each call with its verdict, and each undo."""
+
+    def __init__(self, model):
+        self.hook = bcp_hook(model)
+        self.log = []
+
+    def __call__(self, var, val):
+        verdict = self.hook(var, val)
+        self.log.append((var, val, verdict))
+        return verdict
+
+    def undo(self):
+        self.hook.undo()
+        self.log.append("undo")
+
+
+def test_cache_lookup_before_the_generator_keeps_the_trace():
+    # the compiler looks a child's cache up before it makes the child's
+    # generator; the reference makes one per child and looks up inside it
+    workloads = bench_workloads()
+    models = [
+        parse_uai(workloads.grid(1, side=6).model_text),
+        parse_dimacs_cnf(workloads.cnf(1, n=16, m=48).model_text),
+    ] + _hook_corpus()
+    hits = rejects = 0
+    for m in models:
+        got, want = compile_search(m), search_reference.compile_search(m)
+        assert got.stats == want.stats
+        assert dumps(got) == dumps(want)
+        hits += sum(got.stats.cache_hits.values())
+        logged = _Logged(m), _Logged(m)
+        got = compile_search(m, hook=logged[0])
+        want = search_reference.compile_search(m, hook=logged[1])
+        assert got.stats == want.stats
+        assert logged[0].log == logged[1].log
+        assert dumps(got) == dumps(want)
+        rejects += sum(entry != "undo" and not entry[2] for entry in logged[0].log)
+    assert hits > 0 and rejects > 0
+
+
 def test_bcp_chain_trace_and_bytes_unchanged():
     # every value of a chain variable is consistent, so pruning rejects
     # nothing; the stateless hook took about 6 s on this chain

@@ -1,12 +1,13 @@
-import dataclasses
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from aomdd import (
     ParseError,
     StructuralError,
+    bcp_hook,
     build_primal_graph,
     chain_pseudo_tree,
     compile_be,
@@ -26,8 +27,10 @@ from aomdd import (
 )
 from aomdd import model
 from aomdd.cli import main
+from aomdd.diagram import Aomdd
 from aomdd.structure import compute_contexts
 
+import serialize_reference
 from conftest import bench_workloads, random_model, seeded_rng
 
 # dumps of a one-variable model with unary table [1/2, 3/2]
@@ -163,7 +166,7 @@ def test_compiling_along_a_loaded_tree():
 def test_structural_equal_on_one_table(example_model, example_tree):
     a = compile_search(example_model, example_tree)
     assert structural_equal(a, a)
-    assert not structural_equal(a, dataclasses.replace(a, roots=()))
+    assert not structural_equal(a, Aomdd(a.tree, a.domains, (), a.constant, a.table, a.weighted))
 
 
 def test_terminal_round_trip():
@@ -227,6 +230,7 @@ def test_loads_rejects_unreachable_record():
     "arcs",
     [
         "2/8:. 3/4:.",
+        "1/4:. 5/4:.",  # one denominator, but the weights do not sum to 1
         "0.25:. 3/4:.",
         "1/4:. 0.75:.",
         "-1:. 2:.",
@@ -401,6 +405,94 @@ def test_loads_mutation_fuzz():
         assert sum_over(d) == sum(values)
         assert count_solutions(d) == sum(1 for v in values if v)
     assert accepted > 0
+
+
+def _read_with(reader, text):
+    """The error class ``reader`` raises on ``text``, or the parts of its diagram."""
+    try:
+        d = reader(text)
+    except (ParseError, StructuralError) as exc:
+        return type(exc)
+    return (
+        [(u.var, [(w, [c.uid for c in kids]) for w, kids in u.arcs], u.uid)
+         for u in d.table.all_nodes()],
+        len(d.table),
+        d.table.created_per_var,
+        [getattr(d.tree, name) for name in TREE_FIELDS + ("context",)],
+        [u.uid for u in d.roots],
+        (d.constant, type(d.constant)),
+        d.domains,
+        d.weighted,
+    )
+
+
+def _reader_corpus():
+    """Valid files: search, BE and bcp compiles, random models, terminal diagrams."""
+    models = _loaded_tree_models()
+    # 3-valued variables whose records spell arcs over unequal denominators
+    models.append(make_model([3, 3], [((0,), [1, 2, 5]), ((0, 1), [1, 1, 2, 3, 1, 0, 0, 4, 4])]))
+    # terminal diagrams: always 0, and a constant
+    models.append(parse_dimacs_cnf("p cnf 1 2\n1 0\n-1 0\n"))
+    models.append(make_model([2, 3], [((), [Fraction(2, 3)])]))
+    texts = []
+    for m in models:
+        texts.append(dumps(compile_search(m)))
+        texts.append(dumps(compile_be(m)))
+        texts.append(dumps(compile_search(m, hook=bcp_hook(m))))
+    return texts
+
+
+def _unequal_denominators(text):
+    return any(
+        len({tok.split(":")[0].partition("/")[2] for tok in line.split()[3:]}) > 1
+        for line in text.splitlines()
+        if line.startswith("n ")
+    )
+
+
+def test_loads_matches_the_reference_on_valid_files():
+    texts = _reader_corpus()
+    for text in texts:
+        got = _read_with(loads, text)
+        assert got == _read_with(serialize_reference.loads, text)
+        assert isinstance(got, tuple)
+    assert sum(map(_unequal_denominators, texts)) > 0
+    assert sum("roots .\n" in text for text in texts) >= 2
+
+
+def _renumber(text, rng):
+    """Give one ``n/d`` weight another numerator over the same denominator."""
+    lines = text.splitlines()
+    arcs = [
+        (i, j) for i, l in enumerate(lines) if l.startswith("n ")
+        for j, t in enumerate(l.split()) if "/" in t
+    ]
+    if not arcs:
+        return None
+    i, j = rng.choice(arcs)
+    fields = lines[i].split()
+    w, kids = fields[j].split(":")
+    den = int(w.partition("/")[2])
+    num = 0
+    while gcd(num, den) != 1:
+        num = rng.randrange(1, 2 * den)
+    fields[j] = "%d/%d:%s" % (num, den, kids)
+    lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def test_loads_matches_the_reference_on_mutants():
+    rng = seeded_rng(98)
+    texts = _reader_corpus()
+    outcomes = set()
+    for k in range(2000):
+        mutant = (_mutate if k % 4 else _renumber)(rng.choice(texts), rng)
+        if mutant is None:
+            continue
+        want = _read_with(serialize_reference.loads, mutant)
+        assert _read_with(loads, mutant) == want
+        outcomes.add(want if isinstance(want, type) else "accepted")
+    assert outcomes == {ParseError, StructuralError, "accepted"}
 
 
 def test_loads_rejects_bad_weight_in_constraint_mode(example_model, example_tree):
