@@ -18,7 +18,13 @@ bucket is done no node of ``X`` will be made again, and the table
 closes ``X``'s level; reference counting then frees the message nodes,
 intermediate products and chain diagrams that the final diagram does
 not use.  The APPLY memo lives for one ``apply_fragments`` call: it
-keys by ``id()``, and ids of freed nodes are reused.  Internally a diagram
+keys by ``id()``, and ids of freed nodes are reused.
+
+APPLY runs one trampoline generator per node product, ``_apply_node``.
+Its arc loop combines the two child lists itself: ``_groups`` pairs
+them, deciding two single nodes by one DFS-interval test instead of
+``group_descendants``' sort, and the memo is read before a subcall is
+made, so a hit costs one dict lookup and no generator.  Internally a diagram
 fragment is carried as a ``(constant, nodes)`` pair — the same shape
 ``make_node`` returns — where ``nodes`` is a DFS-ordered tuple with at
 most one node per pseudo-tree branch.
@@ -109,20 +115,43 @@ def group_descendants(list_f, list_g, tree):
     return groups
 
 
-def _apply_node(v1, zs, tree, memo, table):
+def _groups(list_f, list_g, tree):
+    """``group_descendants`` of two node lists; two single nodes skip the sort.
+
+    Two single nodes are grouped by one DFS-interval test: the g-node
+    joins the f-node's group when it lies in ``[dfs_index, subtree_end)``
+    of the f-node's variable (equal variables included), the f-node
+    joins the g-node's when it lies strictly inside the g-node's
+    interval, and otherwise they are two singleton groups in DFS order.
+    """
+    if len(list_f) == 1 == len(list_g):
+        x, y = list_f[0], list_g[0]
+        pos, end = tree.dfs_index, tree.subtree_end
+        px, py = pos[x.var], pos[y.var]
+        if px <= py < end[x.var]:
+            return ((x, list_g),)
+        if py < px < end[y.var]:
+            return ((y, list_f),)
+        return ((x, ()), (y, ())) if px < py else ((y, ()), (x, ()))
+    return group_descendants(list_f, list_g, tree)
+
+
+def _apply_node(v1, zs, key, tree, memo, table):
     """APPLY of one head node against a list of pairwise-unrelated nodes.
 
-    Generator (driven by the trampoline) returning ``(num, den, nodes)``:
-    the product function is ``num / den`` (in lowest terms) times the
-    functions of ``nodes``.  Arc weights multiply as integers; the node
-    sums that normalize ``v1`` (and ``z``) go into ``den`` once, and the
-    arcs' child constants are brought to their lcm denominator, so
-    ``make_node`` sees integers and no arc is divided.
+    Generator (driven by the trampoline) returning ``(num, den, nodes)``
+    and storing it in ``memo`` under ``key``: the product function is
+    ``num / den`` (in lowest terms) times the functions of ``nodes``.
+    Arc weights multiply as integers; the node sums that normalize ``v1``
+    (and ``z``) go into ``den`` once, and the arcs' child constants are
+    brought to their lcm denominator, so ``make_node`` sees integers and
+    no arc is divided.
+
+    Each arc whose two sides both hold nodes combines its two child lists
+    here: ``_groups`` pairs them, and each group with members is read
+    from ``memo`` first, so only a miss yields a subcall (one generator
+    per product; a zero product ends the arc).
     """
-    key = (id(v1),) + tuple(id(z) for z in zs)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
     same = len(zs) == 1 and zs[0].var == v1.var
     den = node_total(v1, table.weighted)
     if same:
@@ -140,8 +169,24 @@ def _apply_node(v1, zs, tree, memo, table):
         elif not children:
             parts.append((w, 1, tuple(others)))
         else:
-            num, q, children = yield _combine_lists(children, others, tree, memo, table)
-            parts.append((w * num, q, children))
+            num = q = 1
+            out = []
+            for head, members in _groups(children, others, tree):
+                if not members:
+                    out.append(head)
+                    continue
+                sub = (id(head), *map(id, members))
+                result = memo.get(sub)
+                if result is None:
+                    result = yield _apply_node(head, members, sub, tree, memo, table)
+                p, r, nodes = result
+                if p == 0:
+                    num, q, out = 0, 1, ()
+                    break
+                num *= p
+                q *= r
+                out.extend(nodes)
+            parts.append((w * num, q, tuple(out)))
     common = lcm(*[q for _, q, _ in parts])
     arcs = [(w * (common // q), children) if w else (0, ()) for w, q, children in parts]
     const, nodes = make_node(v1.var, arcs, table)
@@ -152,35 +197,34 @@ def _apply_node(v1, zs, tree, memo, table):
     return result
 
 
-def _combine_lists(list_f, list_g, tree, memo, table):
-    """Product of two node lists; generator returning (num, den, nodes)."""
-    num = den = 1
-    out = []
-    for head, members in group_descendants(list_f, list_g, tree):
-        if not members:
-            out.append(head)
-            continue
-        p, q, nodes = yield _apply_node(head, members, tree, memo, table)
-        if p == 0:
-            return 0, 1, ()
-        num *= p
-        den *= q
-        out.extend(nodes)
-    return num, den, tuple(out)
-
-
 def apply_fragments(a, b, tree, table):
     """Product of two (constant, nodes) fragments.
 
     The memo of node pairs lives for this call only, while the operands
-    keep every keyed node alive.
+    keep every keyed node alive.  The top-level groups lie in unrelated
+    subtrees, so none of them is a memo hit; each runs on its own
+    trampoline.
     """
     ca, na = a
     cb, nb = b
     if ca == 0 or cb == 0:
         return 0, ()
-    num, den, nodes = run(_combine_lists(na, nb, tree, {}, table))
-    return ca * cb * ratio(num, den), nodes
+    memo = {}
+    num = den = 1
+    out = []
+    for head, members in _groups(na, nb, tree):
+        if not members:
+            out.append(head)
+            continue
+        key = (id(head), *map(id, members))
+        p, q, nodes = run(_apply_node(head, members, key, tree, memo, table))
+        if p == 0:
+            num, den, out = 0, 1, ()
+            break
+        num *= p
+        den *= q
+        out.extend(nodes)
+    return ca * cb * ratio(num, den), tuple(out)
 
 
 @collector_paused()

@@ -130,18 +130,19 @@ def normalize_arcs(arcs):
     value ``total * n_i / sum(n)``.  An all-zero arc set signals the
     terminal 0: returns ``(None, 0)``.
     """
-    total = sum(w for w, _ in arcs)
+    weights = [w for w, _ in arcs]
+    total = sum(weights)
     if total == 0:
         return None, total
-    g = gcd(*[w for w, _ in arcs])
+    g = gcd(*weights)
     if g != 1:
-        arcs = tuple((w // g, children) for w, children in arcs)
+        arcs = tuple([(w // g, children) for w, children in arcs])
     return arcs, total
 
 
 def node_total(node, weighted):
     """Denominator of a node's arc values: its weight sum, or 1 in constraint mode."""
-    return sum(w for w, _ in node.arcs) if weighted else 1
+    return sum([w for w, _ in node.arcs]) if weighted else 1
 
 
 def ratio(num, den):
@@ -170,7 +171,7 @@ def make_node(var, arcs, table):
             % (var, len(arcs), table.domains[var])
         )
     first = arcs[0]
-    if all(a == first for a in arcs[1:]):  # redundant, or dead when all 0
+    if arcs.count(first) == len(arcs):  # redundant, or dead when all 0
         return first
     if table.weighted:
         arcs, total = normalize_arcs(arcs)

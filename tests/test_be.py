@@ -204,24 +204,67 @@ def test_tree_schedule_matches_ordering_schedule_on_bench_workloads():
 
 
 def test_group_descendants_matches_reference(monkeypatch):
+    # every grouping APPLY makes goes through ``_groups``, whose pair path
+    # decides two single nodes without ``group_descendants``
     calls = 0
+    pairs = 0
 
-    def checked(list_f, list_g, tree):
-        nonlocal calls
-        groups = group_descendants(list_f, list_g, tree)
-        expected = be_reference.group_descendants(list_f, list_g, tree)
-        shape = [(id(h), [id(x) for x in members]) for h, members in groups]
-        assert shape == [(id(h), [id(x) for x in members]) for h, members in expected]
-        calls += 1
-        return groups
+    def checking(group):
+        def checked(list_f, list_g, tree):
+            nonlocal calls, pairs
+            groups = group(list_f, list_g, tree)
+            expected = be_reference.group_descendants(list_f, list_g, tree)
+            shape = [(id(h), [id(x) for x in members]) for h, members in groups]
+            assert shape == [(id(h), [id(x) for x in members]) for h, members in expected]
+            calls += 1
+            pairs += len(list_f) == 1 == len(list_g)
+            return groups
 
-    monkeypatch.setattr(be_compiler, "group_descendants", checked)
+        return checked
+
+    monkeypatch.setattr(be_compiler, "group_descendants", checking(group_descendants))
+    monkeypatch.setattr(be_compiler, "_groups", checking(be_compiler._groups))
     rng = seeded_rng(53)
     models = [random_model(rng, weighted=rng.random() < 0.5) for _ in range(60)]
     models.append(queens_model(5))
     for m in models:
         compile_be(m)
     assert calls > 1000
+    assert pairs > 1000
+
+
+def test_apply_enters_each_memo_key_once(monkeypatch):
+    # on this 3-CNF APPLY meets node pairs again; a memo hit makes no subcall
+    workload = bench_workloads().cnf(1, 26, 78)
+    model = parse_dimacs_cnf(workload.model_text)
+    entered = []
+    needed = 0
+    apply_fragments_, apply_node, groups_ = (
+        be_compiler.apply_fragments, be_compiler._apply_node, be_compiler._groups
+    )
+
+    def per_apply(a, b, tree, table):
+        entered.append([])  # ids are reused across calls, never within one
+        return apply_fragments_(a, b, tree, table)
+
+    def node(v1, zs, *rest):
+        entered[-1].append((id(v1), *map(id, zs)))
+        return apply_node(v1, zs, *rest)
+
+    def groups(list_f, list_g, tree):
+        nonlocal needed
+        result = groups_(list_f, list_g, tree)
+        needed += sum(1 for _, members in result if members)
+        return result
+
+    monkeypatch.setattr(be_compiler, "apply_fragments", per_apply)
+    monkeypatch.setattr(be_compiler, "_apply_node", node)
+    monkeypatch.setattr(be_compiler, "_groups", groups)
+    compiled = compile_be(model)
+    assert dumps(compiled) == dumps(compile_search(model, compiled.tree))
+    for keys in entered:
+        assert len(keys) == len(set(keys))
+    assert needed > sum(map(len, entered)) > 0
 
 
 def _workload_and_tree(name):
