@@ -17,7 +17,8 @@ child's message reaches into each child's subtree.  So once ``X``'s
 bucket is done no node of ``X`` will be made again, and the table
 closes ``X``'s level; reference counting then frees the message nodes,
 intermediate products and chain diagrams that the final diagram does
-not use.  The APPLY memo lives for one ``apply_fragments`` call: it
+not use.  The levels stay closed: the returned table serves only its
+counters.  The APPLY memo lives for one ``apply_fragments`` call: it
 keys by ``id()``, and ids of freed nodes are reused.
 
 APPLY runs one trampoline generator per node product, ``_apply_node``.
@@ -48,7 +49,6 @@ from .diagram import (
     make_node,
     node_total,
     ratio,
-    reachable_nodes,
 )
 from .model import WEIGHTED, integer_tables
 from .structure import (
@@ -239,7 +239,8 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     degenerate chain along ``d`` (MDD/OBDD mode).
 
     Each variable's level of the unique table is closed when its bucket
-    is done; the returned table is reopened with the diagram's nodes.
+    is done, and the returned table stays closed: interning into it
+    raises, and it serves only its counters.
     """
     if tree is None:
         g = build_primal_graph(model)
@@ -272,6 +273,4 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     constant = const * factor
     if constant == 0:
         nodes = ()
-    diagram = Aomdd(tree, domains, tuple(nodes), constant, table, weighted, None)
-    table.reopen(reachable_nodes(diagram))
-    return diagram
+    return Aomdd(tree, domains, tuple(nodes), constant, table, weighted, None)

@@ -49,8 +49,10 @@ class MetaNode:
 class UniqueTable:
     """Per-compilation arena interning meta-nodes, one dict per variable.
 
-    Each variable's dict is keyed by the arc tuple; uids come from one
-    counter, so creation order is children first across all variables.
+    Compile-time state: the compilers hash-cons through it, and once a
+    diagram is built nothing reads it but its counters.  Each variable's
+    dict is keyed by the arc tuple; uids come from one counter, so
+    creation order is children first across all variables.
     ``close(var)`` drops a variable's dict once no more nodes will be
     made there, which lets reference counting free the dead ones;
     interning at a closed variable raises.  ``len`` counts every node
@@ -89,16 +91,6 @@ class UniqueTable:
     def close(self, var):
         """Intern nothing more at ``var``; forget the nodes interned there."""
         self._levels[var] = None
-
-    def reopen(self, nodes):
-        """Open every variable again, holding exactly ``nodes``."""
-        self._levels = [{} for _ in self.domains]
-        for u in nodes:
-            self._levels[u.var][u.arcs] = u
-
-    def find(self, var, arcs):
-        """The node interned under ``(var, arcs)``, or None; creates nothing."""
-        return self._levels[var].get(arcs)
 
     def all_nodes(self):
         """The nodes of the open variables, in creation order."""
@@ -186,7 +178,9 @@ class Aomdd:
     ``roots`` may hold several nodes when the root variable itself
     reduced away; an empty tuple is a terminal diagram (constant
     function).  ``constant`` is 0 exactly for the always-zero function.
-    ``stats`` is the search compiler's ``CompileStats``, else None.
+    ``table`` is the compiler's unique table, kept for its counters, and
+    None for a loaded diagram.  ``stats`` is the search compiler's
+    ``CompileStats``, else None.
     """
 
     __slots__ = ("tree", "domains", "roots", "constant", "table", "weighted", "stats")
@@ -204,10 +198,11 @@ class Aomdd:
 def reachable_nodes(diagram):
     """All meta-nodes reachable from the roots, each after its children.
 
-    ``intern`` creates a node only once its children exist, so the
-    table's creation order (``uid``) restricted to the reachable set is
-    children first.  Sorting the reachable set costs O(r log r), not a
-    pass over a table that may hold many more dead nodes.
+    A node's ``uid`` is above its children's (``intern`` creates a node
+    only once its children exist, and ``loads`` numbers the records
+    children first), so sorting by ``uid`` puts children first.  Sorting
+    the reachable set costs O(r log r), not a pass over a table that may
+    hold many more dead nodes.
     """
     seen = set()
     stack = list(diagram.roots)
@@ -243,37 +238,41 @@ def count_stats(diagram):
 def structural_equal(a, b):
     """Exact equality of two AOMDDs over the same pseudo tree, domains and mode.
 
-    Canonical diagrams are equal exactly when they are the same nodes of
-    one unique table.  With a shared table this is root identity; across
-    tables each of ``b``'s nodes, children first, is looked up in ``a``'s
-    table under the image of its key, creating nothing: one lookup per
-    node of ``b``.
+    Canonical diagrams are equal exactly when their reachable nodes
+    correspond one to one under equal ``(var, arcs)`` keys.  One path for
+    every pair, whatever made the two diagrams: ``a``'s reachable nodes
+    go into one dict under that key, and each of ``b``'s nodes, children
+    first, is looked up there under the image of its key: O(|a| + |b|)
+    dict operations.
     """
     if a.tree != b.tree or a.domains != b.domains or a.weighted != b.weighted:
         raise StructuralError("diagrams have different pseudo trees, domains or modes")
     if a.constant != b.constant:
         return False
-    if a.table is b.table:
-        return a.roots == b.roots
+    nodes_of_a = {(u.var, u.arcs): u for u in reachable_nodes(a)}
     image = {}  # a node with no counterpart in ``a`` maps to None, as do its ancestors
     for v in reachable_nodes(b):
-        image[v] = a.table.find(
-            v.var, tuple((w, tuple(image[c] for c in ch)) for w, ch in v.arcs)
+        image[v] = nodes_of_a.get(
+            (v.var, tuple((w, tuple(image[c] for c in ch)) for w, ch in v.arcs))
         )
     return tuple(image[r] for r in b.roots) == a.roots
 
 
-def check_reduced(table):
-    """Assert the unique-table invariants: no isomorphic pair, no redundant node.
+def check_reduced(nodes):
+    """Assert the reduced-diagram invariants: no isomorphic pair, no redundant node.
 
-    Isomorphism freedom is structural (the table is keyed by the full
-    arc tuple, which is canonical because every weight is a non-negative
-    ``int`` and each node's weights have gcd 1); redundancy freedom, the
-    weight form and children-first creation (every child's ``uid`` below
-    its parent's, which the bottom-up traversals rely on) are re-checked
-    per node.
+    ``nodes`` is any iterable of meta-nodes: a search table's
+    ``all_nodes()``, or a diagram's ``reachable_nodes``.  Two nodes are
+    isomorphic exactly when they share ``(var, arcs)``, because the arc
+    tuple is canonical: every weight is a non-negative ``int`` and each
+    node's weights have gcd 1.  Redundancy freedom, the weight form and
+    children-first creation (every child's ``uid`` below its parent's,
+    which the bottom-up traversals rely on) are checked per node.
     """
-    for node in table.all_nodes():
+    nodes = list(nodes)
+    if len({(u.var, u.arcs) for u in nodes}) != len(nodes):
+        raise AssertionError("isomorphic meta-nodes survived")
+    for node in nodes:
         first = node.arcs[0]
         if all(a == first for a in node.arcs[1:]):
             raise AssertionError("redundant meta-node survived: %r" % node)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import itemgetter
 
-from .diagram import Aomdd, UniqueTable, node_total, ratio, reachable_nodes
+from .diagram import Aomdd, MetaNode, node_total, ratio, reachable_nodes
 from .diagram import make_node  # noqa: F401  (bench/tracing.py wraps serialize.make_node)
 from .errors import ParseError, StructuralError
 from .model import CONSTRAINT, WEIGHTED, _lines
@@ -190,10 +190,11 @@ def loads(text):
     - every record is a child of a later record or a root, and the
       roots are pairwise unrelated and in DFS order.
 
-    The signature order makes every record new, so each node is interned
-    into a fresh unique table exactly once and keeps its record id as uid.
-    A weighted node stores ``num_i * L / den_i``: reduced fractions that
-    sum to 1 scale to integers with gcd 1, the compilers' primitive form.
+    The signature order makes every record new, so each record becomes
+    one ``MetaNode`` with its record id as uid, and no unique table is
+    built: the diagram's ``table`` is None.  A weighted node stores
+    ``num_i * L / den_i``: reduced fractions that sum to 1 scale to
+    integers with gcd 1, the compilers' primitive form.
     """
     it = _lines(text)
 
@@ -252,8 +253,6 @@ def loads(text):
         weights[tok] = w = num, den
         return w
 
-    table = UniqueTable(weighted, domains)
-    intern = table.intern
     dfs_index, subtree_end = tree.dfs_index, tree.subtree_end
     index = {}  # record id token -> record id
     child_id = index.__getitem__
@@ -332,7 +331,7 @@ def loads(text):
             raise StructuralError("node %d is out of canonical order" % i)
         prev_pos, prev_sig = pos, sig
         index[fields[1]] = i
-        nodes.append(intern(var, tuple(zip(nums, kids_of))))
+        nodes.append(MetaNode(var, tuple(zip(nums, kids_of)), i))
         pos_of.append(pos)
         end_of.append(stop)
 
@@ -365,5 +364,5 @@ def loads(text):
     if next(it, None) is not None:
         raise ParseError("trailing records after 'constant'")
     return Aomdd(
-        tree, domains, tuple(nodes[r] for r in root_ids), constant, table, weighted, None
+        tree, domains, tuple(nodes[r] for r in root_ids), constant, None, weighted, None
     )

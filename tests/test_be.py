@@ -140,7 +140,8 @@ def test_apply_clause_product():
 
 
 def test_apply_squares_constraints(example_model, example_tree):
-    a = compile_be(example_model, d=list(range(8)), tree=example_tree)
+    # APPLY interns into the search compile's table, which stays open
+    a = compile_search(example_model, example_tree)
     fragment = (a.constant, a.roots)
     # squaring a 0/1 function is the identity
     assert apply_fragments(fragment, fragment, example_tree, a.table) == fragment
@@ -312,18 +313,22 @@ def test_interning_at_a_closed_level_raises():
     assert [u.var for u in table.all_nodes()] == [0]
 
 
-def test_be_returns_a_table_of_exactly_the_diagram():
+def test_be_returns_its_table_closed():
     rng = seeded_rng(61)
-    compiled = [compile_be(random_model(rng, weighted=i % 2 == 0)) for i in range(40)]
-    model, tree = _workload_and_tree("grid")
-    compiled.append(compile_be(model, tree=tree))
-    for d in compiled:
-        nodes = reachable_nodes(d)
-        assert d.table.all_nodes() == nodes
-        assert check_reduced(d.table)
-        assert len(d.table) == sum(d.table.created_per_var.values()) >= len(nodes)
-        # the table serves lookups and further interning as a search table does
-        assert all(d.table.find(u.var, u.arcs) is u for u in nodes)
-        before = len(d.table)
-        assert all(d.table.intern(u.var, u.arcs) is u for u in nodes)
-        assert len(d.table) == before
+    models = [random_model(rng, weighted=i % 2 == 0) for i in range(40)]
+    models.append(_workload_and_tree("grid")[0])
+    for model in models:
+        g = build_primal_graph(model)
+        d = min_fill_ordering(g)
+        tree = generate_pseudo_tree(g, d)
+        compiled = compile_be(model, tree=tree)
+        table = compiled.table
+        assert check_reduced(reachable_nodes(compiled))
+        # every level is closed: the table serves only its counters
+        assert table.all_nodes() == []
+        for var in range(len(model.domains)):
+            with pytest.raises(RuntimeError, match="closed"):
+                table.intern(var, ((1, ()), (0, ())))
+        reference = be_reference.compile_be(model, d, tree)
+        assert len(table) == sum(table.created_per_var.values()) == len(reference.table)
+        assert table.created_per_var == reference.table.created_per_var

@@ -25,6 +25,7 @@ from aomdd.diagram import (
     check_reduced,
     make_node,
     normalize_arcs,
+    reachable_nodes,
 )
 from aomdd.errors import ResourceLimitError
 
@@ -134,7 +135,7 @@ def test_example_counts(example_model, example_tree):
     stats = count_stats(compiled)
     assert stats["total_meta_nodes"] == 18
     assert stats["total_edges"] == 47
-    check_reduced(compiled.table)
+    check_reduced(compiled.table.all_nodes())
 
 
 def test_structural_equal_across_tables():
@@ -168,20 +169,40 @@ def _one_entry_changed(model, rng):
     return make_model(model.domains, functions, kind=model.kind)
 
 
-def test_structural_equal_matches_reference():
+def _structural_equal_pairs():
+    """100 seeded ``(a, b, changed)`` triples: ``b`` equals ``a``, ``changed`` may not."""
     rng = seeded_rng(10)
-    changed_verdicts = set()
     for i in range(100):
         model = random_model(rng, weighted=i % 2 == 0)
         a = compile_search(model)
         b = compile_be(model, tree=a.tree)
-        changed = compile_search(_one_entry_changed(model, rng), a.tree)
+        yield a, b, compile_search(_one_entry_changed(model, rng), a.tree)
+
+
+def test_structural_equal_matches_reference():
+    changed_verdicts = set()
+    for a, b, changed in _structural_equal_pairs():
         for x, y in ((a, b), (a, changed), (loads(dumps(changed)), a)):
             verdict = structural_equal(x, y)
             assert verdict == structural_equal(y, x) == ref.structural_equal(x, y)
         assert structural_equal(a, b)
         changed_verdicts.add(structural_equal(a, changed))
     assert changed_verdicts == {True, False}
+
+
+def test_structural_equal_on_two_loaded_diagrams():
+    # the pairs above, both sides loaded: neither has a unique table.
+    # Not checked against ``ref``, whose table shortcut needs real tables.
+    for a, b, changed in _structural_equal_pairs():
+        for x, y in ((a, b), (a, changed)):
+            verdict = structural_equal(x, y)
+            loaded_x = loads(dumps(x))
+            text = dumps(y)
+            reflowed = text.replace(" ", "  \t").replace("\n", " \n\n")
+            for loaded_y in (loads(text), loads(reflowed)):
+                assert loaded_x.table is loaded_y.table is None
+                assert structural_equal(loaded_x, loaded_y) == verdict
+                assert structural_equal(loaded_y, loaded_x) == verdict
 
 
 def test_structural_equal_mode_mismatch():
@@ -300,17 +321,17 @@ def test_check_reduced_enforces_primitive_integers():
     for weighted in (False, True):
         rng = seeded_rng(8)
         for _ in range(10):
-            assert check_reduced(compile_search(random_model(rng, weighted)).table)
+            assert check_reduced(compile_search(random_model(rng, weighted)).table.all_nodes())
     table = UniqueTable(weighted=True, domains=(2, 2))
     table.intern(0, ((1, ()), (2, ())))
-    assert check_reduced(table)
+    assert check_reduced(table.all_nodes())
     table.intern(1, ((2, ()), (4, ())))  # gcd 2: not the primitive vector
     with pytest.raises(AssertionError, match="gcd 2"):
-        check_reduced(table)
+        check_reduced(table.all_nodes())
     table = UniqueTable(weighted=True, domains=(2,))
     table.intern(0, ((Fraction(1, 3), ()), (Fraction(2, 3), ())))
     with pytest.raises(AssertionError, match="not a non-negative int"):
-        check_reduced(table)
+        check_reduced(table.all_nodes())
 
 
 def test_check_reduced_enforces_children_first():
@@ -318,13 +339,21 @@ def test_check_reduced_enforces_children_first():
     for i in range(20):
         model = random_model(rng, weighted=i % 2 == 0)
         a = compile_search(model)
-        for d in (a, compile_be(model, tree=a.tree), loads(dumps(a))):
-            assert check_reduced(d.table)
-    table = UniqueTable(weighted=False, domains=(2, 2))
-    orphan = MetaNode(1, ((0, ()), (1, ())), 5)  # never interned, uid past the table
-    table.intern(0, ((0, ()), (1, (orphan,))))
+        assert check_reduced(a.table.all_nodes())
+        for d in (compile_be(model, tree=a.tree), loads(dumps(a))):
+            assert check_reduced(reachable_nodes(d))
+    orphan = MetaNode(1, ((0, ()), (1, ())), 5)  # uid past its parent's
     with pytest.raises(AssertionError, match="not created before"):
-        check_reduced(table)
+        check_reduced([MetaNode(0, ((0, ()), (1, (orphan,))), 0)])
+
+
+def test_check_reduced_enforces_no_isomorphic_pair():
+    low = MetaNode(1, ((0, ()), (1, ())), 0)
+    assert check_reduced([low, MetaNode(0, ((1, (low,)), (0, ())), 1)])
+    # two hand-built nodes with one key: no dict keying stops them
+    twin = MetaNode(1, ((0, ()), (1, ())), 1)
+    with pytest.raises(AssertionError, match="isomorphic"):
+        check_reduced([low, twin])
 
 
 def _assert_same_as_reference(a, b):
@@ -362,4 +391,4 @@ def test_integer_form_matches_fraction_reference_on_grid(monkeypatch):
         model = parse_uai(workloads.grid(seed).model_text)
         a = compile_search(model)
         _assert_same_as_reference(a, ref.compile_reference(monkeypatch, model))
-        check_reduced(a.table)
+        check_reduced(a.table.all_nodes())

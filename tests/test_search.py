@@ -20,7 +20,7 @@ from aomdd import (
     structural_equal,
     sum_over,
 )
-from aomdd.diagram import check_reduced
+from aomdd.diagram import check_reduced, reachable_nodes
 from aomdd.errors import ResourceLimitError
 from aomdd.model import full_assignments
 from aomdd.search_compiler import integer_tables
@@ -335,8 +335,8 @@ def test_table_scaling_edge_cases(monkeypatch):
         a = compile_search(model)
         b = compile_be(model)
         reference = diagram_reference.compile_reference(monkeypatch, model)
-        check_reduced(a.table)
-        check_reduced(b.table)
+        check_reduced(a.table.all_nodes())
+        check_reduced(reachable_nodes(b))
         assert dumps(a) == dumps(b) == diagram_reference.dumps(reference)
         assert a.constant == b.constant == reference.constant
         oracle = brute_force_table(model)

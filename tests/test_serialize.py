@@ -27,7 +27,7 @@ from aomdd import (
 )
 from aomdd import model
 from aomdd.cli import main
-from aomdd.diagram import Aomdd
+from aomdd.diagram import Aomdd, reachable_nodes
 from aomdd.structure import compute_contexts
 
 import serialize_reference
@@ -117,11 +117,13 @@ def test_round_trip_randomized():
         b = loads(dumps(a))
         assert structural_equal(a, b)
         assert dumps(b) == dumps(a)
-        # the loaded table holds every record, interned under its uid
-        nodes = b.table.all_nodes()
-        assert len(b.table) == count_stats(a)["total_meta_nodes"] == len(nodes)
+        # every record is one node whose uid is its record id; no table is built
+        assert b.table is None
+        nodes = reachable_nodes(b)
+        assert len(nodes) == count_stats(a)["total_meta_nodes"]
         assert [u.uid for u in nodes] == list(range(len(nodes)))
-        assert all(b.table.intern(u.var, u.arcs) is u for u in nodes)
+        records = [line.split() for line in dumps(b).splitlines() if line.startswith("n ")]
+        assert [(str(u.uid), str(u.var)) for u in nodes] == [tuple(r[1:3]) for r in records]
 
 
 def test_cross_compiler_bytes(example_model, example_tree):
@@ -413,11 +415,10 @@ def _read_with(reader, text):
         d = reader(text)
     except (ParseError, StructuralError) as exc:
         return type(exc)
+    # every record is reachable: these are the nodes the reference's table holds
     return (
         [(u.var, [(w, [c.uid for c in kids]) for w, kids in u.arcs], u.uid)
-         for u in d.table.all_nodes()],
-        len(d.table),
-        d.table.created_per_var,
+         for u in reachable_nodes(d)],
         [getattr(d.tree, name) for name in TREE_FIELDS + ("context",)],
         [u.uid for u in d.roots],
         (d.constant, type(d.constant)),
