@@ -51,7 +51,13 @@ def _build_parser():
     c.add_argument("--method", choices=["search", "be"], default="search", help="compilation strategy")
     c.add_argument("--order-file", help="file with an explicit variable ordering (whitespace-separated ids)")
     c.add_argument("--chain", action="store_true", help="force a chain pseudo tree (MDD/OBDD mode)")
-    c.add_argument("--prune", choices=["none", "bcp"], default="none", help="pruning for the search method")
+    c.add_argument(
+        "--prune",
+        choices=["none", "bcp"],
+        default="none",
+        help="pruning for the search method; bcp propagates the zero table entries,"
+        " so a model with none compiles as with --prune none",
+    )
     c.add_argument("--seed", type=int, default=0, help="seed for ordering tie-breaks")
     c.add_argument("--mem-cap", type=int, help="abort after this many meta-nodes")
     c.add_argument("--out", help="write the canonical diagram file here")
@@ -132,7 +138,10 @@ def cmd_compile(args):
     tree = chain_pseudo_tree(g, order) if args.chain else generate_pseudo_tree(g, order)
     start = time.perf_counter()
     if args.method == "search":
-        hook = bcp_hook(model) if args.prune == "bcp" else None
+        # without a zero entry there is no nogood, so the hook could
+        # reject nothing and would only cost a call per arc
+        prune = args.prune == "bcp" and any(0 in f.values for f in model.functions)
+        hook = bcp_hook(model) if prune else None
         compiled = compile_search(model, tree, hook=hook, node_cap=args.mem_cap)
     else:
         compiled = compile_be(model, tree=tree, node_cap=args.mem_cap)

@@ -92,11 +92,6 @@ class UniqueTable:
         """Intern nothing more at ``var``; forget the nodes interned there."""
         self._levels[var] = None
 
-    def all_nodes(self):
-        """The nodes of the open variables, in creation order."""
-        nodes = [u for level in self._levels if level for u in level.values()]
-        return sorted(nodes, key=attrgetter("uid"))
-
 
 @contextmanager
 def collector_paused():
@@ -261,8 +256,8 @@ def structural_equal(a, b):
 def check_reduced(nodes):
     """Assert the reduced-diagram invariants: no isomorphic pair, no redundant node.
 
-    ``nodes`` is any iterable of meta-nodes: a search table's
-    ``all_nodes()``, or a diagram's ``reachable_nodes``.  Two nodes are
+    ``nodes`` is any iterable of meta-nodes, such as a diagram's
+    ``reachable_nodes`` or every node one compile made.  Two nodes are
     isomorphic exactly when they share ``(var, arcs)``, because the arc
     tuple is canonical: every weight is a non-negative ``int`` and each
     node's weights have gcd 1.  Redundancy freedom, the weight form and

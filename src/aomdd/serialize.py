@@ -15,8 +15,11 @@ tree with ``structure``'s one tree constructor and checks it against ``dfs``.
 A weighted node holds the primitive integer vector ``n`` of its arc
 weights; the file spells arc ``i`` as the reduced fraction
 ``n_i/sum(n)`` (``str(Fraction)`` spelling), so every record's weights
-sum to 1.  ``loads`` turns the fractions back into integers by scaling
-with the lcm of the record's denominators.
+sum to 1.  Only records of three or more arcs take a gcd to reduce the
+fractions: a two-arc record's ``n0/sum(n)`` and ``n1/sum(n)`` are
+already reduced, since ``n`` is primitive.  ``loads`` turns the
+fractions back into integers by scaling with the lcm of the record's
+denominators.
 
 Format (whitespace-separated ASCII, one record per line)::
 
@@ -47,11 +50,22 @@ from .structure import _finish_tree
 def weight_strs(node, weighted):
     """Each arc's normalized weight spelled as ``str(Fraction)`` spells it.
 
-    One integer gcd per arc reduces ``n_i / sum(n)`` to lowest terms.
+    ``node`` holds a primitive weight vector ``n`` with sum ``T``; arc
+    ``i`` is ``n_i/T`` in lowest terms.  When ``T`` is 1 (every
+    constraint record, and the weighted pairs (0, 1) and (1, 0)) each
+    weight is spelled as an integer.  A two-arc record needs no gcd:
+    ``gcd(n0, T) == gcd(n0, n1) == 1``, so ``n0/T`` and ``n1/T`` are
+    already reduced.  Wider records take one integer gcd per arc.
     """
+    arcs = node.arcs
     total = node_total(node, weighted)
+    if total == 1:
+        return [str(w) for w, _ in arcs]
+    if len(arcs) == 2:
+        den = "/%d" % total
+        return [str(arcs[0][0]) + den, str(arcs[1][0]) + den]
     out = []
-    for w, _ in node.arcs:
+    for w, _ in arcs:
         g = gcd(w, total)
         out.append(str(w // g) if g == total else "%d/%d" % (w // g, total // g))
     return out
@@ -79,7 +93,7 @@ def _records(diagram, by_var, ids):
         for u in by_var.pop(var, ()):
             strs = weight_strs(u, diagram.weighted)
             sig = tuple(
-                (s, tuple(map(ids.__getitem__, ch))) for s, (_, ch) in zip(strs, u.arcs)
+                [(s, tuple(map(ids.__getitem__, ch))) for s, (_, ch) in zip(strs, u.arcs)]
             )
             block.append((sig, u))
         block.sort(key=itemgetter(0))
@@ -106,10 +120,8 @@ def dumps(diagram, file=None):
     write("dfs %s\n" % " ".join(map(str, diagram.tree.dfs_order)))
     write("nodes %d\n" % count)
     for i, (var, sig) in enumerate(records):
-        write(
-            "n %d %d %s\n"
-            % (i, var, " ".join("%s:%s" % (s, ",".join(map(str, kids)) or ".") for s, kids in sig))
-        )
+        arcs = ["%s:%s" % (s, ",".join(map(str, kids)) or ".") for s, kids in sig]
+        write("n %d %d %s\n" % (i, var, " ".join(arcs)))
     write("roots %s\n" % (" ".join(str(ids[r]) for r in diagram.roots) or "."))
     write("constant %s\n" % diagram.constant)
     if file is None:

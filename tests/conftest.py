@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,16 @@ def shuffled_chain_cnf_text(n, seed):
     lines = ["p cnf %d %d" % (n, len(clauses))]
     lines += [" ".join(str(l) for l in c) + " 0" for c in clauses]
     return "\n".join(lines) + "\n"
+
+
+def open_nodes(table):
+    """The nodes interned at a unique table's open variables, in creation order.
+
+    A search compile leaves every variable open, so these are all the
+    nodes it made; a BE compile closes every variable, which leaves none.
+    """
+    nodes = [u for level in table._levels if level for u in level.values()]
+    return sorted(nodes, key=attrgetter("uid"))
 
 
 def seeded_rng(seed):

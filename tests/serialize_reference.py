@@ -1,4 +1,11 @@
-"""The diagram reader as it was before its one-pass rewrite, kept as an oracle.
+"""The diagram writer and reader as they were before their rewrites, kept as oracles.
+
+``aomdd.serialize.weight_strs`` spells a two-arc record as ``n0/T`` and
+``n1/T`` without a gcd, and a record with ``T == 1`` with ``str``;
+``weight_strs`` here is the earlier form, copied verbatim with
+``canonical_records``, ``_records``, ``dumps`` and ``to_dot``: it takes
+one gcd per arc.  Both writers must print the same bytes for every
+diagram.
 
 ``aomdd.serialize.loads`` skips the lcm when a record's denominators are
 equal, binds its lookups once and inlines the children-interval check
@@ -10,11 +17,106 @@ same error class.
 """
 
 from math import gcd, lcm
+from operator import itemgetter
 
-from aomdd.diagram import Aomdd, UniqueTable, ratio
+from aomdd.diagram import Aomdd, UniqueTable, node_total, ratio, reachable_nodes
 from aomdd.errors import ParseError, StructuralError
 from aomdd.model import CONSTRAINT, WEIGHTED, _lines
 from aomdd.structure import _finish_tree
+
+
+def weight_strs(node, weighted):
+    """Each arc's normalized weight spelled as ``str(Fraction)`` spells it.
+
+    One integer gcd per arc reduces ``n_i / sum(n)`` to lowest terms.
+    """
+    total = node_total(node, weighted)
+    out = []
+    for w, _ in node.arcs:
+        g = gcd(w, total)
+        out.append(str(w // g) if g == total else "%d/%d" % (w // g, total // g))
+    return out
+
+
+def canonical_records(diagram, ids):
+    """The number of reachable nodes, and an iterator of their records.
+
+    The iterator yields ``(var, sig)`` per node in canonical order.
+    Variables are visited bottom-up (reverse DFS); within a variable,
+    nodes sort by their signature, one ``(weight string, child ids)``
+    pair per arc, so equal diagrams enumerate identically regardless of
+    creation order.  Weight string ``"0"`` is exactly a zero-weight arc.
+    As its record is yielded, a node enters ``ids`` under its dense id.
+    """
+    by_var = {}
+    for u in reachable_nodes(diagram):
+        by_var.setdefault(u.var, []).append(u)
+    return sum(map(len, by_var.values())), _records(diagram, by_var, ids)
+
+
+def _records(diagram, by_var, ids):
+    for var in reversed(diagram.tree.dfs_order):
+        block = []
+        for u in by_var.pop(var, ()):
+            strs = weight_strs(u, diagram.weighted)
+            sig = tuple(
+                (s, tuple(map(ids.__getitem__, ch))) for s, (_, ch) in zip(strs, u.arcs)
+            )
+            block.append((sig, u))
+        block.sort(key=itemgetter(0))
+        for sig, u in block:
+            ids[u] = len(ids)
+            yield var, sig
+
+
+def dumps(diagram, file=None):
+    """Render a diagram to canonical text, or write the text to ``file``.
+
+    ``file`` is an open text file; each line is written as it is made,
+    and nothing is returned.  Without one the text is returned.
+    """
+    lines = []
+    write = lines.append if file is None else file.write
+    ids = {}
+    count, records = canonical_records(diagram, ids)
+    write("aomdd 1\n")
+    write("mode %s\n" % (WEIGHTED if diagram.weighted else CONSTRAINT))
+    write("vars %d\n" % len(diagram.domains))
+    write("domains %s\n" % " ".join(map(str, diagram.domains)))
+    write("parents %s\n" % " ".join("-1" if p is None else str(p) for p in diagram.tree.parent))
+    write("dfs %s\n" % " ".join(map(str, diagram.tree.dfs_order)))
+    write("nodes %d\n" % count)
+    for i, (var, sig) in enumerate(records):
+        write(
+            "n %d %d %s\n"
+            % (i, var, " ".join("%s:%s" % (s, ",".join(map(str, kids)) or ".") for s, kids in sig))
+        )
+    write("roots %s\n" % (" ".join(str(ids[r]) for r in diagram.roots) or "."))
+    write("constant %s\n" % diagram.constant)
+    if file is None:
+        return "".join(lines)
+
+
+def to_dot(diagram):
+    """DOT rendering: record nodes with one port per value, square terminals."""
+    lines = ["digraph aomdd {", "  node [shape=record];"]
+    arrows = []
+    terminals = set() if diagram.roots else {"t0" if diagram.constant == 0 else "t1"}
+    _, records = canonical_records(diagram, {})
+    for i, (var, sig) in enumerate(records):
+        ports = " | ".join("<p%d> %d: %s" % (j, j, s) for j, (s, _) in enumerate(sig))
+        lines.append('  n%d [label="{X%d | { %s }}"];' % (i, var, ports))
+        for j, (s, kids) in enumerate(sig):
+            targets = ["n%d" % c for c in kids]
+            if not targets:  # weight "0" is exactly an arc into the terminal 0
+                targets = ["t0" if s == "0" else "t1"]
+                terminals.update(targets)
+            arrows.extend("  n%d:p%d -> %s;" % (i, j, t) for t in targets)
+    lines.extend('  %s [shape=square, label="%s"];' % (t, t[1]) for t in sorted(terminals))
+    lines.extend(arrows)
+    lines.append('  label="root constant %s";' % diagram.constant)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _expect(fields, lineno, tag, count=None):

@@ -27,7 +27,7 @@ from aomdd.diagram import UniqueTable, check_reduced, reachable_nodes
 from aomdd.serialize import weight_strs
 
 import be_reference
-from conftest import bench_workloads, queens_model, random_model, seeded_rng
+from conftest import bench_workloads, open_nodes, queens_model, random_model, seeded_rng
 
 A, B, C, D, E, F, G, H = range(8)
 
@@ -310,7 +310,7 @@ def test_interning_at_a_closed_level_raises():
     # the other level stays open, and the counts keep every creation
     table.intern(0, ((1, (low,)), (0, ())))
     assert (len(table), table.created_per_var) == (2, {0: 1, 1: 1})
-    assert [u.var for u in table.all_nodes()] == [0]
+    assert [u.var for u in open_nodes(table)] == [0]
 
 
 def test_be_returns_its_table_closed():
@@ -325,7 +325,7 @@ def test_be_returns_its_table_closed():
         table = compiled.table
         assert check_reduced(reachable_nodes(compiled))
         # every level is closed: the table serves only its counters
-        assert table.all_nodes() == []
+        assert open_nodes(table) == []
         for var in range(len(model.domains)):
             with pytest.raises(RuntimeError, match="closed"):
                 table.intern(var, ((1, ()), (0, ())))

@@ -420,6 +420,51 @@ def test_prune_bcp_matches_plain(example_cnf, order_file, tmp_path):
     assert b.read_text() == text
 
 
+def _drop_seconds(stats):
+    return re.sub(r"seconds \S+\n", "", stats)
+
+
+def test_prune_bcp_without_zero_entries_skips_the_hook(tmp_path, monkeypatch, capsys):
+    # no table entry is 0, so there is no nogood and the hook could reject nothing
+    model = _write(tmp_path / "w.uai", OUT_MODELS["weighted"][1])
+    assert main(["compile", model, "--out", str(tmp_path / "plain.aomdd"), "--stats"]) == 0
+    plain = capsys.readouterr().out
+
+    def no_hook(model):
+        raise AssertionError("bcp_hook called")
+
+    monkeypatch.setattr(aomdd.cli, "bcp_hook", no_hook)
+    out = tmp_path / "pruned.aomdd"
+    assert main(["compile", model, "--prune", "bcp", "--out", str(out), "--stats"]) == 0
+    assert out.read_bytes() == (tmp_path / "plain.aomdd").read_bytes()
+    assert _drop_seconds(capsys.readouterr().out) == _drop_seconds(plain)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("one_zero.uai", "MARKOV\n2\n2 2\n2\n1 0\n2 0 1\n2\n0.3 0.7\n4\n0.5 0 1 0.75\n"),
+        ("example.cnf", EXAMPLE_CNF),
+    ],
+)
+def test_prune_bcp_with_a_zero_entry_builds_one_hook(tmp_path, monkeypatch, name, text):
+    model = _write(tmp_path / name, text)
+    plain = tmp_path / "plain.aomdd"
+    assert main(["compile", model, "--out", str(plain)]) == 0
+    calls = []
+    real_bcp_hook = aomdd.cli.bcp_hook
+
+    def counted(model):
+        calls.append(model)
+        return real_bcp_hook(model)
+
+    monkeypatch.setattr(aomdd.cli, "bcp_hook", counted)
+    out = tmp_path / "pruned.aomdd"
+    assert main(["compile", model, "--prune", "bcp", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert out.read_bytes() == plain.read_bytes()
+
+
 def test_prune_bcp_long_chain_matches_plain(tmp_path):
     # On a 2 GHz Xeon this test took about 19 s with the stateless
     # fixpoint form of the hook, which rescanned every nogood once per

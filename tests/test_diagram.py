@@ -30,7 +30,7 @@ from aomdd.diagram import (
 from aomdd.errors import ResourceLimitError
 
 import diagram_reference as ref
-from conftest import bench_workloads, random_model, seeded_rng
+from conftest import bench_workloads, open_nodes, random_model, seeded_rng
 
 
 def test_make_node_redundant_returns_children():
@@ -135,7 +135,7 @@ def test_example_counts(example_model, example_tree):
     stats = count_stats(compiled)
     assert stats["total_meta_nodes"] == 18
     assert stats["total_edges"] == 47
-    check_reduced(compiled.table.all_nodes())
+    check_reduced(open_nodes(compiled.table))
 
 
 def test_structural_equal_across_tables():
@@ -321,17 +321,17 @@ def test_check_reduced_enforces_primitive_integers():
     for weighted in (False, True):
         rng = seeded_rng(8)
         for _ in range(10):
-            assert check_reduced(compile_search(random_model(rng, weighted)).table.all_nodes())
+            assert check_reduced(open_nodes(compile_search(random_model(rng, weighted)).table))
     table = UniqueTable(weighted=True, domains=(2, 2))
     table.intern(0, ((1, ()), (2, ())))
-    assert check_reduced(table.all_nodes())
+    assert check_reduced(open_nodes(table))
     table.intern(1, ((2, ()), (4, ())))  # gcd 2: not the primitive vector
     with pytest.raises(AssertionError, match="gcd 2"):
-        check_reduced(table.all_nodes())
+        check_reduced(open_nodes(table))
     table = UniqueTable(weighted=True, domains=(2,))
     table.intern(0, ((Fraction(1, 3), ()), (Fraction(2, 3), ())))
     with pytest.raises(AssertionError, match="not a non-negative int"):
-        check_reduced(table.all_nodes())
+        check_reduced(open_nodes(table))
 
 
 def test_check_reduced_enforces_children_first():
@@ -339,7 +339,7 @@ def test_check_reduced_enforces_children_first():
     for i in range(20):
         model = random_model(rng, weighted=i % 2 == 0)
         a = compile_search(model)
-        assert check_reduced(a.table.all_nodes())
+        assert check_reduced(open_nodes(a.table))
         for d in (compile_be(model, tree=a.tree), loads(dumps(a))):
             assert check_reduced(reachable_nodes(d))
     orphan = MetaNode(1, ((0, ()), (1, ())), 5)  # uid past its parent's
@@ -361,9 +361,9 @@ def _assert_same_as_reference(a, b):
     assert dumps(a) == ref.dumps(b)
     assert a.constant == b.constant
     assert a.table.created_per_var == b.table.created_per_var
-    by_uid = {u.uid: u for u in b.table.all_nodes()}
+    by_uid = {u.uid: u for u in open_nodes(b.table)}
     assert len(by_uid) == len(a.table)
-    for u in a.table.all_nodes():
+    for u in open_nodes(a.table):
         v = by_uid[u.uid]
         total = sum(w for w, _ in u.arcs) if a.weighted else 1
         assert u.var == v.var
@@ -391,4 +391,4 @@ def test_integer_form_matches_fraction_reference_on_grid(monkeypatch):
         model = parse_uai(workloads.grid(seed).model_text)
         a = compile_search(model)
         _assert_same_as_reference(a, ref.compile_reference(monkeypatch, model))
-        check_reduced(a.table.all_nodes())
+        check_reduced(open_nodes(a.table))

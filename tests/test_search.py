@@ -29,6 +29,7 @@ import diagram_reference
 import search_reference
 from conftest import (
     bench_workloads,
+    open_nodes,
     queens_model,
     random_cnf_text,
     random_model,
@@ -335,7 +336,7 @@ def test_table_scaling_edge_cases(monkeypatch):
         a = compile_search(model)
         b = compile_be(model)
         reference = diagram_reference.compile_reference(monkeypatch, model)
-        check_reduced(a.table.all_nodes())
+        check_reduced(open_nodes(a.table))
         check_reduced(reachable_nodes(b))
         assert dumps(a) == dumps(b) == diagram_reference.dumps(reference)
         assert a.constant == b.constant == reference.constant

@@ -1,3 +1,4 @@
+import io
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -27,7 +28,8 @@ from aomdd import (
 )
 from aomdd import model
 from aomdd.cli import main
-from aomdd.diagram import Aomdd, reachable_nodes
+from aomdd.diagram import Aomdd, MetaNode, reachable_nodes
+from aomdd.serialize import to_dot, weight_strs
 from aomdd.structure import compute_contexts
 
 import serialize_reference
@@ -427,20 +429,25 @@ def _read_with(reader, text):
     )
 
 
-def _reader_corpus():
-    """Valid files: search, BE and bcp compiles, random models, terminal diagrams."""
+def _corpus_diagrams():
+    """Search, BE and bcp compiles of random models and terminal diagrams."""
     models = _loaded_tree_models()
     # 3-valued variables whose records spell arcs over unequal denominators
     models.append(make_model([3, 3], [((0,), [1, 2, 5]), ((0, 1), [1, 1, 2, 3, 1, 0, 0, 4, 4])]))
     # terminal diagrams: always 0, and a constant
     models.append(parse_dimacs_cnf("p cnf 1 2\n1 0\n-1 0\n"))
     models.append(make_model([2, 3], [((), [Fraction(2, 3)])]))
-    texts = []
+    diagrams = []
     for m in models:
-        texts.append(dumps(compile_search(m)))
-        texts.append(dumps(compile_be(m)))
-        texts.append(dumps(compile_search(m, hook=bcp_hook(m))))
-    return texts
+        diagrams.append(compile_search(m))
+        diagrams.append(compile_be(m))
+        diagrams.append(compile_search(m, hook=bcp_hook(m)))
+    return diagrams
+
+
+def _reader_corpus():
+    """Valid files: the dumps of ``_corpus_diagrams``."""
+    return [dumps(d) for d in _corpus_diagrams()]
 
 
 def _unequal_denominators(text):
@@ -500,3 +507,59 @@ def test_loads_rejects_bad_weight_in_constraint_mode(example_model, example_tree
     text = dumps(compile_search(example_model, example_tree))
     with pytest.raises(ParseError):
         loads(text.replace("1:", "2:", 1))
+
+
+def _writer_corpus():
+    """The reader corpus, 300 random models in both modes, grid and chain at seed 1."""
+    diagrams = _corpus_diagrams()
+    rng = seeded_rng(71)
+    diagrams += [compile_search(random_model(rng, weighted=i % 2 == 0)) for i in range(300)]
+    workloads = bench_workloads()
+    diagrams.append(compile_search(parse_uai(workloads.grid(1).model_text)))
+    diagrams.append(compile_search(parse_dimacs_cnf(workloads.chain(1).model_text)))
+    return diagrams
+
+
+def test_dumps_matches_the_reference_writer():
+    texts = []
+    for d in _writer_corpus():
+        want = serialize_reference.dumps(d)
+        assert dumps(d) == want
+        streamed = io.StringIO()
+        assert dumps(d, streamed) is None
+        assert streamed.getvalue() == want
+        assert to_dot(d) == serialize_reference.to_dot(d)
+        texts.append(want)
+    # the kept gcd path, and terminal diagrams, are among them
+    assert sum(map(_unequal_denominators, texts)) > 0
+    assert sum("roots .\n" in text for text in texts) >= 2
+
+
+def _spelled(weights, weighted):
+    node = MetaNode(0, tuple((w, ()) for w in weights), 0)
+    return weight_strs(node, weighted)
+
+
+def test_weight_strs_spells_each_arc_as_str_fraction():
+    rng = seeded_rng(72)
+    vectors = [(0, 1), (1, 0), (1, 1)]
+    # two arcs: primitive pairs of 1 to 430 bits, spelled without a gcd
+    while len(vectors) < 600:
+        bits = rng.randint(1, 430)
+        pair = rng.getrandbits(bits), rng.getrandbits(bits)
+        if gcd(*pair) == 1:
+            vectors.append(pair)
+    # three and four arcs, with zeros and unequal denominators
+    vectors += [(1, 2, 3), (0, 1, 2), (2, 0, 3, 1), (0, 0, 1), (1, 0, 0, 0), (6, 10, 15)]
+    while len(vectors) < 1000:
+        vector = tuple(rng.choice([0, 0, 1, 2, 3, 4, 6, 9, 12]) for _ in range(rng.randint(3, 4)))
+        if gcd(*vector) == 1:
+            vectors.append(vector)
+    for weights in vectors:
+        total = sum(weights)
+        assert _spelled(weights, True) == [str(Fraction(w, total)) for w in weights]
+    # constraint mode: 0/1 weights, spelled as themselves
+    for k in (2, 3, 4):
+        for weights in itertools.product((0, 1), repeat=k):
+            if any(weights):
+                assert _spelled(weights, False) == [str(Fraction(w, 1)) for w in weights]
