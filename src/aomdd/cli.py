@@ -96,7 +96,7 @@ def _parse_model(path):
 def _number_str(value, args):
     if getattr(args, "exact", False):
         return str(value)
-    return _decimal_str(Fraction(value), max(args.precision, 1))
+    return _decimal_str(Fraction(value), args.precision)
 
 
 def _decimal_str(value, digits):
@@ -219,8 +219,8 @@ def main(argv=None):
         parser.error("--mem-cap must not be negative")
     if getattr(args, "prune", None) == "bcp" and args.method == "be":
         parser.error("--prune bcp applies to --method search only")
-    if getattr(args, "precision", 0) > MAX_PRECISION:
-        parser.error("--precision is at most %d digits" % MAX_PRECISION)
+    if not 1 <= getattr(args, "precision", 1) <= MAX_PRECISION:
+        parser.error("--precision must be between 1 and %d digits" % MAX_PRECISION)
     try:
         with collector_paused():
             return _COMMANDS[args.command](args)

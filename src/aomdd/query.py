@@ -10,7 +10,10 @@ of an arc is
 and, above the roots, every variable outside all root subtrees.  Every
 subtree is a DFS interval and an arc's children are unrelated and in
 DFS order, so the skipped variables are the ``dfs_order`` slices
-between the children's intervals.
+between the children's intervals.  An arc skips a variable exactly when
+its children's subtree widths (``subtree_end - dfs_index``) sum to less
+than the width of its own interval, so the fold lists the slices only
+for such an arc.
 
 Sum, count, MPE and the root sum are one bottom-up fold, ``_fold``,
 over the reachable nodes in the semiring style of algebraic model
@@ -25,9 +28,10 @@ counting.  Three inputs fix the query:
 Each node's value is an integer pair ``(num, den)`` in lowest terms:
 one gcd per node, and no ``Fraction`` until the result.  A weighted
 meta-node stores integer arc weights whose values are ``n_i / sum(n)``;
-the fold multiplies the integers and divides by a node's sum once per
-node, not once per arc.  ``evaluate`` reads one solution tree and
-``enumerate_solutions`` walks the paths, so neither is a fold.
+the fold multiplies the integers and divides by a node's sum, added up
+in its pass over the arcs, once per node, not once per arc.
+``evaluate`` reads one solution tree and ``enumerate_solutions`` walks
+the paths, so neither is a fold.
 """
 
 from __future__ import annotations
@@ -106,19 +110,22 @@ def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
     domains = diagram.domains
     tree = diagram.tree
     divide = weights and diagram.weighted
+    width = [end - start for start, end in zip(tree.dfs_index, tree.subtree_end)]
     memo = {}
     argmax = {}
 
     def product(num, lo, hi, children):
         den = 1
-        for item in _arc_items(tree, lo, hi, children) if sizes else children:
-            if type(item) is int:
-                if item not in evidence:
+        skipped = hi - lo  # DFS positions the children do not cover
+        for c in children:
+            p, q = memo[c]
+            num *= p
+            den *= q
+            skipped -= width[c.var]
+        if sizes and skipped:
+            for item in _arc_items(tree, lo, hi, children):
+                if type(item) is int and item not in evidence:
                     num *= domains[item]
-            else:
-                p, q = memo[item]
-                num *= p
-                den *= q
         return num, den
 
     for u in reachable_nodes(diagram):
@@ -126,7 +133,9 @@ def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
         fixed = evidence.get(u.var)
         arg = fixed or 0  # a node of value 0 takes its first allowed value
         lo, hi = tree.dfs_index[u.var] + 1, tree.subtree_end[u.var]
+        total = 0  # the node's weight sum, its arc values' denominator
         for val, (w, children) in enumerate(u.arcs):
+            total += w
             if w == 0 or fixed is not None and val != fixed:
                 continue
             p, q = product(w if weights else 1, lo, hi, children)
@@ -138,7 +147,7 @@ def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
             else:
                 num, den = num * q + p * den, den * q
         if divide:
-            den *= node_total(u, True)
+            den *= total
         g = gcd(num, den)
         memo[u] = (num // g, den // g)
         argmax[u] = arg

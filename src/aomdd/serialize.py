@@ -19,7 +19,9 @@ sum to 1.  Only records of three or more arcs take a gcd to reduce the
 fractions: a two-arc record's ``n0/sum(n)`` and ``n1/sum(n)`` are
 already reduced, since ``n`` is primitive.  ``loads`` turns the
 fractions back into integers by scaling with the lcm of the record's
-denominators.
+denominators; a two-arc record ``n0/T n1/T`` needs no scaling, and
+checking that it is reduced takes one gcd, ``gcd(n0, T)``, which equals
+``gcd(n1, T)`` when ``n0 + n1 == T``.
 
 Format (whitespace-separated ASCII, one record per line)::
 
@@ -177,6 +179,33 @@ def _misplaced_children(i, var):
     )
 
 
+def _pair_nums(tok0, tok1):
+    """``[n0, n1]`` when arcs ``tok0, tok1`` spell the weights ``n0/T n1/T``, else None.
+
+    The pair is canonical: each weight is spelled as ``str(Fraction)``
+    spells it and the two sum to 1.  That is, ``n0`` and ``n1`` are
+    canonical decimal integers above 0 and ``T`` is spelled as
+    ``str(n0 + n1)``, which also makes ``T >= 2``; and one gcd shows both
+    fractions are reduced, since ``gcd(n1, T) == gcd(T - n0, T) ==
+    gcd(n0, T)``.  None says only that the pair takes the per-token check.
+    """
+    n0tok, _, ttok = tok0.partition(":")[0].partition("/")
+    n1tok, _, t1tok = tok1.partition(":")[0].partition("/")
+    if t1tok != ttok:
+        return None
+    try:
+        n0, n1 = int(n0tok), int(n1tok)
+    except ValueError:
+        return None
+    total = n0 + n1
+    if (
+        n0 > 0 and n1 > 0 and str(total) == ttok and str(n0) == n0tok
+        and str(n1) == n1tok and gcd(n0, total) == 1
+    ):
+        return [n0, n1]
+    return None
+
+
 def loads(text):
     """Rebuild a diagram from canonical text.
 
@@ -201,6 +230,13 @@ def loads(text):
       order, so no two records are isomorphic;
     - every record is a child of a later record or a root, and the
       roots are pairwise unrelated and in DFS order.
+
+    A weighted two-arc record whose weights share one denominator is
+    checked as one record (``_pair_nums``), and one gcd covers both
+    arcs.  Every other record, and a pair that fails that check, has its
+    weights checked token by token, each token parsed once per file.  A
+    pair that passes would pass every per-token test, so each file gets
+    the same outcome and the same error either way.
 
     The signature order makes every record new, so each record becomes
     one ``MetaNode`` with its record id as uid, and no unique table is
@@ -292,17 +328,25 @@ def loads(text):
                 % (i, len(fields) - 3, domains[var])
             )
         pos, stop = dfs_index[var], subtree_end[var]
-        nums = []
-        dens = []
+        toks = fields[3:]
+        # a canonical weighted pair is checked as one record; any other
+        # record, or a pair that fails, is checked token by token
+        nums = _pair_nums(*toks) if weighted and len(toks) == 2 else None
+        by_token = nums is None
+        if by_token:
+            nums, dens = [], []
         kids_of = []
         sig = []
-        for tok in fields[3:]:
+        for tok in toks:
             wtok, colon, ktok = tok.partition(":")
             if not colon:
                 raise ParseError("bad arc %r" % tok, lineno)
-            w = weights.get(wtok)
-            if w is None:
-                w = parse_weight(wtok, lineno)
+            if by_token:
+                w = weights.get(wtok)
+                if w is None:
+                    w = parse_weight(wtok, lineno)
+                nums.append(w[0])
+                dens.append(w[1])
             if ktok == ".":
                 ids = kids = ()
             elif wtok == "0":
@@ -322,11 +366,12 @@ def loads(text):
                 if low > stop:
                     raise _misplaced_children(i, var)
                 kids = tuple(map(node_of, ids))
-            nums.append(w[0])
-            dens.append(w[1])
             kids_of.append(kids)
             sig.append((wtok, ids))
-        if weighted:
+        if not weighted:
+            if not any(nums):
+                raise StructuralError("node %d is dead (all weights 0)" % i)
+        elif by_token:
             # a canonical record spells its arcs over one denominator
             scale = dens[0]
             if dens.count(scale) != len(dens):
@@ -334,8 +379,6 @@ def loads(text):
                 nums = [num * (scale // den) for num, den in zip(nums, dens)]
             if sum(nums) != scale:
                 raise StructuralError("node %d: weights do not sum to 1" % i)
-        elif not any(nums):
-            raise StructuralError("node %d is dead (all weights 0)" % i)
         if sig.count(sig[0]) == len(sig):
             raise StructuralError("node %d is redundant" % i)
         sig = tuple(sig)

@@ -344,7 +344,24 @@ def test_precision_cap(capsys):
         assert exc.value.code == 2
         assert "--precision" in capsys.readouterr().err
     assert _decimal_str(Fraction(1, 3), MAX_PRECISION) == "0." + "3" * MAX_PRECISION
+    assert _decimal_str(Fraction(2, 3), 1) == "0.7"
     assert _decimal_str(Fraction(2, 3), MAX_PRECISION) == "0." + "6" * (MAX_PRECISION - 1) + "7"
+
+
+def test_precision_below_one_is_a_usage_error(tmp_path, capsys):
+    # below 1 is refused before the diagram file is read, not clamped to 1
+    for digits in (0, -5):
+        argv = ["query", "/no/such/file.aomdd", "--query", "sum", "--precision", str(digits)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--precision must be between 1 and %d" % MAX_PRECISION in capsys.readouterr().err
+    model = tmp_path / "u.uai"
+    model.write_text("MARKOV\n1\n2\n1\n1 0\n2\n1 2.5\n")
+    path = tmp_path / "u.aomdd"
+    assert main(["compile", str(model), "--out", str(path)]) == 0
+    assert main(["query", str(path), "--query", "sum", "--precision", "1"]) == 0
+    assert capsys.readouterr().out == "4\n"  # 3.5 rounded half-even
 
 
 @pytest.mark.parametrize("text, message", BAD_UAI + BAD_CNF)

@@ -15,14 +15,28 @@ from aomdd import (
     loads,
     make_model,
     mpe,
+    normalized_root_sum,
     parse_dimacs_cnf,
+    parse_uai,
+    parse_uai_evidence,
     structural_equal,
     sum_over,
 )
+from aomdd import query
+from aomdd.diagram import reachable_nodes
 from aomdd.model import full_assignments, weight_of_full_assignment
 
 import query_reference as ref
-from conftest import EXAMPLE_CNF, queens_model, random_model, seeded_rng
+from conftest import (
+    EXAMPLE_CNF,
+    bench_workloads,
+    queens_model,
+    random_model,
+    seeded_rng,
+)
+
+# variable 1 (domain 3) is in no function, so the arcs of variable 0 skip it
+SKIP_UAI = "MARKOV\n3\n2 3 2\n1\n2 0 2\n4\n1 2 3 4\n"
 
 
 def _random_evidence(rng, domains):
@@ -268,3 +282,79 @@ def test_equivalent_detects_dropped_constraint(example_model, example_tree):
     b = compile_search(dropped, example_tree)
     assert not structural_equal(a, b)
     assert structural_equal(a, compile_search(example_model, example_tree))
+
+
+def _fold_corpus():
+    """Diagrams, each with no evidence and with some.
+
+    300 random models in both modes, the skip model, and the benchmark's
+    grid (with its own evidence) and chain at seed 1.
+    """
+    rng = seeded_rng(74)
+    models = [random_model(rng, weighted=i % 2 == 0) for i in range(300)]
+    models.append(parse_uai(SKIP_UAI))
+    cases = []
+    for m in models:
+        d = compile_search(m)
+        cases += [(d, {}), (d, _random_evidence(rng, m.domains))]
+    workloads = bench_workloads()
+    grid = workloads.grid(1)
+    d = compile_search(parse_uai(grid.model_text))
+    cases += [(d, {}), (d, parse_uai_evidence(grid.evidence_text, n=len(d.domains)))]
+    d = compile_search(parse_dimacs_cnf(workloads.chain(1).model_text))
+    cases += [(d, {}), (d, _random_evidence(rng, d.domains))]
+    return cases
+
+
+def _arc_skips(diagram):
+    """How many live arcs skip some variable, and how many skip none."""
+    tree = diagram.tree
+    width = [end - start for start, end in zip(tree.dfs_index, tree.subtree_end)]
+    skips = none = 0
+    for u in reachable_nodes(diagram):
+        for w, children in u.arcs:
+            if w:
+                covered = 1 + sum(width[c.var] for c in children)
+                if covered < width[u.var]:
+                    skips += 1
+                else:
+                    none += 1
+    return skips, none
+
+
+def _typed(value):
+    return value, type(value)
+
+
+def test_queries_match_the_reference_fold():
+    skips = none = 0
+    for d, evidence in _fold_corpus():
+        assert _typed(count_solutions(d, evidence)) == _typed(ref.count_solutions(d, evidence))
+        assert _typed(sum_over(d, evidence)) == _typed(ref.sum_over(d, evidence))
+        assert mpe(d, evidence) == ref.mpe(d, evidence)
+        assert _typed(normalized_root_sum(d)) == _typed(ref.normalized_root_sum(d))
+        s, n = _arc_skips(d)
+        skips += s
+        none += n
+    # arcs that list their skipped variables, and arcs that list none
+    assert skips > 0 and none > 0
+
+
+def test_folds_list_items_only_for_an_arc_that_skips(monkeypatch):
+    calls = []
+    arc_items = query._arc_items
+    monkeypatch.setattr(query, "_arc_items", lambda *a: calls.append(a) or arc_items(*a))
+    grid = compile_search(parse_uai(bench_workloads().grid(1).model_text))
+    assert _arc_skips(grid) == (0, 23294)
+    count_solutions(grid)
+    sum_over(grid)
+    assert calls == []  # the reference fold lists the items of all 23,295 arcs, root included
+    skip = compile_search(parse_uai(SKIP_UAI))
+    assert _arc_skips(skip) == (2, 4)
+    assert count_solutions(skip) == 12 and sum_over(skip) == 30
+    # the two arcs of variable 0, once per fold
+    assert [args[1:3] for args in calls] == [(1, 3)] * 4
+    # MPE and the root sum count a skipped variable as 1: they list nothing
+    mpe(skip)
+    normalized_root_sum(skip)
+    assert len(calls) == 4

@@ -26,7 +26,7 @@ from aomdd import (
     structural_equal,
     sum_over,
 )
-from aomdd import model
+from aomdd import model, serialize
 from aomdd.cli import main
 from aomdd.diagram import Aomdd, MetaNode, reachable_nodes
 from aomdd.serialize import to_dot, weight_strs
@@ -231,20 +231,34 @@ def test_loads_rejects_unreachable_record():
 
 
 @pytest.mark.parametrize(
-    "arcs",
+    "arcs, error",
     [
-        "2/8:. 3/4:.",
-        "1/4:. 5/4:.",  # one denominator, but the weights do not sum to 1
-        "0.25:. 3/4:.",
-        "1/4:. 0.75:.",
-        "-1:. 2:.",
-        "1/4:. 3/4:. 0:.",
-        "1e5000:. 3/4:.",  # an exponent too large for str(int)
+        ("2/8:. 3/4:.", ParseError),
+        ("1/4:. 5/4:.", StructuralError),  # one denominator, but the weights do not sum to 1
+        ("0.25:. 3/4:.", ParseError),
+        ("1/4:. 0.75:.", ParseError),
+        ("-1:. 2:.", ParseError),
+        ("1/4:. 3/4:. 0:.", StructuralError),
+        ("1e5000:. 3/4:.", ParseError),  # an exponent too large for str(int)
+        ("2/8:. 6/8:.", ParseError),  # unreduced, but summing to 1
+        ("1/4:. 6/8:.", ParseError),  # two denominators
+        ("1/4:. 1/2:.", StructuralError),  # two denominators, not summing to 1
+        ("01/4:. 3/4:.", ParseError),
+        ("+1/4:. 3/4:.", ParseError),
+        ("1/4:. 03/4:.", ParseError),
+        ("1/4:. -3/4:.", ParseError),
+        ("1/4:. 3/04:.", ParseError),
+        ("0/4:. 4/4:.", ParseError),
+        ("1/1:. 0/1:.", ParseError),  # a denominator of 1 is spelled without one
+        ("1/4:x 3/04:.", ParseError),  # no record 'x', and a padded denominator
     ],
 )
-def test_loads_rejects_weight_spelling(arcs):
-    with pytest.raises((ParseError, StructuralError)):
-        loads(UNARY.replace("1/4:. 3/4:.", arcs))
+def test_loads_rejects_weight_spelling(arcs, error):
+    # a weighted pair is checked as one record; it fails as the reference fails
+    text = UNARY.replace("1/4:. 3/4:.", arcs)
+    with pytest.raises(error):
+        loads(text)
+    assert _read_with(serialize_reference.loads, text) is error
 
 
 @pytest.mark.parametrize(
@@ -501,6 +515,84 @@ def test_loads_matches_the_reference_on_mutants():
         assert _read_with(loads, mutant) == want
         outcomes.add(want if isinstance(want, type) else "accepted")
     assert outcomes == {ParseError, StructuralError, "accepted"}
+
+
+def test_loads_takes_one_gcd_per_weighted_pair(monkeypatch):
+    text = dumps(compile_search(parse_uai(bench_workloads().grid(1).model_text)))
+    records = [line.split()[3:] for line in text.splitlines() if line.startswith("n ")]
+    # every grid record is a weighted pair over one denominator, and so is the constant
+    assert all(len(r) == 2 and all(tok.count("/") == 1 for tok in r) for r in records)
+    assert "/" in text.rsplit("constant ", 1)[1]
+    for module, want in ((serialize, len(records) + 1), (serialize_reference, 18546)):
+        calls = []
+        monkeypatch.setattr(module, "gcd", lambda a, b: calls.append(a) or gcd(a, b))
+        module.loads(text)
+        assert len(calls) == want
+    # one gcd per record and one for the constant; the reference reader
+    # takes one per distinct weight token
+    assert len(records) == 11647
+
+
+def _pair_faults(num, den):
+    """The arcs ``num/den`` and ``(den - num)/den`` spoiled as a pair."""
+    other = den - num
+    return [
+        # unreduced, but summing to 1, like 8/14 6/14
+        ("%d/%d" % (2 * num, 2 * den), "%d/%d" % (2 * other, 2 * den)),
+        # two denominators, like 4/7 6/14
+        ("%d/%d" % (num, den), "%d/%d" % (2 * other, 2 * den)),
+        ("%d/%d" % (2 * num, 2 * den), "%d/%d" % (other, den)),
+        # one denominator, reduced weights that do not sum to 1
+        ("%d/%d" % (num, den), "%d/%d" % (other + den, den)),
+        ("%d/%d" % (num + den, den), "%d/%d" % (other, den)),
+    ]
+
+
+def _bad_weight(num, den, rng):
+    """A weight token spelled other than ``str(Fraction)`` spells one."""
+    return rng.choice(["0%d/%d", "+%d/%d", "%d/0%d", "-%d/%d", "%d/-%d", "%d.0/%d"]) % (num, den)
+
+
+def _bad_kids(ktok, i, rng):
+    """A child list that names no earlier record, or names a child twice."""
+    if ktok != "." and rng.random() < 0.6:
+        return ktok + "," + ktok.split(",")[0], StructuralError
+    return rng.choice([str(i), "", "x", "0,"]), ParseError
+
+
+def test_loads_matches_the_reference_on_two_fault_records():
+    """Faults in both arcs of one weighted pair, in both arc orders."""
+    rng = seeded_rng(99)
+    seen = set()
+    for text in _reader_corpus():
+        lines = text.splitlines()
+        pairs = [
+            i for i, line in enumerate(lines)
+            if line.startswith("n ") and len(line.split()) == 5 and line.count("/") == 2
+        ]
+        for i in rng.sample(pairs, min(4, len(pairs))):
+            tag, rid, var, *arcs = lines[i].split()
+            (w0, k0), (w1, k1) = (arc.split(":") for arc in arcs)
+            num, den = map(int, w0.split("/"))
+            mutants = [(("pair",), (p0, k0), (p1, k1)) for p0, p1 in _pair_faults(num, den)]
+            kids0, kind0 = _bad_kids(k0, int(rid), rng)
+            kids1, kind1 = _bad_kids(k1, int(rid), rng)
+            num1, den1 = map(int, w1.split("/"))
+            mutants.append(((kind0, ParseError), (w0, kids0), (_bad_weight(num1, den1, rng), k1)))
+            mutants.append(((ParseError, kind1), (_bad_weight(num, den, rng), k0), (w1, kids1)))
+            for faults, a0, a1 in mutants:
+                record = " ".join([tag, rid, var, "%s:%s" % a0, "%s:%s" % a1])
+                mutant = "\n".join(lines[:i] + [record] + lines[i + 1:]) + "\n"
+                want = _read_with(serialize_reference.loads, mutant)
+                assert _read_with(loads, mutant) == want, record
+                seen.add((faults, want if isinstance(want, type) else "accepted"))
+    # the first arc's fault decides the error, whichever part of the arc it is in
+    assert ((StructuralError, ParseError), StructuralError) in seen
+    assert ((ParseError, StructuralError), ParseError) in seen
+    assert ((ParseError, ParseError), ParseError) in seen
+    assert {want for faults, want in seen if faults == ("pair",)} == {
+        ParseError, StructuralError
+    }
 
 
 def test_loads_rejects_bad_weight_in_constraint_mode(example_model, example_tree):
