@@ -115,8 +115,18 @@ def normalize_arcs(arcs):
 
     ``total`` is the sum of the input weights, so arc ``i`` keeps the
     value ``total * n_i / sum(n)``.  An all-zero arc set signals the
-    terminal 0: returns ``(None, 0)``.
+    terminal 0: returns ``(None, 0)``.  A two-arc set is read without a
+    weight list.
     """
+    if len(arcs) == 2:
+        (w0, c0), (w1, c1) = arcs
+        total = w0 + w1
+        if total == 0:
+            return None, total
+        g = gcd(w0, w1)
+        if g != 1:
+            arcs = ((w0 // g, c0), (w1 // g, c1))
+        return arcs, total
     weights = [w for w, _ in arcs]
     total = sum(weights)
     if total == 0:
@@ -129,7 +139,12 @@ def normalize_arcs(arcs):
 
 def node_total(node, weighted):
     """Denominator of a node's arc values: its weight sum, or 1 in constraint mode."""
-    return sum([w for w, _ in node.arcs]) if weighted else 1
+    if not weighted:
+        return 1
+    arcs = node.arcs
+    if len(arcs) == 2:
+        return arcs[0][0] + arcs[1][0]
+    return sum([w for w, _ in arcs])
 
 
 def ratio(num, den):
@@ -175,12 +190,14 @@ class Aomdd:
     function).  ``constant`` is 0 exactly for the always-zero function.
     ``table`` is the compiler's unique table, kept for its counters, and
     None for a loaded diagram.  ``stats`` is the search compiler's
-    ``CompileStats``, else None.
+    ``CompileStats``, else None.  ``nodes`` is a loaded diagram's nodes
+    in record order, which ``loads`` has checked to be every reachable
+    node, children first; None for a compiled diagram.
     """
 
-    __slots__ = ("tree", "domains", "roots", "constant", "table", "weighted", "stats")
+    __slots__ = ("tree", "domains", "roots", "constant", "table", "weighted", "stats", "nodes")
 
-    def __init__(self, tree, domains, roots, constant, table, weighted, stats=None):
+    def __init__(self, tree, domains, roots, constant, table, weighted, stats=None, nodes=None):
         self.tree = tree
         self.domains = domains
         self.roots = roots
@@ -188,6 +205,7 @@ class Aomdd:
         self.table = table
         self.weighted = weighted
         self.stats = stats
+        self.nodes = nodes
 
 
 def reachable_nodes(diagram):
@@ -197,8 +215,11 @@ def reachable_nodes(diagram):
     only once its children exist, and ``loads`` numbers the records
     children first), so sorting by ``uid`` puts children first.  Sorting
     the reachable set costs O(r log r), not a pass over a table that may
-    hold many more dead nodes.
+    hold many more dead nodes.  A loaded diagram's ``nodes`` are already
+    that sequence, and are returned without a walk.
     """
+    if diagram.nodes is not None:
+        return diagram.nodes
     seen = set()
     stack = list(diagram.roots)
     while stack:

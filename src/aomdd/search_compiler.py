@@ -5,6 +5,18 @@ caching each variable's subproblem by its context assignment, and
 reduces meta-nodes inline on backtrack, so the trace it touches is (a
 subset of, under pruning) the context-minimal graph and the output is
 the canonical diagram.
+
+Bucket tables are read by stride.  Once per compile, each variable's
+bucket becomes a tuple of ``(values, ((var, stride), ...))`` pairs, one
+per table: the stride of a scope variable is the product of the domain
+sizes after it in the scope, so the entry at an assignment is
+``values[sum(assignment[var] * stride)]``, the index ``value_at``
+computes.  ``solve`` adds that index up inline.  It needs no check for
+an unassigned variable: ``compute_buckets`` puts each table at its
+deepest variable, and rejects a scope that is not on one root-to-leaf
+path, so when ``solve`` reads a variable's bucket every other scope
+variable is an ancestor and already assigned.  ``TableFunction.value_at``
+keeps its check for its other callers.
 """
 
 from __future__ import annotations
@@ -67,7 +79,9 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
     table = UniqueTable(weighted, model.domains, node_cap)
     domains = model.domains
     functions, factor = integer_tables(model)
-    stats = CompileStats()
+    lookups = [tuple(_strided(functions[fid]) for fid in bucket) for bucket in buckets]
+    # per-variable counters, folded into ``CompileStats`` at the end
+    or_count, and_count, hit_count = [0] * tree.n, [0] * tree.n, [0] * tree.n
     caches = [dict() for _ in range(tree.n)]
     assignment = [None] * tree.n
     # one key per context; a variable's cache is its own, so a
@@ -77,13 +91,17 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
 
     def solve(var, key):
         """Expand ``var`` under the current assignment, ``key`` its context."""
-        stats.or_expansions[var] += 1
+        or_count[var] += 1
+        bucket = lookups[var]
         arcs = []
         for val in range(domains[var]):
             assignment[var] = val
             w = 1
-            for fid in buckets[var]:
-                w = w * functions[fid].value_at(assignment)
+            for values, strides in bucket:
+                idx = 0
+                for v, stride in strides:
+                    idx += assignment[v] * stride
+                w = w * values[idx]
                 if w == 0:
                     break
             if w != 0 and hook is not None and not hook(var, val):
@@ -92,7 +110,7 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
             if w == 0:
                 arcs.append((0, ()))
                 continue
-            stats.and_expansions[var] += 1
+            and_count[var] += 1
             children = []
             for child in tree.children[var]:
                 # a cache hit costs a lookup, not a generator and a trampoline step
@@ -101,7 +119,7 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
                 if solved is None:
                     solved = yield solve(child, c_key)
                 else:
-                    stats.cache_hits[child] += 1
+                    hit_count[child] += 1
                 c_const, c_children = solved
                 if c_const == 0:
                     w = 0
@@ -123,10 +141,27 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
         # keep the caches and the trace's nodes alive until the cyclic
         # collector ran, so break it and let reference counting free them
         del solve
+    stats = CompileStats()
+    for counter, counts in (
+        (stats.or_expansions, or_count),
+        (stats.and_expansions, and_count),
+        (stats.cache_hits, hit_count),
+    ):
+        counter.update({var: c for var, c in enumerate(counts) if c})
     constant = const * factor
     if constant == 0:
         children = ()
     return Aomdd(tree, domains, tuple(children), constant, table, weighted, stats)
+
+
+def _strided(f):
+    """``(values, ((var, stride), ...))``, so ``f.value_at(x)`` is ``values[sum(x[var] * stride)]``."""
+    strides = []
+    stride = 1
+    for var, k in zip(reversed(f.scope), reversed(f.shape)):
+        strides.append((var, stride))
+        stride *= k
+    return f.values, tuple(strides)
 
 
 def model_nogoods(model):

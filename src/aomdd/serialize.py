@@ -17,7 +17,11 @@ weights; the file spells arc ``i`` as the reduced fraction
 ``n_i/sum(n)`` (``str(Fraction)`` spelling), so every record's weights
 sum to 1.  Only records of three or more arcs take a gcd to reduce the
 fractions: a two-arc record's ``n0/sum(n)`` and ``n1/sum(n)`` are
-already reduced, since ``n`` is primitive.  ``loads`` turns the
+already reduced, since ``n`` is primitive.  Most records have two
+arcs (every record of a binary variable), so the writer builds a
+two-arc record's signature from its two arcs and prints its line with
+one format string, with no per-arc list; wider records take the
+per-arc path.  Both spell the same text.  ``loads`` turns the
 fractions back into integers by scaling with the lcm of the record's
 denominators; a two-arc record ``n0/T n1/T`` needs no scaling, and
 checking that it is reduced takes one gcd, ``gcd(n0, T)``, which equals
@@ -90,13 +94,20 @@ def canonical_records(diagram, ids):
 
 
 def _records(diagram, by_var, ids):
+    weighted = diagram.weighted
+    id_of = ids.__getitem__
     for var in reversed(diagram.tree.dfs_order):
         block = []
         for u in by_var.pop(var, ()):
-            strs = weight_strs(u, diagram.weighted)
-            sig = tuple(
-                [(s, tuple(map(ids.__getitem__, ch))) for s, (_, ch) in zip(strs, u.arcs)]
-            )
+            strs = weight_strs(u, weighted)
+            arcs = u.arcs
+            if len(arcs) == 2:
+                sig = (
+                    (strs[0], tuple(map(id_of, arcs[0][1]))),
+                    (strs[1], tuple(map(id_of, arcs[1][1]))),
+                )
+            else:
+                sig = tuple([(s, tuple(map(id_of, ch))) for s, (_, ch) in zip(strs, arcs)])
             block.append((sig, u))
         block.sort(key=itemgetter(0))
         for sig, u in block:
@@ -122,6 +133,12 @@ def dumps(diagram, file=None):
     write("dfs %s\n" % " ".join(map(str, diagram.tree.dfs_order)))
     write("nodes %d\n" % count)
     for i, (var, sig) in enumerate(records):
+        if len(sig) == 2:
+            (s0, kids0), (s1, kids1) = sig
+            kids0 = ",".join(map(str, kids0)) or "."
+            kids1 = ",".join(map(str, kids1)) or "."
+            write("n %d %d %s:%s %s:%s\n" % (i, var, s0, kids0, s1, kids1))
+            continue
         arcs = ["%s:%s" % (s, ",".join(map(str, kids)) or ".") for s, kids in sig]
         write("n %d %d %s\n" % (i, var, " ".join(arcs)))
     write("roots %s\n" % (" ".join(str(ids[r]) for r in diagram.roots) or "."))
@@ -240,7 +257,10 @@ def loads(text):
 
     The signature order makes every record new, so each record becomes
     one ``MetaNode`` with its record id as uid, and no unique table is
-    built: the diagram's ``table`` is None.  A weighted node stores
+    built: the diagram's ``table`` is None.  Every record is reachable
+    and numbered children first, so the records, as a tuple, are the
+    diagram's ``nodes``, which ``reachable_nodes`` returns without a
+    walk.  A weighted node stores
     ``num_i * L / den_i``: reduced fractions that sum to 1 scale to
     integers with gcd 1, the compilers' primitive form.
     """
@@ -419,5 +439,6 @@ def loads(text):
     if next(it, None) is not None:
         raise ParseError("trailing records after 'constant'")
     return Aomdd(
-        tree, domains, tuple(nodes[r] for r in root_ids), constant, None, weighted, None
+        tree, domains, tuple(nodes[r] for r in root_ids), constant, None, weighted, None,
+        tuple(nodes),
     )

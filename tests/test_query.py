@@ -358,3 +358,44 @@ def test_folds_list_items_only_for_an_arc_that_skips(monkeypatch):
     mpe(skip)
     normalized_root_sum(skip)
     assert len(calls) == 4
+
+
+def test_loaded_diagram_folds_without_a_walk(monkeypatch):
+    # ``loads`` keeps its records, children first, so the folds and the
+    # structural comparison of a loaded diagram sort no reachable set
+    from aomdd import diagram
+
+    sorts = []
+    monkeypatch.setattr(
+        diagram, "sorted", lambda *a, **k: sorts.append(1) or sorted(*a, **k), raising=False
+    )
+    grid = bench_workloads().grid(1)
+    compiled = compile_search(parse_uai(grid.model_text))
+    evidence = parse_uai_evidence(grid.evidence_text, n=len(compiled.domains))
+    want = [
+        _typed(ref.count_solutions(compiled)),
+        _typed(ref.sum_over(compiled)),
+        _typed(ref.sum_over(compiled, evidence)),
+        ref.mpe(compiled),
+        ref.mpe(compiled, evidence),
+        _typed(ref.normalized_root_sum(compiled)),
+    ]
+    assert len(sorts) == 6  # the patch sees each walk of a compiled diagram
+    live = len(reachable_nodes(compiled))
+    text = dumps(compiled)
+    sorts.clear()
+    loaded = loads(text)
+    got = [
+        _typed(count_solutions(loaded)),
+        _typed(sum_over(loaded)),
+        _typed(sum_over(loaded, evidence)),
+        mpe(loaded),
+        mpe(loaded, evidence),
+        _typed(normalized_root_sum(loaded)),
+    ]
+    assert structural_equal(loaded, loads(text))
+    assert sorts == []
+    assert got == want
+    # the records are every reachable node, children first
+    assert len(loaded.nodes) == live == 11647
+    assert [u.uid for u in loaded.nodes] == list(range(live))

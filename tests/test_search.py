@@ -8,6 +8,8 @@ import pytest
 from aomdd import (
     bcp_hook,
     brute_force_table,
+    build_primal_graph,
+    chain_pseudo_tree,
     compile_be,
     compile_search,
     count_stats,
@@ -254,18 +256,71 @@ def test_cache_lookup_before_the_generator_keeps_the_trace():
     ] + _hook_corpus()
     hits = rejects = 0
     for m in models:
-        got, want = compile_search(m), search_reference.compile_search(m)
-        assert got.stats == want.stats
-        assert dumps(got) == dumps(want)
-        hits += sum(got.stats.cache_hits.values())
-        logged = _Logged(m), _Logged(m)
-        got = compile_search(m, hook=logged[0])
-        want = search_reference.compile_search(m, hook=logged[1])
-        assert got.stats == want.stats
-        assert logged[0].log == logged[1].log
-        assert dumps(got) == dumps(want)
-        rejects += sum(entry != "undo" and not entry[2] for entry in logged[0].log)
+        h, r = _matches_the_reference(m)
+        hits += h
+        rejects += r
     assert hits > 0 and rejects > 0
+
+
+def _matches_the_reference(m, tree=None):
+    """Compile ``m`` with and without a logged hook, as the reference does.
+
+    The stats, the hook log and the bytes must be the reference's.
+    Returns the unpruned compile's cache hits and the hook's rejections.
+    """
+    got, want = compile_search(m, tree), search_reference.compile_search(m, tree)
+    assert got.stats == want.stats
+    assert dumps(got) == dumps(want)
+    hits = sum(got.stats.cache_hits.values())
+    logged = _Logged(m), _Logged(m)
+    got = compile_search(m, tree, hook=logged[0])
+    want = search_reference.compile_search(m, tree, hook=logged[1])
+    assert got.stats == want.stats
+    assert logged[0].log == logged[1].log
+    assert dumps(got) == dumps(want)
+    return hits, sum(entry != "undo" and not entry[2] for entry in logged[0].log)
+
+
+def _stride_models():
+    """Scopes listed deepest-first on a chain tree, 3-valued variables, empty scopes."""
+    rng = seeded_rng(53)
+    scopes = [(2, 0), (1, 2, 0), (1,), (3, 1), (0, 3, 2), ()]
+    models = []
+    for domains in ([2, 3, 2, 3], [3, 3, 2, 3], [3, 2, 3, 2]):
+        for weighted in (True, False):
+            for _ in range(3):
+                functions = []
+                for scope in scopes:
+                    size = math.prod(domains[v] for v in scope)
+                    if weighted:
+                        values = [rng.choice([0, 1, 2, Fraction(3, 4), Fraction(5, 3)])
+                                  for _ in range(size)]
+                    else:
+                        values = [int(rng.random() < 0.8) for _ in range(size)]
+                    if not scope:
+                        values = [Fraction(3, 2) if weighted else 1]
+                    functions.append((scope, values))
+                kind = "weighted" if weighted else "constraint"
+                models.append(make_model(domains, functions, kind=kind))
+    return models
+
+
+def test_strided_lookups_match_the_reference():
+    # the compiler reads a bucket table by precomputed strides; the
+    # reference calls ``value_at``, which reads the scope in its order
+    deepest_first = rejects = 0
+    for m in _stride_models():
+        g = build_primal_graph(m)
+        trees = [None, chain_pseudo_tree(g, [0, 1, 2, 3]), chain_pseudo_tree(g, [3, 2, 1, 0])]
+        for tree in trees:
+            if tree is not None:
+                depth = tree.depth_of
+                deepest_first += sum(
+                    len(f.scope) > 1 and depth[f.scope[0]] == max(depth[v] for v in f.scope)
+                    for f in m.functions
+                )
+            rejects += _matches_the_reference(m, tree)[1]
+    assert deepest_first > 0 and rejects > 0
 
 
 def test_bcp_chain_trace_and_bytes_unchanged():

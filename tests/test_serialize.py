@@ -625,6 +625,35 @@ def test_dumps_matches_the_reference_writer():
     # the kept gcd path, and terminal diagrams, are among them
     assert sum(map(_unequal_denominators, texts)) > 0
     assert sum("roots .\n" in text for text in texts) >= 2
+    # and every record kind the writer branches on
+    assert set().union(*map(_record_kinds, texts)) == {
+        "weighted pair, T = 1",
+        "weighted pair, T >= 2",
+        "constraint pair",
+        "three or more arcs",
+        "pair with and without children",
+    }
+
+
+def _record_kinds(text):
+    kinds = set()
+    weighted = "\nmode weighted\n" in text
+    for line in text.splitlines():
+        if not line.startswith("n "):
+            continue
+        arcs = [tok.split(":") for tok in line.split()[3:]]
+        if len(arcs) > 2:
+            kinds.add("three or more arcs")
+            continue
+        if not weighted:
+            kinds.add("constraint pair")
+        elif any("/" in w for w, _ in arcs):
+            kinds.add("weighted pair, T >= 2")
+        else:
+            kinds.add("weighted pair, T = 1")
+        if len({kids == "." for _, kids in arcs}) == 2:
+            kinds.add("pair with and without children")
+    return kinds
 
 
 def _spelled(weights, weighted):
