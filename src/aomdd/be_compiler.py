@@ -68,11 +68,7 @@ def _chain_fragment(f, chain, domains, table):
     chain order by their strides, and each level's run of ``k`` arcs is
     one ``make_node`` call, whose result is the next arc one level up.
     """
-    stride = {}
-    step = 1
-    for var, k in zip(reversed(f.scope), reversed(f.shape)):
-        stride[var] = step
-        step *= k
+    stride = dict(zip(f.scope, f.strides()))
     pending = [[] for _ in chain]
     for index in map(sum, product(*[range(0, domains[v] * stride[v], stride[v]) for v in chain])):
         w = f.values[index]

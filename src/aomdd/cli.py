@@ -4,8 +4,8 @@
 stdout; ``dot`` prints a diagram file as DOT on stdout.
 
 Exit codes: 0 success / 1 negative answer (equiv: not equivalent) /
-2 usage, parse, or structural error / 3 resource cap exceeded /
-4 internal error.
+2 usage error, unreadable file or ``AomddError`` (parse, structural) /
+3 resource cap exceeded / 4 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .be_compiler import compile_be
 from .diagram import collector_paused, count_stats, structural_equal
-from .errors import ParseError, ResourceLimitError, StructuralError
-from .model import parse_dimacs_cnf, parse_uai, parse_uai_evidence
+from .errors import AomddError, ParseError, ResourceLimitError, StructuralError
+from .model import _ints, _lines, parse_dimacs_cnf, parse_uai, parse_uai_evidence
 from .query import count_solutions, evaluate, mpe, sum_over
 from .search_compiler import bcp_hook, compile_search
 from .serialize import dumps, loads, to_dot
@@ -82,7 +82,14 @@ def _build_parser():
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError:
+            raise ParseError("%s is not UTF-8 text" % path)
+
+
+def _read_ints(path, what):
+    return [val for lineno, toks in _lines(_read(path)) for val in _ints(toks, what, lineno)]
 
 
 def _parse_model(path):
@@ -132,7 +139,7 @@ def cmd_compile(args):
     model = _parse_model(args.input)
     g = build_primal_graph(model)
     if args.order_file:
-        order = [int(tok) for tok in _read(args.order_file).split()]
+        order = _read_ints(args.order_file, "order entry")
     else:
         order = min_fill_ordering(g, seed=args.seed)
     tree = chain_pseudo_tree(g, order) if args.chain else generate_pseudo_tree(g, order)
@@ -181,7 +188,7 @@ def cmd_query(args):
     else:
         if not args.assignment:
             raise StructuralError("eval requires --assignment")
-        x = [int(tok) for tok in _read(args.assignment).split()]
+        x = _read_ints(args.assignment, "assignment value")
         print(_number_str(evaluate(compiled, x), args))
     return 0
 
@@ -227,7 +234,7 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (ParseError, StructuralError, OSError, ValueError) as exc:
+    except (AomddError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:

@@ -15,8 +15,8 @@ class ParseError(AomddError):
         self.line = line
 
 
-class StructuralError(AomddError):
-    """Incompatible structures (pseudo trees, scopes, diagram files)."""
+class StructuralError(AomddError, ValueError):
+    """Incompatible structures (pseudo trees, scopes, diagram files, assignments)."""
 
 
 class ResourceLimitError(AomddError):

@@ -8,8 +8,9 @@ Table values are stored as exact rationals (``int`` or
 ``fractions.Fraction``), so products, sums and normalizations are exact.
 UAI decimal text parses to exact rationals.
 
-``_lines`` is the package's one text reader: the UAI, evidence and
-DIMACS parsers here and ``serialize.loads`` all read through it.
+``_lines`` is the package's one text reader and ``_ints`` its one
+integer reader: the parsers here, ``serialize.loads`` and the CLI's
+order and assignment files all read through them.
 """
 
 from __future__ import annotations
@@ -73,6 +74,13 @@ class TableFunction:
         if not isinstance(other, TableFunction):
             return NotImplemented
         return (self.scope, self.shape, self.values) == (other.scope, other.shape, other.values)
+
+    def strides(self):
+        """Each scope variable's index step: the product of the domain sizes after it."""
+        steps = [1] * len(self.shape)
+        for i in range(len(self.shape) - 1, 0, -1):
+            steps[i - 1] = steps[i] * self.shape[i]
+        return tuple(steps)
 
     def value_at(self, assignment):
         """Table value at a (possibly partial) assignment covering the scope."""
@@ -222,6 +230,28 @@ def _lines(text):
         start = end
 
 
+def _ints(toks, what, line=None, low=None, high=None):
+    """The integers a list of tokens spells, each in ``[low, high)``.
+
+    A token must be spelled as ``str`` spells its value
+    (``str(int(tok)) == tok``): ASCII digits after an optional ``-``, with
+    no leading zero, ``-0``, ``+``, ``_`` or other digits ``int`` takes.
+    """
+    try:
+        vals = [*map(int, toks)]
+    except ValueError:
+        vals = None
+    if vals is None or [*map(str, vals)] != toks:
+        for tok in toks[:-1]:  # name the first token that is not canonical
+            _ints([tok], what, line)
+        raise ParseError("expected integer %s, got %r" % (what, toks[-1]), line)
+    if low is not None and min(vals) < low:
+        raise ParseError("%s must be >= %d, got %d" % (what, low, min(vals)), line)
+    if high is not None and max(vals) >= high:
+        raise ParseError("%s must be < %d, got %d" % (what, high, max(vals)), line)
+    return vals
+
+
 class _Reader:
     def __init__(self, text):
         self._it = ((tok, lineno) for lineno, fields in _lines(text) for tok in fields)
@@ -233,14 +263,12 @@ class _Reader:
             return tok
         raise ParseError("unexpected end of input while reading %s" % what, self.line)
 
+    def end(self, what):
+        for tok, lineno in self._it:
+            raise ParseError("unexpected %r after %s" % (tok, what), lineno)
+
     def next_int(self, what, low=None, cap=None):
-        tok = self.next(what)
-        try:
-            val = int(tok)
-        except ValueError:
-            raise ParseError("expected integer %s, got %r" % (what, tok), self.line)
-        if low is not None and val < low:
-            raise ParseError("%s must be >= %d, got %d" % (what, low, val), self.line)
+        val = _ints([self.next(what)], what, self.line, low)[0]
         if cap is not None and val > cap:
             raise ResourceLimitError("line %d: %s is %d, cap is %d" % (self.line, what, val, cap))
         return val
@@ -257,6 +285,8 @@ class _Reader:
                 "%s exponent exceeds %d: %r" % (what, MAX_EXPONENT, tok), self.line
             )
         try:
+            if not tok.isascii() or "_" in tok:  # ``Fraction`` takes both
+                raise ValueError(tok)
             val = Fraction(tok)
         except ValueError:
             raise ParseError("expected number %s, got %r" % (what, tok), self.line)
@@ -303,6 +333,7 @@ def parse_uai(text):
             )
         values = tuple(r.next_value("table %d entry" % i) for v in range(declared))
         functions.append((scope, values))
+    r.end("the last table")
     return make_model(domains, functions, kind=WEIGHTED)
 
 
@@ -310,7 +341,7 @@ def parse_dimacs_cnf(text):
     """Parse DIMACS CNF into a constraint model, one 0/1 table per clause.
 
     Each clause forbids exactly the one assignment falsifying all its
-    literals.  Tautological clauses become constant-1 tables.
+    literals.  A tautological clause is constant 1 and gets no table.
     """
     nvars = None
     clauses = []
@@ -323,9 +354,8 @@ def parse_dimacs_cnf(text):
             if len(toks) != 4 or toks[1] != "cnf":
                 raise ParseError("malformed problem line %r" % line, lineno)
             try:
-                nvars = int(toks[2])
-                nclauses = int(toks[3])
-            except ValueError:
+                nvars, nclauses = _ints(toks[2:], "count", lineno)
+            except ParseError:
                 raise ParseError("malformed problem line %r" % line, lineno)
             if nvars < 0 or nclauses < 0:
                 raise ParseError("negative count in problem line %r" % line, lineno)
@@ -337,18 +367,14 @@ def parse_dimacs_cnf(text):
             continue
         if nvars is None:
             raise ParseError("clause before 'p cnf' header", lineno)
-        for tok in toks:
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError("bad literal %r" % tok, lineno)
+        for lit in _ints(toks, "literal", lineno):
             if lit == 0:
                 clauses.append((tuple(current), lineno))
                 current = []
-            else:
-                if abs(lit) > nvars:
-                    raise ParseError("literal %d exceeds variable count %d" % (lit, nvars), lineno)
+            elif -nvars <= lit <= nvars:
                 current.append(lit)
+            else:
+                raise ParseError("literal %d exceeds variable count %d" % (lit, nvars), lineno)
     if current:
         raise ParseError("last clause missing terminating 0")
     if nvars is None:
@@ -357,35 +383,24 @@ def parse_dimacs_cnf(text):
     functions = []
     domains = [2] * nvars
     for lits, lineno in clauses:
-        if not lits:
-            # empty clause: unsatisfiable model
-            functions.append(((), (0,)))
-            continue
         signs = {}
-        tautology = False
         for lit in lits:
-            var = abs(lit) - 1
-            sign = lit > 0
-            if signs.get(var, sign) != sign:
-                tautology = True
-                break
-            signs[var] = sign
-        if tautology:
-            continue
-        scope = tuple(sorted(signs))
-        forbidden = tuple(0 if signs[v] else 1 for v in scope)
-        size = 1 << len(scope)
-        if size > MAX_CLAUSE_TABLE:
-            raise ResourceLimitError(
-                "line %d: clause over %d variables needs a %d-entry table, cap is %d"
-                % (lineno, len(scope), size, MAX_CLAUSE_TABLE)
-            )
-        values = [1] * size
-        idx = 0
-        for v, fval in zip(scope, forbidden):
-            idx = idx * 2 + fval
-        values[idx] = 0
-        functions.append((scope, tuple(values)))
+            if signs.setdefault(abs(lit) - 1, lit > 0) != (lit > 0):
+                break  # a tautology: no table
+        else:
+            scope = tuple(sorted(signs))
+            size = 1 << len(scope)
+            if size > MAX_CLAUSE_TABLE:
+                raise ResourceLimitError(
+                    "line %d: clause over %d variables needs a %d-entry table, cap is %d"
+                    % (lineno, len(scope), size, MAX_CLAUSE_TABLE)
+                )
+            values = [1] * size
+            idx = 0
+            for v in scope:  # the one assignment that falsifies every literal
+                idx = idx * 2 + (not signs[v])
+            values[idx] = 0  # an empty clause is the constant 0
+            functions.append((scope, tuple(values)))
     return make_model(domains, functions, kind=CONSTRAINT)
 
 
@@ -402,4 +417,5 @@ def parse_uai_evidence(text, n=None):
         if var in evidence:
             raise ParseError("evidence variable %d given twice" % var, r.line)
         evidence[var] = val
+    r.end("the evidence pairs")
     return evidence

@@ -78,13 +78,13 @@ def evaluate(diagram, x):
     solution-tree read of ``x``; skipped variables contribute factor 1.
     """
     if len(x) != len(diagram.domains):
-        raise ValueError(
+        raise StructuralError(
             "assignment has %d values, model has %d variables"
             % (len(x), len(diagram.domains))
         )
     for var, k in enumerate(diagram.domains):
         if x[var] is None or not 0 <= x[var] < k:
-            raise ValueError("variable %d unassigned or out of domain" % var)
+            raise StructuralError("variable %d unassigned or out of domain" % var)
     num = den = 1
     stack = list(diagram.roots)
     while stack:

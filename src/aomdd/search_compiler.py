@@ -8,15 +8,15 @@ the canonical diagram.
 
 Bucket tables are read by stride.  Once per compile, each variable's
 bucket becomes a tuple of ``(values, ((var, stride), ...))`` pairs, one
-per table: the stride of a scope variable is the product of the domain
-sizes after it in the scope, so the entry at an assignment is
-``values[sum(assignment[var] * stride)]``, the index ``value_at``
-computes.  ``solve`` adds that index up inline.  It needs no check for
-an unassigned variable: ``compute_buckets`` puts each table at its
-deepest variable, and rejects a scope that is not on one root-to-leaf
-path, so when ``solve`` reads a variable's bucket every other scope
-variable is an ancestor and already assigned.  ``TableFunction.value_at``
-keeps its check for its other callers.
+per table, with the strides of ``TableFunction.strides`` (the product
+of the domain sizes after a variable in the scope), so the entry at an
+assignment is ``values[sum(assignment[var] * stride)]``, the index
+``value_at`` computes.  ``solve`` adds that index up inline.  It needs
+no check for an unassigned variable: ``compute_buckets`` puts each
+table at its deepest variable, and rejects a scope that is not on one
+root-to-leaf path, so when ``solve`` reads a variable's bucket every
+other scope variable is an ancestor and already assigned.
+``TableFunction.value_at`` keeps its check for its other callers.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
     table = UniqueTable(weighted, model.domains, node_cap)
     domains = model.domains
     functions, factor = integer_tables(model)
-    lookups = [tuple(_strided(functions[fid]) for fid in bucket) for bucket in buckets]
+    tables = [[functions[fid] for fid in bucket] for bucket in buckets]
+    lookups = [tuple((f.values, tuple(zip(f.scope, f.strides()))) for f in fs) for fs in tables]
     # per-variable counters, folded into ``CompileStats`` at the end
     or_count, and_count, hit_count = [0] * tree.n, [0] * tree.n, [0] * tree.n
     caches = [dict() for _ in range(tree.n)]
@@ -154,29 +155,20 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
     return Aomdd(tree, domains, tuple(children), constant, table, weighted, stats)
 
 
-def _strided(f):
-    """``(values, ((var, stride), ...))``, so ``f.value_at(x)`` is ``values[sum(x[var] * stride)]``."""
-    strides = []
-    stride = 1
-    for var, k in zip(reversed(f.scope), reversed(f.shape)):
-        strides.append((var, stride))
-        stride *= k
-    return f.values, tuple(strides)
-
-
 def model_nogoods(model):
     """The zero tuples of every function, as (var, value) nogood tuples."""
     nogoods = []
     for f in model.functions:
+        strides = f.strides()
         for idx, value in enumerate(f.values):
             if value != 0:
                 continue
             lits = []
             rem = idx
-            for var, k in zip(reversed(f.scope), reversed(f.shape)):
-                lits.append((var, rem % k))
-                rem //= k
-            nogoods.append(tuple(reversed(lits)))
+            for var, stride in zip(f.scope, strides):
+                val, rem = divmod(rem, stride)
+                lits.append((var, val))
+            nogoods.append(tuple(lits))
     return nogoods
 
 

@@ -8,8 +8,8 @@ makes file equality a valid fast path for the equivalence command.
 This module alone spells and orders the records (``canonical_records``),
 prints them (``dumps``, ``to_dot``) and checks them (``loads``); the
 writer holds one variable block of signatures at a time and can write
-each line to a file as it is made, the reader (``model._lines``, shared
-with the model parsers) one 64k chunk of lines.  ``loads`` rebuilds the
+each line to a file as it is made, the reader (``model._lines`` and
+``model._ints``, shared with the parsers) one 64k chunk of lines.  ``loads`` rebuilds the
 tree with ``structure``'s one tree constructor and checks it against ``dfs``.
 
 A weighted node holds the primitive integer vector ``n`` of its arc
@@ -49,7 +49,7 @@ from operator import itemgetter
 from .diagram import Aomdd, MetaNode, node_total, ratio, reachable_nodes
 from .diagram import make_node  # noqa: F401  (bench/tracing.py wraps serialize.make_node)
 from .errors import ParseError, StructuralError
-from .model import CONSTRAINT, WEIGHTED, _lines
+from .model import CONSTRAINT, WEIGHTED, _ints, _lines
 from .structure import _finish_tree
 
 
@@ -177,19 +177,6 @@ def _expect(fields, lineno, tag, count=None):
     return fields[1:]
 
 
-def _int(tok, lineno, what, low, high=None):
-    """A canonically spelled integer in ``[low, high)``."""
-    try:
-        value = int(tok)
-    except ValueError:
-        value = None
-    if value is None or str(value) != tok or value < low or (
-        high is not None and value >= high
-    ):
-        raise ParseError("bad %s %r" % (what, tok), lineno)
-    return value
-
-
 def _misplaced_children(i, var):
     return StructuralError(
         "node %d: children must be unrelated, in DFS order and below variable %d" % (i, var)
@@ -280,14 +267,14 @@ def loads(text):
     if mode not in (WEIGHTED, CONSTRAINT):
         raise ParseError("unknown mode %r" % mode, lineno)
     weighted = mode == WEIGHTED
-    lineno, (nstr,) = next_line("vars", 1)
-    n = _int(nstr, lineno, "variable count", 1)
+    lineno, count = next_line("vars", 1)
+    (n,) = _ints(count, "variable count", lineno, 1)
     lineno, doms = next_line("domains", n)
-    domains = tuple(_int(k, lineno, "domain size", 1) for k in doms)
+    domains = tuple(_ints(doms, "domain size", lineno, 1))
     lineno, parents = next_line("parents", n)
-    parent = [None if p == "-1" else _int(p, lineno, "parent", 0, n) for p in parents]
+    parent = [None if p < 0 else p for p in _ints(parents, "parent", lineno, -1, n)]
     lineno, dfs = next_line("dfs", n)
-    dfs_order = [_int(v, lineno, "dfs entry", 0, n) for v in dfs]
+    dfs_order = _ints(dfs, "dfs entry", lineno, 0, n)
     if len(set(dfs_order)) != n or parent.count(None) != 1 or parent[dfs_order[0]] is not None:
         raise ParseError("malformed tree records", lineno)
     tree = _finish_tree(parent, dfs_order)
@@ -295,9 +282,9 @@ def loads(text):
         raise ParseError("dfs record inconsistent with parents", lineno)
     var_of = {str(v): v for v in range(n)}
 
-    lineno, (mstr,) = next_line("nodes", 1)
+    lineno, count = next_line("nodes", 1)
     # every record takes more than one character, or byte, of the text
-    m = _int(mstr, lineno, "node count", 0, len(text))
+    (m,) = _ints(count, "node count", lineno, 0, len(text))
     weights = {} if weighted else {"0": (0, 1), "1": (1, 1)}  # token -> (num, den)
 
     def parse_weight(tok, lineno):

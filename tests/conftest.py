@@ -47,6 +47,15 @@ BAD_UAI = [
     ("MARKOV 1 2 -1", "function count must be >= 0, got -1"),
     ("MARKOV 1 2 1 1 0 2 0.5 -1", "table 0 entry must be non-negative, got -1"),
     ("MARKOV 1 2 1 1 0 2 1ex 1", "expected number table 0 entry, got '1ex'"),
+    # integers are spelled as str spells them; entries are ASCII without '_'
+    ("MARKOV 1 2 1 1 0 2 \u0664 1", "expected number table 0 entry, got '\u0664'"),
+    ("MARKOV 1 2 1 1 0 2 1_0 1", "expected number table 0 entry, got '1_0'"),
+    ("MARKOV 1 \u0662 0", "expected integer domain size of variable 0, got '\u0662'"),
+    ("MARKOV 1 2 1 1 1_0 2 1 1", "expected integer scope variable, got '1_0'"),
+    ("MARKOV +1 2 0", "expected integer variable count, got '\\+1'"),
+    ("MARKOV 1 2 01 1 0 2 1 1", "expected integer function count, got '01'"),
+    ("MARKOV 1 2 1 1 -0 2 1 1", "expected integer scope variable, got '-0'"),
+    ("MARKOV 1 2 1 1 0 2 1 3\n7 7 7\n", "line 2: unexpected '7' after the last table"),
 ]
 
 # each input the DIMACS parser rejects, with the message it gives
@@ -56,6 +65,39 @@ BAD_CNF = [
     ("p cnf x 1\n1 0\n", "malformed problem line 'p cnf x 1'"),
     ("p cnf 3 1.5\n1 0\n", "malformed problem line 'p cnf 3 1.5'"),
     ("c comment\n1 2 0\np cnf 2 1\n", "clause before 'p cnf' header"),
+    ("p cnf \u0664 1\n1 0\n", "line 1: malformed problem line 'p cnf \u0664 1'"),
+    ("p cnf 2 01\n1 0\n", "line 1: malformed problem line 'p cnf 2 01'"),
+    ("p cnf 10 1\n1_0 0\n", "line 2: expected integer literal, got '1_0'"),
+    ("p cnf 2 1\n+1 0\n", "line 2: expected integer literal, got '\\+1'"),
+    ("p cnf 2 1\n1 \u0660\n", "line 2: expected integer literal, got '\u0660'"),
+    ("p cnf 2 1\n1 -0\n", "line 2: expected integer literal, got '-0'"),
+]
+
+# each evidence file the example's diagram rejects (8 variables), with the message
+BAD_EVIDENCE = [
+    ("1 \u0660 1\n", "line 1: expected integer evidence variable, got '\u0660'"),
+    ("1\n0 1_0\n", "line 2: expected integer evidence value, got '1_0'"),
+    ("+1 0 1\n", "line 1: expected integer evidence count, got '\\+1'"),
+    ("1 01 1\n", "line 1: expected integer evidence variable, got '01'"),
+    ("1 0 1 9 9 9\n", "line 1: unexpected '9' after the evidence pairs"),
+    ("1\n0 1\n9\n", "line 3: unexpected '9' after the evidence pairs"),
+]
+
+# each order file the example rejects, with the message
+BAD_ORDER = [
+    ("x y\n", "line 1: expected integer order entry, got 'x'"),
+    ("+1 0 2 3 4 5 6 7\n", "line 1: expected integer order entry, got '\\+1'"),
+    ("0 1 2 3\n4 5 6 \u0667\n", "line 2: expected integer order entry, got '\u0667'"),
+    ("0 1 2 3 4 5 6 07\n", "line 1: expected integer order entry, got '07'"),
+    ("0 1 2 3 4 5 6\n\n1_0\n", "line 3: expected integer order entry, got '1_0'"),
+]
+
+# each assignment file the example rejects, with the message
+BAD_ASSIGNMENT = [
+    ("\u0660 1 1 0 1 1 1 1\n", "line 1: expected integer assignment value, got '\u0660'"),
+    ("1 1 1 0\n1 1 1 +1\n", "line 2: expected integer assignment value, got '\\+1'"),
+    ("1 1 1 0 1 1 1 01\n", "line 1: expected integer assignment value, got '01'"),
+    ("1 1 1 0 1_1 1 1\n", "line 1: expected integer assignment value, got '1_1'"),
 ]
 
 

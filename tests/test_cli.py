@@ -11,13 +11,24 @@ import aomdd
 from aomdd.cli import MAX_PRECISION, _decimal_str, main
 from aomdd.model import MAX_CNF_VARS
 
-from conftest import BAD_CNF, BAD_UAI, EXAMPLE_CNF, EXAMPLE_ORDER, queens_model, shuffled_chain_cnf_text
+from conftest import (
+    BAD_ASSIGNMENT,
+    BAD_CNF,
+    BAD_EVIDENCE,
+    BAD_ORDER,
+    BAD_UAI,
+    EXAMPLE_CNF,
+    EXAMPLE_ORDER,
+    queens_model,
+    seeded_rng,
+    shuffled_chain_cnf_text,
+)
 
 QUEENS_UAI_DOMAINS = None
 
 
 def _write(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -371,6 +382,26 @@ def test_rejected_model_exit_code(tmp_path, capsys, text, message):
     assert re.search(message, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [("order", *row) for row in BAD_ORDER]
+    + [("evidence", *row) for row in BAD_EVIDENCE]
+    + [("assignment", *row) for row in BAD_ASSIGNMENT],
+)
+def test_rejected_input_file_exit_code(
+    example_cnf, order_file, tmp_path, capsys, kind, text, message
+):
+    out = str(_compile(example_cnf, order_file, tmp_path))
+    path = _write(tmp_path / "input.txt", text)
+    argv = {
+        "order": ["compile", example_cnf, "--order-file", path],
+        "evidence": ["query", out, "--query", "count", "--evidence", path],
+        "assignment": ["query", out, "--query", "eval", "--assignment", path],
+    }[kind]
+    assert main(argv) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = _write(tmp_path / "bad.uai", "FOO 1 2 0")
     assert main(["compile", str(bad)]) == 2
@@ -405,11 +436,13 @@ def test_huge_domain_exit_code(tmp_path, capsys):
     assert "domain size of variable 0 is 1000000000" in capsys.readouterr().err
 
 
-def test_non_utf8_model_exit_code(tmp_path, capsys):
+def test_non_utf8_model_exit_code(example_cnf, tmp_path, capsys):
+    # a parse error when the file is read, whichever file it is
     path = tmp_path / "bad.uai"
     path.write_bytes(b"\xff\xfe")
     assert main(["compile", str(path)]) == 2
-    assert "error" in capsys.readouterr().err
+    assert main(["compile", example_cnf, "--order-file", str(path)]) == 2
+    assert capsys.readouterr().err.count("bad.uai is not UTF-8 text") == 2
 
 
 def test_huge_exponent_exit_code(tmp_path):
@@ -571,6 +604,101 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "error: internal: RuntimeError: boom" in err
     assert "Traceback (most recent call last)" in err and 'raise RuntimeError("boom")' in err
+
+
+def test_internal_value_error_exit_code(example_cnf, order_file, tmp_path, monkeypatch, capsys):
+    # only the package's own errors are input errors; any other ValueError is a bug
+    from aomdd import cli
+
+    out = _compile(example_cnf, order_file, tmp_path)
+
+    def broken(diagram, evidence):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "count_solutions", broken)
+    assert main(["query", str(out), "--query", "count"]) == 4
+    assert "error: internal: ValueError: boom" in capsys.readouterr().err
+
+
+FUZZ_CNF = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
+
+# each text input, a valid file of it, and the command that reads it; in
+# the UAI file every table entry has a '.', so its integer fields are the
+# tokens without one after the preamble
+FUZZ_INPUTS = {
+    "uai": ("MARKOV\n2\n2 3\n2\n1 0\n2 0 1\n2\n0.3 0.7\n6\n0.5 0.25 1.0 0.75 2.0 0.0\n",
+            ["compile", "{}"]),
+    "cnf": (FUZZ_CNF, ["compile", "{}"]),
+    "order": ("0 1\n2\n", ["compile", "{cnf}", "--order-file", "{}"]),
+    "evidence": ("1 0 1\n", ["query", "{diagram}", "--query", "count", "--evidence", "{}"]),
+    "assignment": ("1 0 1\n", ["query", "{diagram}", "--query", "eval", "--assignment", "{}"]),
+}
+
+FUZZ_TOKENS = ["0", "1", "2", "3", "-1", "-2", "x", "0.5", "1e3", "1000000000", "MARKOV",
+               "p", "cnf", "c", "+1", "1_0", "\u0664", "01", "-0", "\uff11"]
+
+# the zero of the Arabic-Indic, fullwidth and Devanagari digits
+FUZZ_ZEROS = ["\u0660", "\uff10", "\u0966"]
+
+
+def _misspell(tok, rng):
+    """``tok`` with a '+', a '_' or non-ASCII digits, which ``int`` reads but ``str`` never writes."""
+    sign, digits = ("-", tok[1:]) if tok.startswith("-") else ("", tok)
+    kind = rng.randrange(3) if "." not in tok else 2  # a table entry gets other digits
+    if kind == 0:
+        return "+" + tok
+    if kind == 1:
+        return sign + (digits[0] + "_" + digits[1:] if len(digits) > 1 else "0_" + digits)
+    zero = ord(rng.choice(FUZZ_ZEROS))
+    return sign + "".join(chr(zero + int(d)) if d.isdigit() else d for d in digits)
+
+
+def _fuzz_mutant(text, rng):
+    """A mutant of ``text``, and whether it misspells one integer field or table entry."""
+    lines = [line.split() for line in text.splitlines()]
+    if rng.random() < 0.25:
+        fields = [(i, j) for i, toks in enumerate(lines) for j, tok in enumerate(toks)
+                  if tok not in ("MARKOV", "p", "cnf")]
+        i, j = rng.choice(fields)
+        lines[i][j] = _misspell(lines[i][j], rng)
+        return "\n".join(map(" ".join, lines)) + "\n", True
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        kind = rng.randrange(5)
+        if kind == 0 and lines[i]:  # replace a token
+            lines[i][rng.randrange(len(lines[i]))] = rng.choice(FUZZ_TOKENS)
+        elif kind == 1 and lines[i]:  # drop a token
+            del lines[i][rng.randrange(len(lines[i]))]
+        elif kind == 2:  # insert a token
+            lines[i].insert(rng.randint(0, len(lines[i])), rng.choice(FUZZ_TOKENS))
+        elif kind == 3 and len(lines) > 1:  # drop a line
+            del lines[i]
+        else:  # repeat a line, or add trailing tokens
+            lines.insert(i, list(lines[i]) if rng.random() < 0.5 else rng.sample(FUZZ_TOKENS, 2))
+    return "\n".join(map(" ".join, lines)) + "\n", False
+
+
+def test_text_input_mutation_fuzz(tmp_path, capsys):
+    """Every mutant of every text input exits 0, 2 or 3; a misspelled integer exits 2."""
+    cnf = _write(tmp_path / "m.cnf", FUZZ_CNF)
+    diagram = str(tmp_path / "m.aomdd")
+    assert main(["compile", cnf, "--out", diagram]) == 0
+    path = str(tmp_path / "input.txt")
+    rng = seeded_rng(26)
+    seen = {kind: set() for kind in FUZZ_INPUTS}
+    for case in range(4000):
+        kind = rng.choice(sorted(FUZZ_INPUTS))
+        text, argv = FUZZ_INPUTS[kind]
+        mutant, misspelled = _fuzz_mutant(text, rng)
+        _write(tmp_path / "input.txt", mutant)
+        rc = main([a.format(path, cnf=cnf, diagram=diagram) for a in argv])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3), (kind, mutant, err)
+        assert rc == 2 or not misspelled, (kind, mutant)
+        seen[kind].add(rc)
+    # every input was both accepted and rejected; the caps were reached
+    assert all({0, 2} <= rcs for rcs in seen.values()), seen
+    assert 3 in seen["uai"] | seen["cnf"], seen
 
 
 def test_cli_import_loads_no_introspection_modules():

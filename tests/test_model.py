@@ -15,11 +15,12 @@ from aomdd import model
 from aomdd.model import (
     MAX_CNF_VARS,
     MAX_DOMAIN,
+    TableFunction,
     full_assignments,
     weight_of_full_assignment,
 )
 
-from conftest import BAD_CNF, BAD_UAI
+from conftest import BAD_CNF, BAD_EVIDENCE, BAD_UAI
 
 # a two-variable UAI network and a three-variable CNF, each with a blank line
 UAI = "MARKOV\n2\n2 2\n\n2\n1 0\n2 0 1\n2\n0.3 0.7\n4\n0.5 0.25 1 0.75\n"
@@ -38,6 +39,23 @@ def test_parse_uai_minimal():
 def test_parse_uai_rejects(text, message):
     with pytest.raises(ParseError, match=message):
         parse_uai(text)
+
+
+@pytest.mark.parametrize("text, message", BAD_EVIDENCE)
+def test_parse_uai_evidence_rejects(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_uai_evidence(text, n=8)
+
+
+def test_table_strides_follow_the_layout():
+    # last scope variable fastest: a variable's stride is the product of the
+    # domain sizes after it, so entry idx sits at sum(value * stride)
+    f = TableFunction((2, 0, 1), (3, 2, 4), tuple(range(24)))
+    assert f.strides() == (8, 4, 1)
+    for x in full_assignments([2, 4, 3]):
+        idx = sum(x[var] * step for var, step in zip(f.scope, f.strides()))
+        assert f.values[idx] == f.value_at(x)
+    assert TableFunction((), (), (5,)).strides() == ()
 
 
 def test_parse_uai_bad_preamble():
@@ -87,7 +105,7 @@ def test_parsers_reject_non_utf8_bytes(parse):
     "parse, text, good, bad, message",
     [
         (parse_uai, UAI, "0.25", "x", "expected number"),
-        (parse_dimacs_cnf, CNF, "-1 3 0", "-1 y 0", "bad literal"),
+        (parse_dimacs_cnf, CNF, "-1 3 0", "-1 y 0", "expected integer literal"),
     ],
 )
 def test_parsers_break_lines_as_splitlines_does(

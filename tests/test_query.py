@@ -55,10 +55,12 @@ def test_evaluate_matches_oracle():
 
 
 def test_evaluate_validates_assignment(example_model):
+    # a package error that is also the ValueError the README documents
+    assert issubclass(StructuralError, ValueError)
     compiled = compile_search(example_model)
-    with pytest.raises(ValueError):
+    with pytest.raises(StructuralError, match="variable 7 unassigned or out of domain"):
         evaluate(compiled, [0] * 7 + [None])
-    with pytest.raises(ValueError):
+    with pytest.raises(StructuralError, match="variable 7 unassigned or out of domain"):
         evaluate(compiled, [0] * 7 + [5])
 
 
@@ -66,7 +68,7 @@ def test_evaluate_rejects_wrong_length():
     compiled = compile_search(parse_dimacs_cnf("p cnf 3 1\n1 2 3 0\n"))
     assert evaluate(compiled, [0, 1, 1]) == 1
     for x in ([0], [0, 1], [0, 1, 1, 1]):
-        with pytest.raises(ValueError, match="assignment has %d values" % len(x)):
+        with pytest.raises(StructuralError, match="assignment has %d values" % len(x)):
             evaluate(compiled, x)
 
 
