@@ -15,11 +15,22 @@ where one operand has a node there and the other has one in that
 variable's subtree, which below ``X`` never happens, because only one
 child's message reaches into each child's subtree.  So once ``X``'s
 bucket is done no node of ``X`` will be made again, and the table
-closes ``X``'s level; reference counting then frees the message nodes,
-intermediate products and chain diagrams that the final diagram does
-not use.  The levels stay closed: the returned table serves only its
-counters.  The APPLY memo lives for one ``apply_fragments`` call: it
-keys by ``id()``, and ids of freed nodes are reused.
+closes ``X``'s level; reference counting then frees the nodes there
+that the final diagram does not use.  More narrowly, the bucket of
+``X`` makes nodes only at ``X`` and its context: its tables' scopes lie
+there, and so, by induction, do its children's messages.  A variable in
+the context of any variable but its children gets message nodes from
+many buckets, so its level holds them weakly until its own bucket
+starts: a message node or an intermediate product there is freed as
+soon as no message, fragment or parent node refers to it, not when its
+level closes near the root.  A level in no context but its children's
+gets nodes only from their buckets and holds them plainly: on a chain
+that is the one bucket before its own, and weak entries cost time.
+When a freed node's arcs come back, the node is created again, so the
+table's creation count can exceed the reference schedule's.  The
+levels stay closed: the returned table serves only its counters.  The
+APPLY memo lives for one ``apply_fragments`` call: it keys by
+``id()``, and ids of freed nodes are reused.
 
 APPLY runs one trampoline generator per node product, ``_apply_node``.
 Its arc loop combines the two child lists itself: ``_groups`` pairs
@@ -55,6 +66,7 @@ from .structure import (
     build_primal_graph,
     chain_pseudo_tree,
     compute_buckets,
+    compute_contexts,
     generate_pseudo_tree,
     min_fill_ordering,
 )
@@ -234,9 +246,11 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     (default: a min-fill ordering), or with ``chain=True`` the
     degenerate chain along ``d`` (MDD/OBDD mode).
 
-    Each variable's level of the unique table is closed when its bucket
-    is done, and the returned table stays closed: interning into it
-    raises, and it serves only its counters.
+    The level of a variable in the context of any variable but its
+    children is held weakly until its bucket starts (see the module
+    docstring).  Each level is closed when its bucket is done,
+    and the returned table stays closed: interning into it raises, and
+    it serves only its counters.
     """
     if tree is None:
         g = build_primal_graph(model)
@@ -251,7 +265,13 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     depth = tree.depth_of.__getitem__
 
     inbox = [[] for _ in range(tree.n)]
+    contexts = tree.context or compute_contexts(tree, build_primal_graph(model))
+    weak = {a for x, ctx in enumerate(contexts) for a in ctx if a != tree.parent[x]}
+    for var in weak:
+        table.weaken(var)
     for var in reversed(tree.dfs_order):
+        if var in weak:
+            table.strengthen(var)
         message = (1, ())
         for fid in buckets[var]:
             f = functions[fid]

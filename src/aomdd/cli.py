@@ -11,8 +11,10 @@ Exit codes: 0 success / 1 negative answer (equiv: not equivalent) /
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .be_compiler import compile_be
@@ -154,9 +156,17 @@ def cmd_compile(args):
         compiled = compile_be(model, tree=tree, node_cap=args.mem_cap)
     elapsed = time.perf_counter() - start
     if args.out:
-        # opened only now, so a failed compile leaves no file behind
-        with open(args.out, "w", encoding="utf-8") as handle:
-            dumps(compiled, handle)
+        # written beside the target and renamed once complete, so a
+        # compile or a write that fails leaves no file behind
+        partial = "%s.%d.tmp" % (args.out, os.getpid())
+        handle = open(partial, "x", encoding="utf-8")
+        try:
+            with handle:
+                dumps(compiled, handle)
+            os.replace(partial, args.out)
+        except BaseException:
+            os.unlink(partial)
+            raise
     if args.stats:
         stats = count_stats(compiled)
         print("n %d" % model.n)
@@ -211,6 +221,25 @@ def cmd_dot(args):
     return 0
 
 
+@contextmanager
+def _digit_limit():
+    """Report Python's limit on the digits of an ``int`` spelled as a resource limit.
+
+    An exact answer, or a weight or root constant that ``dumps`` spells,
+    is a product of table entries, which no input check bounds; past the
+    limit ``str`` raises ``ValueError``.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ResourceLimitError(
+            "an exact value has more than %d digits, Python's limit on spelling an"
+            " int (sys.set_int_max_str_digits)" % sys.get_int_max_str_digits()
+        ) from None
+
+
 _COMMANDS = {
     "compile": cmd_compile,
     "query": cmd_query,
@@ -229,7 +258,7 @@ def main(argv=None):
     if not 1 <= getattr(args, "precision", 1) <= MAX_PRECISION:
         parser.error("--precision must be between 1 and %d digits" % MAX_PRECISION)
     try:
-        with collector_paused():
+        with collector_paused(), _digit_limit():
             return _COMMANDS[args.command](args)
     except ResourceLimitError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -28,6 +28,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
+from weakref import ref
 
 from .errors import ResourceLimitError, StructuralError
 
@@ -35,7 +36,7 @@ from .errors import ResourceLimitError, StructuralError
 class MetaNode:
     """One OR variable node plus its k weighted AND arcs (hash-consed)."""
 
-    __slots__ = ("var", "arcs", "uid")
+    __slots__ = ("var", "arcs", "uid", "__weakref__")
 
     def __init__(self, var, arcs, uid):
         self.var = var
@@ -55,8 +56,12 @@ class UniqueTable:
     creation order is children first across all variables.
     ``close(var)`` drops a variable's dict once no more nodes will be
     made there, which lets reference counting free the dead ones;
-    interning at a closed variable raises.  ``len`` counts every node
-    created, open or closed.
+    interning at a closed variable raises.  ``weaken(var)`` makes a
+    level hold its nodes weakly, so an entry goes as soon as nothing
+    else refers to its node, and ``strengthen(var)`` holds the live ones
+    plainly again.  A node whose arcs come back after it was freed is
+    created again, with a new uid.  ``len`` counts every creation, open
+    or closed level, re-creations included.
     """
 
     def __init__(self, weighted, domains, node_cap=None):
@@ -64,6 +69,8 @@ class UniqueTable:
         self.node_cap = node_cap
         self.domains = domains
         self._levels = [{} for _ in domains]
+        # a weak level's weakref callback; None for a level held plainly
+        self._removers = [None] * len(domains)
         self._created = 0
         self.created_per_var = {}
 
@@ -75,22 +82,69 @@ class UniqueTable:
         if level is None:
             raise RuntimeError("unique table of variable %d is closed" % var)
         fresh = MetaNode(var, arcs, self._created)
+        remove = self._removers[var]
         # one dict operation, so the arcs key is hashed once
-        node = level.setdefault(arcs, fresh)
-        if node is fresh:
-            if self.node_cap is not None and fresh.uid >= self.node_cap:
-                del level[arcs]
-                raise ResourceLimitError(
-                    "node cap %d exceeded after %d meta-nodes"
-                    % (self.node_cap, fresh.uid)
-                )
-            self._created += 1
-            self.created_per_var[var] = self.created_per_var.get(var, 0) + 1
-        return node
+        if remove is None:
+            node = level.setdefault(arcs, fresh)
+        else:
+            entry = _Entry(fresh, remove)
+            entry.key = arcs
+            # a freed node's callback has already dropped its entry
+            node = level.setdefault(arcs, entry)()
+        if node is not fresh:
+            return node
+        if self.node_cap is not None and fresh.uid >= self.node_cap:
+            del level[arcs]
+            raise ResourceLimitError(
+                "node cap %d exceeded after %d meta-nodes" % (self.node_cap, fresh.uid)
+            )
+        self._created += 1
+        self.created_per_var[var] = self.created_per_var.get(var, 0) + 1
+        return fresh
+
+    def weaken(self, var):
+        """Hold the nodes at the plain level ``var`` weakly from now on."""
+        level = self._levels[var]
+        self._removers[var] = remove = _remover(ref(self), var)
+        self._levels[var] = weak = {}
+        for arcs, node in level.items():
+            weak[arcs] = entry = _Entry(node, remove)
+            entry.key = arcs
+
+    def strengthen(self, var):
+        """Hold the live nodes at the weak level ``var`` plainly again."""
+        level = self._levels[var]
+        self._removers[var] = None
+        self._levels[var] = {arcs: entry() for arcs, entry in level.items()}
 
     def close(self, var):
         """Intern nothing more at ``var``; forget the nodes interned there."""
         self._levels[var] = None
+        self._removers[var] = None
+
+
+class _Entry(ref):
+    """A weak level's reference to a node, with the node's arcs as ``key``."""
+
+    __slots__ = ("key",)
+
+
+def _remover(table_ref, var):
+    """The weakref callback of a weak level: drop the dead node's entry.
+
+    It reaches the level through a weak reference to the table, so no
+    level and callback refer to each other in a cycle.
+    """
+
+    def remove(entry):
+        # an entry that lost to an equal one, or a node past the cap,
+        # is not in the level when its node dies
+        table = table_ref()
+        level = table._levels[var] if table is not None else None
+        if level is not None and level.get(entry.key) is entry:
+            del level[entry.key]
+
+    return remove
 
 
 @contextmanager

@@ -17,6 +17,17 @@ table at its deepest variable, and rejects a scope that is not on one
 root-to-leaf path, so when ``solve`` reads a variable's bucket every
 other scope variable is an ancestor and already assigned.
 ``TableFunction.value_at`` keeps its check for its other callers.
+
+Only a cache that can hit is kept.  The root is expanded once, and a
+variable ``X`` whose context is ``context(parent) + {parent}`` has a
+*dead* cache (Darwiche, "Recursive conditioning", AIJ 2001): no two
+expansions of ``X`` share a context instance, so a lookup would never
+hit.  By induction from the root, distinct expansions of every variable
+have distinct context instances: a cached variable is expanded only on
+a miss, and a dead one once per value of its parent in each of the
+parent's expansions, and the parent is in its context.  Pruning only
+removes expansions, so this holds under a hook too.  ``solve`` makes no
+key for a dead cache, and neither looks it up nor stores into it.
 """
 
 from __future__ import annotations
@@ -86,12 +97,19 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
     caches = [dict() for _ in range(tree.n)]
     assignment = [None] * tree.n
     # one key per context; a variable's cache is its own, so a
-    # one-variable context may key by the bare value
-    keys = [itemgetter(*ctx) if ctx else lambda a: () for ctx in contexts]
+    # one-variable context may key by the bare value.  A dead cache (the
+    # root, and a variable whose context is its parent's plus the
+    # parent) gets no key: it is never looked up or stored.
+    parent = tree.parent
+    keys = [
+        None if p is None or set(ctx) == {*contexts[p], p}
+        else itemgetter(*ctx) if ctx else lambda a: ()
+        for ctx, p in zip(contexts, parent)
+    ]
     undo = hook.undo if hook is not None else None
 
     def solve(var, key):
-        """Expand ``var`` under the current assignment, ``key`` its context."""
+        """Expand ``var`` under the current assignment, ``key`` its context or None."""
         or_count[var] += 1
         bucket = lookups[var]
         arcs = []
@@ -115,12 +133,16 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
             children = []
             for child in tree.children[var]:
                 # a cache hit costs a lookup, not a generator and a trampoline step
-                c_key = keys[child](assignment)
-                solved = caches[child].get(c_key)
-                if solved is None:
-                    solved = yield solve(child, c_key)
+                key_of = keys[child]
+                if key_of is None:
+                    solved = yield solve(child, None)
                 else:
-                    hit_count[child] += 1
+                    c_key = key_of(assignment)
+                    solved = caches[child].get(c_key)
+                    if solved is None:
+                        solved = yield solve(child, c_key)
+                    else:
+                        hit_count[child] += 1
                 c_const, c_children = solved
                 if c_const == 0:
                     w = 0
@@ -132,11 +154,12 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
             arcs.append((w, tuple(children)) if w != 0 else (0, ()))
         assignment[var] = None
         result = make_node(var, arcs, table)
-        caches[var][key] = result
+        if key is not None:
+            caches[var][key] = result
         return result
 
     try:
-        const, children = run(solve(tree.root, keys[tree.root](assignment)))
+        const, children = run(solve(tree.root, None))
     finally:
         # ``solve`` names itself; the cycle through its closure cell would
         # keep the caches and the trace's nodes alive until the cyclic

@@ -15,6 +15,7 @@ from aomdd import (
     generate_pseudo_tree,
     make_model,
     parse_dimacs_cnf,
+    parse_uai,
 )
 
 # The 8-variable 9-clause network used throughout: variables A..H are
@@ -191,6 +192,18 @@ def shuffled_chain_cnf_text(n, seed):
     lines = ["p cnf %d %d" % (n, len(clauses))]
     lines += [" ".join(str(l) for l in c) + " 0" for c in clauses]
     return "\n".join(lines) + "\n"
+
+
+def loaded_tree_models():
+    """The loaded-tree corpus: three small bench workloads and 60 random models."""
+    workloads = bench_workloads()
+    small = [workloads.grid(1, side=4), workloads.chain(1, n=40), workloads.cnf(1, n=16, m=48)]
+    models = [
+        (parse_uai if w.model_file.endswith(".uai") else parse_dimacs_cnf)(w.model_text)
+        for w in small
+    ]
+    rng = seeded_rng(61)
+    return models + [random_model(rng, weighted=i % 2 == 0) for i in range(60)]
 
 
 def open_nodes(table):

@@ -1,6 +1,8 @@
 import gc
 import itertools
 import tracemalloc
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -173,15 +175,53 @@ def test_be_matches_search_randomized():
             assert dumps(compile_be(m, d=shuffled, tree=tree, chain=i % 2 == 0)) == expected
 
 
-def _assert_same_as_oracle(model, d, tree):
-    a = compile_be(model, tree=tree)
-    b = be_reference.compile_be(model, d, tree)
+def _creations(compile_, structures, monkeypatch):
+    """Run ``compile_``; return its diagram and the nodes its table created.
+
+    Each creation is logged in order as ``(var, structure id)``.  A
+    node's structure is its variable, weights and children's structure
+    ids, and ``structures`` numbers the distinct ones across runs.  A
+    structure is created again only once its earlier node is freed.
+    """
+    intern = UniqueTable.intern
+    by_uid = {}
+    latest = {}  # structure id -> weak reference to its latest node
+    created = []
+
+    def recording(table, var, arcs):
+        before = len(table)
+        node = intern(table, var, arcs)
+        if len(table) != before:
+            key = (var, tuple((w, tuple(by_uid[c.uid] for c in ch)) for w, ch in arcs))
+            sid = structures.setdefault(key, len(structures))
+            earlier = latest.get(sid)
+            assert earlier is None or earlier() is None, "two live nodes of one structure"
+            latest[sid] = weakref.ref(node)
+            by_uid[node.uid] = sid
+            created.append((var, sid))
+        return node
+
+    with monkeypatch.context() as patched:
+        patched.setattr(UniqueTable, "intern", recording)
+        return compile_(), created
+
+
+def _assert_same_as_oracle(model, d, tree, monkeypatch):
+    # the reference keeps every node, so it creates each structure once;
+    # BE frees dead message nodes early and may create one again, but it
+    # creates the same structures
+    structures = {}
+    a, made = _creations(lambda: compile_be(model, tree=tree), structures, monkeypatch)
+    b, want = _creations(lambda: be_reference.compile_be(model, d, tree), structures, monkeypatch)
     assert dumps(a) == dumps(b)
-    assert a.table.created_per_var == b.table.created_per_var
-    assert len(a.table) == len(b.table)
+    assert len(set(want)) == len(want) == len(b.table)
+    assert set(made) == set(want)
+    assert len(a.table) == len(made)
+    assert a.table.created_per_var == Counter(var for var, _ in made)
+    return a, len(made) - len(want)
 
 
-def test_tree_schedule_matches_ordering_schedule():
+def test_tree_schedule_matches_ordering_schedule(monkeypatch):
     # for a tree built from ``d`` the tree schedule folds the same
     # fragments in the same order as the schedule along ``d``
     rng = seeded_rng(2024)
@@ -190,18 +230,21 @@ def test_tree_schedule_matches_ordering_schedule():
         g = build_primal_graph(m)
         d = min_fill_ordering(g, seed=i)
         tree = chain_pseudo_tree(g, d) if i % 4 == 0 else generate_pseudo_tree(g, d)
-        _assert_same_as_oracle(m, d, tree)
+        _assert_same_as_oracle(m, d, tree, monkeypatch)
 
 
-def test_tree_schedule_matches_ordering_schedule_on_bench_workloads():
+def test_tree_schedule_matches_ordering_schedule_on_bench_workloads(monkeypatch):
     workloads = bench_workloads()
+    again = {}
     for name in ("grid", "chain", "cnf"):
         w = workloads.WORKLOADS[name](1)
         parse = parse_uai if w.model_file.endswith(".uai") else parse_dimacs_cnf
         m = parse(w.model_text)
         g = build_primal_graph(m)
         d = min_fill_ordering(g)
-        _assert_same_as_oracle(m, d, generate_pseudo_tree(g, d))
+        _, again[name] = _assert_same_as_oracle(m, d, generate_pseudo_tree(g, d), monkeypatch)
+    # a few freed message nodes come back on grid and cnf
+    assert again["grid"] > 0 and again["cnf"] > 0
 
 
 def test_group_descendants_matches_reference(monkeypatch):
@@ -299,6 +342,35 @@ def test_be_memory_tracks_the_diagram(name, bound):
     assert be <= bound * search
 
 
+# BE's tables hold the message nodes at the levels above the bucket
+# weakly.  Before, they stayed until those levels closed near the root,
+# and BE peaked at 10.6 MiB on grid and 38.7 MiB on cnf; now 7.6 and
+# 28.7 MiB (Python 3.11).
+@pytest.mark.parametrize("name, mib", [("grid", 9.0), ("cnf", 33.0)])
+def test_be_frees_dead_message_nodes(name, mib):
+    model, tree = _workload_and_tree(name)
+    assert _traced_peak(lambda: compile_be(model, tree=tree)) <= mib * 2**20
+
+
+def test_a_weak_level_lets_a_freed_node_go():
+    table = UniqueTable(weighted=False, domains=(2, 2))
+    table.weaken(0)
+    low = table.intern(1, ((1, ()), (0, ())))
+    high = table.intern(0, ((1, (low,)), (0, ())))
+    assert table.intern(0, ((1, (low,)), (0, ()))) is high
+    gone = weakref.ref(high)
+    del high
+    assert gone() is None
+    # its entry went with it: the same arcs make a new node
+    again = table.intern(0, ((1, (low,)), (0, ())))
+    assert again.uid == 2 and table.created_per_var == {0: 2, 1: 1}
+    table.strengthen(0)
+    assert [u.uid for u in open_nodes(table)] == [0, 2]
+    kept = weakref.ref(again)
+    del again
+    assert kept() is not None  # a plain level holds it
+
+
 def test_interning_at_a_closed_level_raises():
     table = UniqueTable(weighted=False, domains=(2, 2))
     low = table.intern(1, ((1, ()), (0, ())))
@@ -313,7 +385,7 @@ def test_interning_at_a_closed_level_raises():
     assert [u.var for u in open_nodes(table)] == [0]
 
 
-def test_be_returns_its_table_closed():
+def test_be_returns_its_table_closed(monkeypatch):
     rng = seeded_rng(61)
     models = [random_model(rng, weighted=i % 2 == 0) for i in range(40)]
     models.append(_workload_and_tree("grid")[0])
@@ -321,7 +393,7 @@ def test_be_returns_its_table_closed():
         g = build_primal_graph(model)
         d = min_fill_ordering(g)
         tree = generate_pseudo_tree(g, d)
-        compiled = compile_be(model, tree=tree)
+        compiled, _ = _assert_same_as_oracle(model, d, tree, monkeypatch)
         table = compiled.table
         assert check_reduced(reachable_nodes(compiled))
         # every level is closed: the table serves only its counters
@@ -329,6 +401,3 @@ def test_be_returns_its_table_closed():
         for var in range(len(model.domains)):
             with pytest.raises(RuntimeError, match="closed"):
                 table.intern(var, ((1, ()), (0, ())))
-        reference = be_reference.compile_be(model, d, tree)
-        assert len(table) == sum(table.created_per_var.values()) == len(reference.table)
-        assert table.created_per_var == reference.table.created_per_var

@@ -275,6 +275,43 @@ def test_mem_cap_failure_leaves_no_out_file(example_cnf, tmp_path, capsys, metho
     assert "cap" in capsys.readouterr().err
 
 
+def test_failed_write_leaves_no_out_file(example_cnf, tmp_path, monkeypatch, capsys):
+    # a ``dumps`` that raises partway through leaves neither the file
+    # nor its partial copy; an earlier file at ``--out`` is kept
+    from aomdd import cli
+
+    def failing(diagram, file):
+        file.write("aomdd 1\n")
+        raise aomdd.StructuralError("write failed")
+
+    out = tmp_path / "out.aomdd"
+    monkeypatch.setattr(cli, "dumps", failing)
+    assert main(["compile", example_cnf, "--out", str(out)]) == 2
+    assert "write failed" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["example.cnf"]
+    out.write_text("kept\n")
+    assert main(["compile", example_cnf, "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["example.cnf", "out.aomdd"]
+
+
+def test_value_past_the_digit_limit_exit_code(tmp_path, capsys):
+    # 2^15000 models, and a root constant of 10^8600: Python spells
+    # neither as a decimal, which is a resource limit, not a bug
+    limit = "more than %d digits" % sys.get_int_max_str_digits()
+    free = tmp_path / "free.aomdd"
+    assert main(["compile", _write(tmp_path / "free.cnf", "p cnf 15000 0\n"), "--out", str(free)]) == 0
+    capsys.readouterr()
+    assert main(["query", str(free), "--query", "count"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and limit in captured.err
+    model = _write(tmp_path / "huge.uai", "MARKOV 1 2 2 1 0 1 0 2 1e4300 1e4300 2 1e4300 1e4300\n")
+    out = tmp_path / "huge.aomdd"
+    assert main(["compile", model, "--out", str(out)]) == 3
+    assert limit in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["free.aomdd", "free.cnf", "huge.uai"]
+
+
 # name -> (parser, model text); the last two reduce to a bare constant
 OUT_MODELS = {
     "weighted": (

@@ -15,7 +15,10 @@ from aomdd import (
     count_stats,
     dumps,
     evaluate,
+    generate_pseudo_tree,
+    loads,
     make_model,
+    min_fill_ordering,
     mpe,
     parse_dimacs_cnf,
     parse_uai,
@@ -26,11 +29,13 @@ from aomdd.diagram import check_reduced, reachable_nodes
 from aomdd.errors import ResourceLimitError
 from aomdd.model import full_assignments
 from aomdd.search_compiler import integer_tables
+from aomdd.structure import compute_contexts
 
 import diagram_reference
 import search_reference
 from conftest import (
     bench_workloads,
+    loaded_tree_models,
     open_nodes,
     queens_model,
     random_cnf_text,
@@ -262,15 +267,28 @@ def test_cache_lookup_before_the_generator_keeps_the_trace():
     assert hits > 0 and rejects > 0
 
 
+def _dead_caches(m, tree):
+    """The root, and each variable whose context is its parent's plus the parent."""
+    contexts = tree.context or compute_contexts(tree, build_primal_graph(m))
+    return [
+        v for v, p in enumerate(tree.parent)
+        if p is None or set(contexts[v]) == {*contexts[p], p}
+    ]
+
+
 def _matches_the_reference(m, tree=None):
     """Compile ``m`` with and without a logged hook, as the reference does.
 
-    The stats, the hook log and the bytes must be the reference's.
+    The stats, the hook log and the bytes must be the reference's.  The
+    reference looks up and stores every cache, so it checks that no
+    dead cache, which the compiler skips, would ever have hit.
     Returns the unpruned compile's cache hits and the hook's rejections.
     """
     got, want = compile_search(m, tree), search_reference.compile_search(m, tree)
     assert got.stats == want.stats
     assert dumps(got) == dumps(want)
+    dead = _dead_caches(m, got.tree)
+    assert not any(want.stats.cache_hits[v] for v in dead)
     hits = sum(got.stats.cache_hits.values())
     logged = _Logged(m), _Logged(m)
     got = compile_search(m, tree, hook=logged[0])
@@ -278,7 +296,30 @@ def _matches_the_reference(m, tree=None):
     assert got.stats == want.stats
     assert logged[0].log == logged[1].log
     assert dumps(got) == dumps(want)
+    assert not any(want.stats.cache_hits[v] for v in dead)
     return hits, sum(entry != "undo" and not entry[2] for entry in logged[0].log)
+
+
+def test_dead_caches_never_hit_in_the_reference():
+    # 300 seeded random models along their default trees, and the
+    # loaded-tree corpus along generated and chain trees read back by
+    # ``loads``, which carry no contexts
+    rng = seeded_rng(2024)
+    cases = []
+    for i in range(300):
+        m = random_model(rng, weighted=i % 3 != 0)
+        g = build_primal_graph(m)
+        cases.append((m, generate_pseudo_tree(g, min_fill_ordering(g))))
+    for m in loaded_tree_models():
+        g = build_primal_graph(m)
+        d = min_fill_ordering(g)
+        for tree in (generate_pseudo_tree(g, d), chain_pseudo_tree(g, d)):
+            cases.append((m, loads(dumps(compile_search(m, tree))).tree))
+    hits = dead = 0
+    for m, tree in cases:
+        hits += _matches_the_reference(m, tree)[0]
+        dead += len(_dead_caches(m, tree))
+    assert hits > 0 and dead > len(cases)  # more than the roots are dead
 
 
 def _stride_models():

@@ -33,7 +33,7 @@ from aomdd.serialize import to_dot, weight_strs
 from aomdd.structure import compute_contexts
 
 import serialize_reference
-from conftest import bench_workloads, random_model, seeded_rng
+from conftest import bench_workloads, loaded_tree_models, random_model, seeded_rng
 
 # dumps of a one-variable model with unary table [1/2, 3/2]
 UNARY = """\
@@ -134,17 +134,6 @@ def test_cross_compiler_bytes(example_model, example_tree):
     assert dumps(a) == dumps(b)
 
 
-def _loaded_tree_models():
-    workloads = bench_workloads()
-    small = [workloads.grid(1, side=4), workloads.chain(1, n=40), workloads.cnf(1, n=16, m=48)]
-    models = [
-        (parse_uai if w.model_file.endswith(".uai") else parse_dimacs_cnf)(w.model_text)
-        for w in small
-    ]
-    rng = seeded_rng(61)
-    return models + [random_model(rng, weighted=i % 2 == 0) for i in range(60)]
-
-
 TREE_FIELDS = (
     "parent", "children", "root", "dfs_order", "dfs_index", "depth_of", "subtree_end"
 )
@@ -153,7 +142,7 @@ TREE_FIELDS = (
 def test_compiling_along_a_loaded_tree():
     # a tree read back by ``loads`` carries no contexts: the compilers
     # build them from the model and the tree's parents
-    for m in _loaded_tree_models():
+    for m in loaded_tree_models():
         g = build_primal_graph(m)
         d = min_fill_ordering(g)
         for tree in (generate_pseudo_tree(g, d), chain_pseudo_tree(g, d)):
@@ -445,7 +434,7 @@ def _read_with(reader, text):
 
 def _corpus_diagrams():
     """Search, BE and bcp compiles of random models and terminal diagrams."""
-    models = _loaded_tree_models()
+    models = loaded_tree_models()
     # 3-valued variables whose records spell arcs over unequal denominators
     models.append(make_model([3, 3], [((0,), [1, 2, 5]), ((0, 1), [1, 1, 2, 3, 1, 0, 0, 4, 4])]))
     # terminal diagrams: always 0, and a constant
