@@ -66,7 +66,6 @@ from .structure import (
     build_primal_graph,
     chain_pseudo_tree,
     compute_buckets,
-    compute_contexts,
     generate_pseudo_tree,
     min_fill_ordering,
 )
@@ -257,7 +256,7 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
         if d is None:
             d = min_fill_ordering(g)
         tree = chain_pseudo_tree(g, d) if chain else generate_pseudo_tree(g, d)
-    buckets = compute_buckets(tree, model)
+    buckets, contexts = compute_buckets(tree, model)
     weighted = model.kind == WEIGHTED
     table = UniqueTable(weighted, model.domains, node_cap)
     domains = model.domains
@@ -265,7 +264,6 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     depth = tree.depth_of.__getitem__
 
     inbox = [[] for _ in range(tree.n)]
-    contexts = tree.context or compute_contexts(tree, build_primal_graph(model))
     weak = {a for x, ctx in enumerate(contexts) for a in ctx if a != tree.parent[x]}
     for var in weak:
         table.weaken(var)

@@ -103,13 +103,8 @@ class UniqueTable:
         return fresh
 
     def weaken(self, var):
-        """Hold the nodes at the plain level ``var`` weakly from now on."""
-        level = self._levels[var]
-        self._removers[var] = remove = _remover(ref(self), var)
-        self._levels[var] = weak = {}
-        for arcs, node in level.items():
-            weak[arcs] = entry = _Entry(node, remove)
-            entry.key = arcs
+        """Hold the nodes interned at the still empty level ``var`` weakly."""
+        self._removers[var] = _remover(ref(self), var)
 
     def strengthen(self, var):
         """Hold the live nodes at the weak level ``var`` plainly again."""

@@ -1,7 +1,8 @@
 """Depth-first AND/OR search compilation with context caching.
 
 The compiler expands the AND/OR search space along a pseudo tree,
-caching each variable's subproblem by its context assignment, and
+caching each variable's subproblem by its context assignment (the
+contexts ``compute_buckets`` reads off the scopes, for any tree), and
 reduces meta-nodes inline on backtrack, so the trace it touches is (a
 subset of, under pruning) the context-minimal graph and the output is
 the canonical diagram.
@@ -41,7 +42,6 @@ from .model import WEIGHTED, integer_tables
 from .structure import (
     build_primal_graph,
     compute_buckets,
-    compute_contexts,
     generate_pseudo_tree,
     min_fill_ordering,
 )
@@ -69,8 +69,9 @@ class CompileStats:
 def compile_search(model, tree=None, hook=None, node_cap=None):
     """Compile a model into its canonical diagram by AND/OR search.
 
-    The default ``tree`` is the pseudo tree of a min-fill ordering; a
-    tree read back by ``loads`` gets its contexts from the primal graph.
+    The default ``tree`` is the pseudo tree of a min-fill ordering.  Any
+    tree that puts each scope on one root-to-leaf path compiles with the
+    model's own contexts, wherever it came from.
 
     ``hook``, when given, is a sound pruning test with the protocol of
     ``bcp_hook``: ``hook(var, val)`` is called once per value of nonzero
@@ -84,8 +85,7 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
     if tree is None:
         g = build_primal_graph(model)
         tree = generate_pseudo_tree(g, min_fill_ordering(g))
-    buckets = compute_buckets(tree, model)
-    contexts = tree.context or compute_contexts(tree, build_primal_graph(model))
+    buckets, contexts = compute_buckets(tree, model)
     weighted = model.kind == WEIGHTED
     table = UniqueTable(weighted, model.domains, node_cap)
     domains = model.domains
@@ -102,7 +102,7 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
     # parent) gets no key: it is never looked up or stored.
     parent = tree.parent
     keys = [
-        None if p is None or set(ctx) == {*contexts[p], p}
+        None if p is None or ctx == {*contexts[p], p}
         else itemgetter(*ctx) if ctx else lambda a: ()
         for ctx, p in zip(contexts, parent)
     ]

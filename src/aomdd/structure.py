@@ -149,7 +149,7 @@ class PseudoTree:
 
     ``children`` lists follow the generating ordering; ``context`` holds
     per-variable ancestor lists ordered closest-first, or None when the
-    tree was rebuilt without its primal graph (deserialized diagrams).
+    tree was rebuilt without its primal graph (``loads``); no compiler reads it.
     The subtree of ``v`` is the DFS interval
     ``dfs_order[dfs_index[v]:subtree_end[v]]``.
     """
@@ -260,16 +260,22 @@ def compute_contexts(tree, g):
     """Per-variable ancestor lists, closest ancestor first.
 
     An ancestor is in context(X) iff the primal graph connects it to X
-    or to a descendant of X.  One reverse sweep along ``tree.dfs_order``
+    or to a descendant of X: one reverse sweep along ``tree.dfs_order``
     that follows ``tree.parent``.  A tree without the backarc property
-    also gets earlier neighbours that are not ancestors; ``compute_buckets``
-    rejects such a tree.
+    also gets earlier neighbours that are not ancestors.  The compilers
+    read these sets off the buckets instead (``compute_buckets``).
     """
     return _closest_first(tree, _sweep(g, tree.dfs_order, tree.parent)[1])
 
 
 def compute_buckets(tree, model):
-    """Function ids grouped by the deepest variable of their scope.
+    """Function ids grouped by the deepest variable of their scope, and contexts.
+
+    Returns ``(buckets, contexts)``, a tuple of function ids and a set
+    of ancestors per variable.  context(X), read bottom-up in the same
+    pass, is the scopes in X's bucket and its children's contexts, minus
+    X: the scope of X's bucket message.  It depends on the tree and the
+    model only, and equals ``compute_contexts`` over the model's graph.
 
     Raises a structural error when the tree is not over the model's
     variables, or some scope does not lie along a single root-to-leaf
@@ -278,6 +284,7 @@ def compute_buckets(tree, model):
     if tree.n != model.n:
         raise StructuralError("pseudo tree has %d variables, model has %d" % (tree.n, model.n))
     buckets = [[] for _ in range(tree.n)]
+    contexts = [set() for _ in range(tree.n)]
     for fid, f in enumerate(model.functions):
         if not f.scope:
             continue
@@ -289,15 +296,10 @@ def compute_buckets(tree, model):
                     % (f.scope, fid)
                 )
         buckets[deepest].append(fid)
-    if tree.context is not None:
-        for v in range(tree.n):
-            allowed = {v, *tree.context[v]}
-            for fid in buckets[v]:
-                extra = set(model.functions[fid].scope) - allowed
-                if extra:
-                    raise StructuralError(
-                        "bucket function %d reaches outside {%d} + context(%d)"
-                        % (fid, v, v)
-                    )
-    return [tuple(b) for b in buckets]
-
+        contexts[deepest].update(f.scope)
+    # children come after their parent in DFS order
+    for v in reversed(tree.dfs_order):
+        contexts[v].discard(v)
+        if tree.parent[v] is not None:
+            contexts[tree.parent[v]] |= contexts[v]
+    return [tuple(b) for b in buckets], contexts

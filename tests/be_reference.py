@@ -21,7 +21,7 @@ from aomdd.structure import compute_buckets
 
 def compile_be(model, d, tree):
     """BE along ``tree``, scheduled by the ordering ``d`` it came from."""
-    buckets = compute_buckets(tree, model)
+    buckets = compute_buckets(tree, model)[0]
     weighted = model.kind == WEIGHTED
     table = UniqueTable(weighted, model.domains)
     domains = model.domains

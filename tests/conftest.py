@@ -220,13 +220,26 @@ def seeded_rng(seed):
     return random.Random(seed)
 
 
-def bench_workloads():
-    """The benchmark's workload generators (``bench/workloads.py``), loaded by path."""
-    name = "bench_workloads"
+def _bench_module(name, file):
+    """``bench/<file>.py`` loaded by path as the module ``name``, once."""
     if name not in sys.modules:
-        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        path = Path(__file__).resolve().parent.parent / "bench" / (file + ".py")
         spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module  # dataclasses resolve the module by name
         spec.loader.exec_module(module)
     return sys.modules[name]
+
+
+def bench_workloads():
+    """The benchmark's workload generators (``bench/workloads.py``), loaded by path."""
+    return _bench_module("bench_workloads", "workloads")
+
+
+def bench_tracing():
+    """The benchmark's tracer (``bench/tracing.py``), loaded by path.
+
+    It imports ``harness`` by name, so that is loaded first, under it.
+    """
+    _bench_module("harness", "harness")
+    return _bench_module("tracing", "tracing")

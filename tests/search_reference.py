@@ -148,7 +148,7 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
     if tree is None:
         g = build_primal_graph(model)
         tree = generate_pseudo_tree(g, min_fill_ordering(g))
-    buckets = compute_buckets(tree, model)
+    buckets = compute_buckets(tree, model)[0]
     contexts = tree.context or compute_contexts(tree, build_primal_graph(model))
     weighted = model.kind == WEIGHTED
     table = UniqueTable(weighted, model.domains, node_cap)

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from aomdd import (
-    StructuralError,
+    bcp_hook,
+    brute_force_table,
     build_primal_graph,
     chain_pseudo_tree,
     compile_be,
@@ -17,6 +18,7 @@ from aomdd import (
     dumps,
     evaluate,
     generate_pseudo_tree,
+    loads,
     make_model,
     min_fill_ordering,
     parse_dimacs_cnf,
@@ -27,6 +29,7 @@ from aomdd import be_compiler
 from aomdd.be_compiler import apply_fragments, group_descendants
 from aomdd.diagram import UniqueTable, check_reduced, reachable_nodes
 from aomdd.serialize import weight_strs
+from aomdd.structure import PrimalGraph, compute_contexts
 
 import be_reference
 from conftest import bench_workloads, open_nodes, queens_model, random_model, seeded_rng
@@ -93,16 +96,69 @@ def test_group_descendants_singletons(example_tree):
     assert [(h.var, members) for h, members in groups] == [(D, []), (G, [])]
 
 
-def test_compilers_reject_scope_outside_contexts():
+def _compiles(model, tree):
+    """Search, BE and bcp along ``tree``, by name."""
+    return {
+        "search": compile_search(model, tree),
+        "be": compile_be(model, tree=tree),
+        "bcp": compile_search(model, tree, hook=bcp_hook(model)),
+    }
+
+
+def _bytes_and_counters(compiled):
+    """Each compile's ``dumps``, and its ``CompileStats`` or BE's ``created_per_var``."""
+    return {
+        name: (dumps(d), d.table.created_per_var if d.stats is None else d.stats)
+        for name, d in compiled.items()
+    }
+
+
+def _loaded_copy(model, tree):
+    return loads(dumps(compile_search(model, tree))).tree
+
+
+def test_compilers_read_a_foreign_trees_contexts_off_the_buckets():
     # the chain 0 - 1 - 2 gives context(2) = {1}; a table over (0, 2)
-    # lies on a root-to-leaf path of that tree but outside 2's context
+    # lies on a root-to-leaf path of that tree, and compiles with its own
+    # context(2) = {0}, as along the tree's loaded copy
     chain = make_model([2, 2, 2], [((0, 1), [1, 2, 3, 4]), ((1, 2), [1, 2, 3, 4])])
     tree = generate_pseudo_tree(build_primal_graph(chain), [0, 1, 2])
     assert tree.context[2] == (1,)
     model = make_model([2, 2, 2], [((0, 2), [1, 2, 3, 4])])
-    for compile_ in (compile_search, lambda m, t: compile_be(m, tree=t)):
-        with pytest.raises(StructuralError, match="outside"):
-            compile_(model, tree)
+    oracle = brute_force_table(model)
+    along = _compiles(model, tree)
+    for name, compiled in along.items():
+        for x in itertools.product(range(2), repeat=3):
+            assert evaluate(compiled, list(x)) == oracle.value_at(x), name
+    loaded = _loaded_copy(model, tree)
+    assert loaded == tree and loaded.context is None
+    assert _bytes_and_counters(along) == _bytes_and_counters(_compiles(model, loaded))
+
+
+def _union_graph(a, b):
+    return PrimalGraph(a.n, tuple(u | v for u, v in zip(a.adj, b.adj)))
+
+
+def test_tree_and_its_loaded_copy_compile_alike():
+    # two models compiled along one common tree: the min-fill tree of the
+    # union of their primal graphs, whose stored contexts are the union's
+    rng = seeded_rng(29)
+    wider = 0
+    for i in range(40):
+        a = random_model(rng, weighted=i % 2 == 0)
+        b = random_model(rng, weighted=i % 2 == 1)
+        while b.n != a.n:
+            b = random_model(rng, weighted=i % 2 == 1)
+        union = _union_graph(build_primal_graph(a), build_primal_graph(b))
+        tree = generate_pseudo_tree(union, min_fill_ordering(union))
+        for model in (a, b):
+            loaded = _loaded_copy(model, tree)
+            assert loaded == tree
+            own = compute_contexts(tree, build_primal_graph(model))
+            wider += own != tree.context
+            got = _bytes_and_counters(_compiles(model, tree))
+            assert got == _bytes_and_counters(_compiles(model, loaded))
+    assert wider > 0  # some stored contexts are wider than the model's own
 
 
 def test_apply_terminal_absorption(example_tree):

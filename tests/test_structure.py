@@ -127,7 +127,7 @@ def test_context_width_agreement():
 
 
 def test_buckets_example(example_model, example_tree):
-    buckets = compute_buckets(example_tree, example_model)
+    buckets = compute_buckets(example_tree, example_model)[0]
     # clauses F|H and A|~H land in H's bucket; the xor clauses and F|G in G's
     assert buckets[H] == (0, 1)
     assert buckets[G] == (2, 3, 4, 5, 6)
@@ -136,6 +136,21 @@ def test_buckets_example(example_model, example_tree):
         allowed = {v, *example_tree.context[v]}
         for fid in bucket:
             assert set(example_model.functions[fid].scope) <= allowed
+
+
+def test_bucket_contexts_are_the_primal_graph_contexts():
+    # read off the scopes bottom-up, the contexts are the primal graph's,
+    # along generated, chain and loaded trees alike
+    rng = seeded_rng(29)
+    for i in range(300):
+        m = random_model(rng, weighted=i % 2 == 0)
+        g = build_primal_graph(m)
+        d = min_fill_ordering(g, seed=i)
+        t = generate_pseudo_tree(g, d)
+        loaded = loads(dumps(compile_search(m, t))).tree
+        for tree in (t, chain_pseudo_tree(g, d), loaded):
+            contexts = compute_buckets(tree, m)[1]
+            assert contexts == [set(c) for c in compute_contexts(tree, g)]
 
 
 def test_buckets_off_path_scope_rejected():
