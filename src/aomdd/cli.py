@@ -68,7 +68,7 @@ def _build_parser():
     q = sub.add_parser("query", help="answer a query on a compiled diagram")
     q.add_argument("diagram", help="canonical diagram file")
     q.add_argument("--query", choices=["count", "sum", "mpe", "eval"], required=True)
-    q.add_argument("--evidence", help="evidence file (count, then variable/value pairs)")
+    q.add_argument("--evidence", help="evidence file for count, sum and mpe (count, then variable/value pairs)")
     q.add_argument("--assignment", help="full assignment file for eval (n whitespace-separated values)")
     q.add_argument("--precision", type=int, default=12, help="printed significant digits")
     q.add_argument("--exact", action="store_true", help="print exact rationals instead of decimals")
@@ -255,6 +255,11 @@ def main(argv=None):
         parser.error("--mem-cap must not be negative")
     if getattr(args, "prune", None) == "bcp" and args.method == "be":
         parser.error("--prune bcp applies to --method search only")
+    query = getattr(args, "query", None)
+    if query == "eval" and args.evidence:
+        parser.error("--evidence applies to --query count, sum and mpe only")
+    if query not in (None, "eval") and args.assignment:
+        parser.error("--assignment applies to --query eval only")
     if not 1 <= getattr(args, "precision", 1) <= MAX_PRECISION:
         parser.error("--precision must be between 1 and %d digits" % MAX_PRECISION)
     try:

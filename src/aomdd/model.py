@@ -210,20 +210,34 @@ def brute_force_table(model, cap=BRUTE_FORCE_CAP):
 # ---------------------------------------------------------------------------
 # Parsers (UAI, DIMACS CNF, UAI evidence)
 
-def _lines(text):
+def _text(text):
+    """``text`` as ``str``: ``str`` as it is, ``bytes`` decoded as UTF-8."""
+    if isinstance(text, bytes):
+        try:
+            return text.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("input is not UTF-8 text")
+    return text
+
+
+def _lines(text, start=0, lineno=0, raw=False):
     """``(lineno, fields)`` of each non-blank line of ``str`` or UTF-8 ``bytes``.
 
     Split about ``_CHUNK`` characters at a time, each chunk ending after
     a ``"\\n"``, with the line breaks and numbers of one whole-text split.
+    Reading starts at offset ``start``, the start of line ``lineno + 1``.
+    With ``raw``, each line comes unsplit, with its line break, as
+    ``(lineno, line, end)``: ``end`` is the offset just past it.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError("input is not UTF-8 text")
-    lineno = start = 0
+    text = _text(text)
     while start < len(text):
         end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        if raw:
+            for lineno, line in enumerate(text[start:end].splitlines(True), lineno + 1):
+                start += len(line)
+                if not line.isspace():
+                    yield lineno, line, start
+            continue
         for lineno, line in enumerate(text[start:end].splitlines(), lineno + 1):
             if fields := line.split():
                 yield lineno, fields

@@ -28,8 +28,13 @@ counting.  Three inputs fix the query:
 Each node's value is an integer pair ``(num, den)`` in lowest terms:
 one gcd per node, and no ``Fraction`` until the result.  A weighted
 meta-node stores integer arc weights whose values are ``n_i / sum(n)``;
-the fold multiplies the integers and divides by a node's sum, added up
-in its pass over the arcs, once per node, not once per arc.
+the fold multiplies the integers, its children's values among them, in
+the node's own loop, and divides by a node's sum, added up in its pass
+over the arcs, once per node, not once per arc.  Under evidence the fold
+covers only the nodes that evidence-consistent arcs reach from the roots
+(``_consistent``, one top-down pass); a node below an arc the evidence
+rules out adds nothing to any answer.  Without evidence every node is
+reached, and that pass is skipped.
 ``evaluate`` reads one solution tree and ``enumerate_solutions`` walks
 the paths, so neither is a fold.
 """
@@ -98,47 +103,74 @@ def evaluate(diagram, x):
     return diagram.constant * ratio(num, den)
 
 
+def _consistent(nodes, roots, evidence):
+    """The ``nodes`` (children first) that evidence-consistent arcs reach from ``roots``.
+
+    One pass, parents first: a reached node reaches the children of each
+    arc that agrees with the evidence on its variable.  A zero-weight
+    arc has no children, so it reaches nothing.
+    """
+    live = set(roots)
+    for u in reversed(nodes):
+        if u in live:
+            fixed = evidence.get(u.var)
+            if fixed is None:
+                for _, children in u.arcs:
+                    live.update(children)
+            else:
+                live.update(u.arcs[fixed][1])
+    return [u for u in nodes if u in live]
+
+
 def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
-    """Fold the reachable nodes, children first; return ``(argmax, value)``.
+    """Fold the nodes the evidence leaves reachable, children first; return ``(argmax, value)``.
 
     Arcs combine by max when ``maximize``, else by ``+``; a skipped
     unobserved variable contributes its domain size when ``sizes``, else
     1; an arc counts its weight when ``weights``, else 1.  ``value`` is
     the roots' value without the root constant; ``argmax`` maps each
-    node to its first maximizing value when ``maximize``.
+    folded node to its first maximizing value (when ``maximize``; else
+    to a value the evidence allows).  Without evidence every reachable
+    node is folded; with it, only those that ``_consistent`` keeps.
     """
     domains = diagram.domains
     tree = diagram.tree
+    dfs_index, subtree_end = tree.dfs_index, tree.subtree_end
     divide = weights and diagram.weighted
-    width = [end - start for start, end in zip(tree.dfs_index, tree.subtree_end)]
+    width = [end - start for start, end in zip(dfs_index, subtree_end)]
     memo = {}
     argmax = {}
 
-    def product(num, lo, hi, children):
-        den = 1
-        skipped = hi - lo  # DFS positions the children do not cover
-        for c in children:
-            p, q = memo[c]
-            num *= p
-            den *= q
-            skipped -= width[c.var]
-        if sizes and skipped:
-            for item in _arc_items(tree, lo, hi, children):
-                if type(item) is int and item not in evidence:
-                    num *= domains[item]
-        return num, den
+    def skipped_sizes(num, lo, hi, children):
+        # the domain sizes of the unobserved variables an arc skips
+        for item in _arc_items(tree, lo, hi, children):
+            if type(item) is int and item not in evidence:
+                num *= domains[item]
+        return num
 
-    for u in reachable_nodes(diagram):
+    nodes = reachable_nodes(diagram)
+    if evidence:
+        nodes = _consistent(nodes, diagram.roots, evidence)
+    for u in nodes:
         num, den = 0, 1
         fixed = evidence.get(u.var)
         arg = fixed or 0  # a node of value 0 takes its first allowed value
-        lo, hi = tree.dfs_index[u.var] + 1, tree.subtree_end[u.var]
+        lo, hi = dfs_index[u.var] + 1, subtree_end[u.var]
         total = 0  # the node's weight sum, its arc values' denominator
         for val, (w, children) in enumerate(u.arcs):
             total += w
             if w == 0 or fixed is not None and val != fixed:
                 continue
-            p, q = product(w if weights else 1, lo, hi, children)
+            p = w if weights else 1
+            q = 1
+            skipped = hi - lo  # DFS positions the children do not cover
+            for c in children:
+                a, b = memo[c]
+                p *= a
+                q *= b
+                skipped -= width[c.var]
+            if sizes and skipped:
+                p = skipped_sizes(p, lo, hi, children)
             if maximize:
                 if p * den > num * q:
                     num, den, arg = p, q, val
@@ -151,7 +183,17 @@ def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
         g = gcd(num, den)
         memo[u] = (num // g, den // g)
         argmax[u] = arg
-    return argmax, ratio(*product(1, 0, tree.n, diagram.roots))
+    # the roots, as one arc over the whole tree
+    num = den = 1
+    skipped = tree.n
+    for c in diagram.roots:
+        a, b = memo[c]
+        num *= a
+        den *= b
+        skipped -= width[c.var]
+    if sizes and skipped:
+        num = skipped_sizes(num, 0, tree.n, diagram.roots)
+    return argmax, ratio(num, den)
 
 
 def sum_over(diagram, evidence=None):

@@ -23,9 +23,11 @@ two-arc record's signature from its two arcs and prints its line with
 one format string, with no per-arc list; wider records take the
 per-arc path.  Both spell the same text.  ``loads`` turns the
 fractions back into integers by scaling with the lcm of the record's
-denominators; a two-arc record ``n0/T n1/T`` needs no scaling, and
-checking that it is reduced takes one gcd, ``gcd(n0, T)``, which equals
-``gcd(n1, T)`` when ``n0 + n1 == T``.
+denominators.  A two-arc record ``n0/T n1/T`` needs no scaling, and
+``loads`` reads one as ``dumps`` writes it in one step: a compiled
+pattern, matched at the record's offset in the text, takes its five
+fields, and checking that the pair is reduced takes one gcd,
+``gcd(n0, T)``, which equals ``gcd(n1, T)`` when ``n0 + n1 == T``.
 
 Format (whitespace-separated ASCII, one record per line)::
 
@@ -43,13 +45,14 @@ Format (whitespace-separated ASCII, one record per line)::
 
 from __future__ import annotations
 
+import re
 from math import gcd, lcm
 from operator import itemgetter
 
 from .diagram import Aomdd, MetaNode, node_total, ratio, reachable_nodes
 from .diagram import make_node  # noqa: F401  (bench/tracing.py wraps serialize.make_node)
 from .errors import ParseError, StructuralError
-from .model import CONSTRAINT, WEIGHTED, _ints, _lines
+from .model import CONSTRAINT, WEIGHTED, _ints, _lines, _text
 from .structure import _finish_tree
 
 
@@ -169,6 +172,15 @@ def to_dot(diagram):
     return "\n".join(lines) + "\n"
 
 
+# a weighted pair record ``n <id> <var> n0/T:<children> n1/T:<children>``
+# spelled with single spaces and a "\n" line break, whose numerators and
+# denominator are canonical positive integers
+_PAIR = re.compile(
+    r"n ([0-9]+) ([0-9]+) (([1-9][0-9]*)/([1-9][0-9]*)):([0-9,.]+)"
+    r" (([1-9][0-9]*)/\5):([0-9,.]+)\n"
+)
+
+
 def _expect(fields, lineno, tag, count=None):
     if not fields or fields[0] != tag:
         raise ParseError("expected %r record" % tag, lineno)
@@ -181,33 +193,6 @@ def _misplaced_children(i, var):
     return StructuralError(
         "node %d: children must be unrelated, in DFS order and below variable %d" % (i, var)
     )
-
-
-def _pair_nums(tok0, tok1):
-    """``[n0, n1]`` when arcs ``tok0, tok1`` spell the weights ``n0/T n1/T``, else None.
-
-    The pair is canonical: each weight is spelled as ``str(Fraction)``
-    spells it and the two sum to 1.  That is, ``n0`` and ``n1`` are
-    canonical decimal integers above 0 and ``T`` is spelled as
-    ``str(n0 + n1)``, which also makes ``T >= 2``; and one gcd shows both
-    fractions are reduced, since ``gcd(n1, T) == gcd(T - n0, T) ==
-    gcd(n0, T)``.  None says only that the pair takes the per-token check.
-    """
-    n0tok, _, ttok = tok0.partition(":")[0].partition("/")
-    n1tok, _, t1tok = tok1.partition(":")[0].partition("/")
-    if t1tok != ttok:
-        return None
-    try:
-        n0, n1 = int(n0tok), int(n1tok)
-    except ValueError:
-        return None
-    total = n0 + n1
-    if (
-        n0 > 0 and n1 > 0 and str(total) == ttok and str(n0) == n0tok
-        and str(n1) == n1tok and gcd(n0, total) == 1
-    ):
-        return [n0, n1]
-    return None
 
 
 def loads(text):
@@ -235,12 +220,17 @@ def loads(text):
     - every record is a child of a later record or a root, and the
       roots are pairwise unrelated and in DFS order.
 
-    A weighted two-arc record whose weights share one denominator is
-    checked as one record (``_pair_nums``), and one gcd covers both
-    arcs.  Every other record, and a pair that fails that check, has its
-    weights checked token by token, each token parsed once per file.  A
-    pair that passes would pass every per-token test, so each file gets
-    the same outcome and the same error either way.
+    A weighted two-arc record spelled as ``dumps`` spells it (``_PAIR``:
+    single spaces, a ``"\\n"`` line end, canonical positive integers
+    over one denominator ``T``) is checked in one step: ``T`` must be
+    spelled as ``str(n0 + n1)`` and one gcd, ``gcd(n0, T)``, covers both
+    arcs; then come the children, interval, redundancy and order checks.
+    Records are matched at their offsets in the text until one does not
+    match; the rest come from the line reader, which tries the pattern
+    on each line.  Every other record, and a pair the step refuses, has
+    its weights checked token by token, each token parsed once per
+    file.  A pair the step accepts would pass every per-token test, so
+    each file gets the same outcome and the same error either way.
 
     The signature order makes every record new, so each record becomes
     one ``MetaNode`` with its record id as uid, and no unique table is
@@ -251,14 +241,18 @@ def loads(text):
     ``num_i * L / den_i``: reduced fractions that sum to 1 scale to
     integers with gcd 1, the compilers' primitive form.
     """
-    it = _lines(text)
+    size = len(text)
+    text = _text(text)
+    it = _lines(text, raw=True)
+    offset = 0  # the offset just past the last line read
 
     def next_line(tag, count=None):
+        nonlocal offset
         try:
-            lineno, fields = next(it)
+            lineno, line, offset = next(it)
         except StopIteration:
             raise ParseError("unexpected end of file, wanted %r" % tag)
-        return lineno, _expect(fields, lineno, tag, count)
+        return lineno, _expect(line.split(), lineno, tag, count)
 
     lineno, header = next_line("aomdd", 1)
     if header[0] != "1":
@@ -284,7 +278,7 @@ def loads(text):
 
     lineno, count = next_line("nodes", 1)
     # every record takes more than one character, or byte, of the text
-    (m,) = _ints(count, "node count", lineno, 0, len(text))
+    (m,) = _ints(count, "node count", lineno, 0, size)
     weights = {} if weighted else {"0": (0, 1), "1": (1, 1)}  # token -> (num, den)
 
     def parse_weight(tok, lineno):
@@ -317,85 +311,141 @@ def loads(text):
     end_of = []  # record id -> end of that variable's subtree interval
     used = bytearray(m)
 
+    def read_kids(ktok, i, var, pos, stop, lineno):
+        """``(ids, nodes)`` of the child list ``ktok`` of an arc of record ``i``.
+
+        The children are checked to be pairwise unrelated, in DFS order
+        and inside the DFS interval ``(pos, stop)`` of its variable.
+        """
+        try:
+            ids = tuple(map(child_id, ktok.split(",")))
+        except KeyError:
+            raise ParseError("bad child list %r" % ktok, lineno)
+        low = pos + 1
+        for c in ids:
+            if pos_of[c] < low:
+                raise _misplaced_children(i, var)
+            low = end_of[c]
+            used[c] = 1
+        if low > stop:
+            raise _misplaced_children(i, var)
+        return ids, tuple(map(node_of, ids))
+
+    # A weighted file's records are matched at their offsets in the text
+    # until one does not match; from there on, and in a constraint file,
+    # the line reader hands them over one line at a time.
+    if weighted:
+        it = None
+    pair = _PAIR.match
     prev_pos, prev_sig = n, None
     for i in range(m):
-        lineno, fields = next(it, (None, None))
-        if fields is None:
-            raise ParseError("unexpected end of file, wanted 'n'")
-        if fields[0] != "n":
-            raise ParseError("expected 'n' record", lineno)
-        if len(fields) < 3 or fields[1] != str(i):
-            raise ParseError("node ids must be dense and in order", lineno)
-        var = var_of.get(fields[2])
-        if var is None:
-            raise ParseError("bad node variable %r" % fields[2], lineno)
-        if len(fields) - 3 != domains[var]:
-            raise StructuralError(
-                "node %d has %d arcs, domain size is %d"
-                % (i, len(fields) - 3, domains[var])
-            )
-        pos, stop = dfs_index[var], subtree_end[var]
-        toks = fields[3:]
-        # a canonical weighted pair is checked as one record; any other
-        # record, or a pair that fails, is checked token by token
-        nums = _pair_nums(*toks) if weighted and len(toks) == 2 else None
-        by_token = nums is None
-        if by_token:
-            nums, dens = [], []
-        kids_of = []
-        sig = []
-        for tok in toks:
-            wtok, colon, ktok = tok.partition(":")
-            if not colon:
-                raise ParseError("bad arc %r" % tok, lineno)
-            if by_token:
+        line = None
+        if it is None:
+            record = pair(text, offset)
+            if record is None:
+                it = _lines(text, offset, lineno, raw=True)
+            else:
+                offset = record.end()
+                lineno += 1
+        if it is not None:
+            lineno, line, _ = next(it, (None, None, None))
+            if line is None:
+                raise ParseError("unexpected end of file, wanted 'n'")
+            record = pair(line) if weighted else None
+        arcs = None
+        if record is not None:
+            # a canonical pair ``n0/T:k0 n1/T:k1`` in one step: the
+            # pattern spells n0, n1 and T canonically, T is spelled as
+            # str(n0 + n1), and gcd(n0, T) == 1 reduces both fractions
+            rid, vtok, w0, n0tok, ttok, k0, w1, n1tok, k1 = record.groups()
+            var = var_of.get(vtok)
+            if rid == str(i) and var is not None and domains[var] == 2:
+                n0, n1 = int(n0tok), int(n1tok)
+                total = n0 + n1
+                if str(total) == ttok and gcd(n0, total) == 1:
+                    pos, stop = dfs_index[var], subtree_end[var]
+                    ids0 = kids0 = ids1 = kids1 = ()
+                    if k0 != ".":
+                        ids0, kids0 = read_kids(k0, i, var, pos, stop, lineno)
+                    if k1 != ".":
+                        ids1, kids1 = read_kids(k1, i, var, pos, stop, lineno)
+                    if k0 == k1 and w0 == w1:
+                        raise StructuralError("node %d is redundant" % i)
+                    arcs = ((n0, kids0), (n1, kids1))
+                    sig = ((w0, ids0), (w1, ids1))
+        if arcs is None:
+            # any other record, and a pair the step refuses, token by token
+            fields = (record.group() if line is None else line).split()
+            if fields[0] != "n":
+                raise ParseError("expected 'n' record", lineno)
+            if len(fields) < 3 or fields[1] != str(i):
+                raise ParseError("node ids must be dense and in order", lineno)
+            rid = fields[1]
+            var = var_of.get(fields[2])
+            if var is None:
+                raise ParseError("bad node variable %r" % fields[2], lineno)
+            if len(fields) - 3 != domains[var]:
+                raise StructuralError(
+                    "node %d has %d arcs, domain size is %d"
+                    % (i, len(fields) - 3, domains[var])
+                )
+            pos, stop = dfs_index[var], subtree_end[var]
+            nums, dens, kids_of, sig = [], [], [], []
+            for tok in fields[3:]:
+                wtok, colon, ktok = tok.partition(":")
+                if not colon:
+                    raise ParseError("bad arc %r" % tok, lineno)
                 w = weights.get(wtok)
                 if w is None:
                     w = parse_weight(wtok, lineno)
+                if ktok == ".":
+                    ids = kids = ()
+                elif wtok == "0":
+                    raise StructuralError("node %d has a zero-weight arc with children" % i)
+                else:
+                    # read_kids inlined: a call per arc made loads 3%
+                    # slower on a constraint chain, read token by token
+                    try:
+                        ids = tuple(map(child_id, ktok.split(",")))
+                    except KeyError:
+                        raise ParseError("bad child list %r" % ktok, lineno)
+                    low = pos + 1
+                    for c in ids:
+                        if pos_of[c] < low:
+                            raise _misplaced_children(i, var)
+                        low = end_of[c]
+                        used[c] = 1
+                    if low > stop:
+                        raise _misplaced_children(i, var)
+                    kids = tuple(map(node_of, ids))
                 nums.append(w[0])
                 dens.append(w[1])
-            if ktok == ".":
-                ids = kids = ()
-            elif wtok == "0":
-                raise StructuralError("node %d has a zero-weight arc with children" % i)
+                kids_of.append(kids)
+                sig.append((wtok, ids))
+            if not weighted:
+                if not any(nums):
+                    raise StructuralError("node %d is dead (all weights 0)" % i)
             else:
-                try:
-                    ids = tuple(map(child_id, ktok.split(",")))
-                except KeyError:
-                    raise ParseError("bad child list %r" % ktok, lineno)
-                # children pairwise unrelated, in DFS order, inside (pos, stop)
-                low = pos + 1
-                for c in ids:
-                    if pos_of[c] < low:
-                        raise _misplaced_children(i, var)
-                    low = end_of[c]
-                    used[c] = 1
-                if low > stop:
-                    raise _misplaced_children(i, var)
-                kids = tuple(map(node_of, ids))
-            kids_of.append(kids)
-            sig.append((wtok, ids))
-        if not weighted:
-            if not any(nums):
-                raise StructuralError("node %d is dead (all weights 0)" % i)
-        elif by_token:
-            # a canonical record spells its arcs over one denominator
-            scale = dens[0]
-            if dens.count(scale) != len(dens):
-                scale = lcm(*dens)
-                nums = [num * (scale // den) for num, den in zip(nums, dens)]
-            if sum(nums) != scale:
-                raise StructuralError("node %d: weights do not sum to 1" % i)
-        if sig.count(sig[0]) == len(sig):
-            raise StructuralError("node %d is redundant" % i)
-        sig = tuple(sig)
+                # a canonical record spells its arcs over one denominator
+                scale = dens[0]
+                if dens.count(scale) != len(dens):
+                    scale = lcm(*dens)
+                    nums = [num * (scale // den) for num, den in zip(nums, dens)]
+                if sum(nums) != scale:
+                    raise StructuralError("node %d: weights do not sum to 1" % i)
+            if sig.count(sig[0]) == len(sig):
+                raise StructuralError("node %d is redundant" % i)
+            arcs = tuple(zip(nums, kids_of))
+            sig = tuple(sig)
         if pos > prev_pos or (pos == prev_pos and sig <= prev_sig):
             raise StructuralError("node %d is out of canonical order" % i)
         prev_pos, prev_sig = pos, sig
-        index[fields[1]] = i
-        nodes.append(MetaNode(var, tuple(zip(nums, kids_of)), i))
+        index[rid] = i
+        nodes.append(MetaNode(var, arcs, i))
         pos_of.append(pos)
         end_of.append(stop)
+    if it is None:
+        it = _lines(text, offset, lineno, raw=True)
 
     lineno, rtoks = next_line("roots")
     if rtoks == ["."]:

@@ -383,6 +383,42 @@ def test_prune_bcp_with_be_is_a_usage_error(example_cnf, tmp_path, capsys):
     assert main(["compile", example_cnf, "--method", "be"]) == 0
 
 
+@pytest.mark.parametrize(
+    "query, option",
+    [
+        ("eval", "--evidence"),
+        ("count", "--assignment"),
+        ("sum", "--assignment"),
+        ("mpe", "--assignment"),
+    ],
+)
+def test_query_option_that_the_query_ignores_is_a_usage_error(query, option, tmp_path, capsys):
+    # eval reads no evidence and count, sum and mpe read no assignment;
+    # refused before any file is read: a missing diagram does not matter
+    argv = ["query", "/no/such/file.aomdd", "--query", query, option, "/no/such/file.txt"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    model = tmp_path / "u.uai"
+    model.write_text("MARKOV\n1\n2\n1\n1 0\n2\n1 3\n")
+    path = tmp_path / "u.aomdd"
+    assert main(["compile", str(model), "--out", str(path)]) == 0
+    files = {"--evidence": "1 0 1\n", "--assignment": "1\n"}
+    given = tmp_path / "given.txt"
+    given.write_text(files[option])
+    with pytest.raises(SystemExit) as exc:
+        main(["query", str(path), "--query", query, option, str(given)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # the option the query does read
+    other = "--assignment" if query == "eval" else "--evidence"
+    given.write_text(files[other])
+    assert main(["query", str(path), "--query", query, other, str(given)]) == 0
+    # the table is [1, 3]: x0 = 1 gives 3, one model of nonzero value
+    assert capsys.readouterr().out.split()[0] == ("1" if query == "count" else "3")
+
+
 def test_precision_cap(capsys):
     # past the cap is a usage error before the diagram file is even read
     for digits in (MAX_PRECISION + 1, 10**7):

@@ -286,8 +286,14 @@ def test_equivalent_detects_dropped_constraint(example_model, example_tree):
     assert structural_equal(a, compile_search(example_model, example_tree))
 
 
+def _shallow_evidence(rng, diagram):
+    """Evidence on the first one or two variables in DFS order, the ones nearest the root."""
+    picked = diagram.tree.dfs_order[:rng.randint(1, 2)]
+    return {v: rng.randrange(diagram.domains[v]) for v in picked}
+
+
 def _fold_corpus():
-    """Diagrams, each with no evidence and with some.
+    """Diagrams, each with no evidence, with some, and with evidence near the root.
 
     300 random models in both modes, the skip model, and the benchmark's
     grid (with its own evidence) and chain at seed 1.
@@ -298,14 +304,28 @@ def _fold_corpus():
     cases = []
     for m in models:
         d = compile_search(m)
-        cases += [(d, {}), (d, _random_evidence(rng, m.domains))]
+        cases += [(d, {}), (d, _random_evidence(rng, m.domains)), (d, _shallow_evidence(rng, d))]
     workloads = bench_workloads()
     grid = workloads.grid(1)
     d = compile_search(parse_uai(grid.model_text))
     cases += [(d, {}), (d, parse_uai_evidence(grid.evidence_text, n=len(d.domains)))]
     d = compile_search(parse_dimacs_cnf(workloads.chain(1).model_text))
-    cases += [(d, {}), (d, _random_evidence(rng, d.domains))]
+    cases += [(d, {}), (d, _random_evidence(rng, d.domains)), (d, _shallow_evidence(rng, d))]
     return cases
+
+
+def _consistent_walk(diagram, evidence):
+    """The nodes reached from the roots along nonzero arcs that agree with the evidence."""
+    seen = set()
+    stack = list(diagram.roots)
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            for val, (w, children) in enumerate(u.arcs):
+                if w and evidence.get(u.var, val) == val:
+                    stack.extend(children)
+    return seen
 
 
 def _arc_skips(diagram):
@@ -329,17 +349,35 @@ def _typed(value):
 
 
 def test_queries_match_the_reference_fold():
-    skips = none = 0
+    skips = none = cut = 0
     for d, evidence in _fold_corpus():
         assert _typed(count_solutions(d, evidence)) == _typed(ref.count_solutions(d, evidence))
         assert _typed(sum_over(d, evidence)) == _typed(ref.sum_over(d, evidence))
-        assert mpe(d, evidence) == ref.mpe(d, evidence)
+        value, witness = mpe(d, evidence)
+        want, want_witness = ref.mpe(d, evidence)
+        assert _typed(value) == _typed(want) and witness == want_witness
         assert _typed(normalized_root_sum(d)) == _typed(ref.normalized_root_sum(d))
         s, n = _arc_skips(d)
         skips += s
         none += n
+        # the fold covers exactly the nodes the evidence leaves reachable
+        folded = set(query._fold(d, evidence)[0])
+        assert folded == _consistent_walk(d, evidence)
+        cut += len(folded) < len(reachable_nodes(d))
     # arcs that list their skipped variables, and arcs that list none
     assert skips > 0 and none > 0
+    # evidence that cuts nodes off the fold
+    assert cut > 0
+
+
+def test_fold_under_evidence_skips_the_nodes_it_cuts_off():
+    grid = bench_workloads().grid(1)
+    d = compile_search(parse_uai(grid.model_text))
+    evidence = parse_uai_evidence(grid.evidence_text, n=len(d.domains))
+    assert evidence == {0: 1, 49: 0, 70: 0, 77: 0}
+    # ``argmax`` holds one entry per folded node
+    assert len(query._fold(d, evidence)[0]) == 6769
+    assert len(query._fold(d, {})[0]) == len(reachable_nodes(d)) == 11647
 
 
 def test_folds_list_items_only_for_an_arc_that_skips(monkeypatch):

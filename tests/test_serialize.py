@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -189,6 +190,8 @@ def test_split_join_round_trip(example_model, example_tree):
     assert _join(*_split(text)) == text
     assert dumps(compile_search(make_model([2], [((0,), [Fraction(1, 2), Fraction(3, 2)])]))) == UNARY
     assert loads(UNARY).constant == 2
+    chain = make_model([2, 2, 2], [((0,), [1, 3]), ((0, 1), [1, 2, 3, 4]), ((1, 2), [2, 1, 1, 5])])
+    assert dumps(compile_search(chain)) == CHAIN
     assert count_solutions(loads(STAR)) == 2
 
 
@@ -247,7 +250,7 @@ def test_loads_rejects_weight_spelling(arcs, error):
     text = UNARY.replace("1/4:. 3/4:.", arcs)
     with pytest.raises(error):
         loads(text)
-    assert _read_with(serialize_reference.loads, text) is error
+    assert _kind(_read_with(serialize_reference.loads, text)) is error
 
 
 @pytest.mark.parametrize(
@@ -414,12 +417,23 @@ def test_loads_mutation_fuzz():
     assert accepted > 0
 
 
+# The reference words an error in a header integer "bad <what> <token>";
+# the package's one integer reader names the integer it expected, or its
+# bound.  Both wordings read as one phrase, so every other message must
+# match word for word.
+_HEADER_INTEGER = re.compile(
+    r"(line \d+: )(?:bad (?:variable count|domain size|parent|dfs entry|node count) "
+    r"|expected integer |[a-z ]+ must be [<>])"
+)
+
+
 def _read_with(reader, text):
-    """The error class ``reader`` raises on ``text``, or the parts of its diagram."""
+    """``(error class, message)`` of what ``reader`` raises on ``text``, or the parts of its diagram."""
     try:
         d = reader(text)
     except (ParseError, StructuralError) as exc:
-        return type(exc)
+        words = _HEADER_INTEGER.match(str(exc))
+        return type(exc), words.group(1) + "bad header integer" if words else str(exc)
     # every record is reachable: these are the nodes the reference's table holds
     return (
         [(u.var, [(w, [c.uid for c in kids]) for w, kids in u.arcs], u.uid)
@@ -430,6 +444,11 @@ def _read_with(reader, text):
         d.domains,
         d.weighted,
     )
+
+
+def _kind(outcome):
+    """The error class of a ``_read_with`` outcome, or "accepted"."""
+    return outcome[0] if len(outcome) == 2 else "accepted"
 
 
 def _corpus_diagrams():
@@ -466,7 +485,7 @@ def test_loads_matches_the_reference_on_valid_files():
     for text in texts:
         got = _read_with(loads, text)
         assert got == _read_with(serialize_reference.loads, text)
-        assert isinstance(got, tuple)
+        assert _kind(got) == "accepted"
     assert sum(map(_unequal_denominators, texts)) > 0
     assert sum("roots .\n" in text for text in texts) >= 2
 
@@ -502,8 +521,76 @@ def test_loads_matches_the_reference_on_mutants():
             continue
         want = _read_with(serialize_reference.loads, mutant)
         assert _read_with(loads, mutant) == want
-        outcomes.add(want if isinstance(want, type) else "accepted")
+        outcomes.add(_kind(want))
     assert outcomes == {ParseError, StructuralError, "accepted"}
+
+
+# dumps of a weighted chain 0 -> 1 -> 2, with child lists
+CHAIN = """\
+aomdd 1
+mode weighted
+vars 3
+domains 2 2 2
+parents -1 0 1
+dfs 0 1 2
+nodes 5
+n 0 2 1/6:. 5/6:.
+n 1 2 2/3:. 1/3:.
+n 2 1 1/5:1 4/5:0
+n 3 1 3/11:1 8/11:0
+n 4 0 5/38:2 33/38:3
+roots 4
+constant 114
+"""
+
+
+@pytest.mark.parametrize(
+    "arcs, kind",
+    [
+        ("01/4:. 3/4:.", ParseError),
+        ("+1/4:. 3/4:.", ParseError),
+        ("\u0661/4:. 3/4:.", ParseError),  # an Arabic-Indic digit one
+        ("1/4 3/4:.", ParseError),  # an arc with no ':'
+        ("1/4: 3/4:.", ParseError),  # an empty child list
+        ("2/4:. 2/4:.", ParseError),  # summing to 1, but not reduced
+        ("1/2:. 1/2:.", StructuralError),  # canonical weights, but redundant
+        ("1/3:. 2/4:.", ParseError),  # two denominators
+    ],
+)
+def test_loads_reads_a_refused_pair_as_the_reference_does(arcs, kind):
+    # the one-step pair read refuses each record, and the per-token read
+    # gives the reference's error, word for word
+    text = UNARY.replace("1/4:. 3/4:.", arcs)
+    want = _read_with(serialize_reference.loads, text)
+    assert _read_with(loads, text) == want
+    assert _kind(want) is kind
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (" ", "\t"),
+        (" ", "  "),
+        ("\n", "\r\n"),
+        ("n 0 2 1/6:. 5/6:.\n", "n 0 2\t1/6:. 5/6:.\n"),  # the first record only
+        ("n 2 1 1/5:1 4/5:0\n", "n 2 1  1/5:1 4/5:0\n"),  # a middle record only
+    ],
+)
+@pytest.mark.parametrize(
+    "fault", [None, ("n 3 1 3/11:1 8/11:0", "n 3 1 3/11:1 08/11:0"), ("roots 4", "roots x")]
+)
+def test_loads_reads_respaced_records_as_the_reference_does(old, new, fault):
+    # a record with other whitespace than dumps writes is read token by
+    # token; the records after it keep their outcome and line numbers
+    text = CHAIN if fault is None else CHAIN.replace(*fault)
+    if old == " ":
+        text = "".join(line.replace(old, new) if line.startswith("n ") else line
+                       for line in text.splitlines(True))
+    else:
+        text = text.replace(old, new)
+    want = _read_with(serialize_reference.loads, text)
+    assert _read_with(loads, text) == want
+    assert _kind(want) == ("accepted" if fault is None else ParseError)
 
 
 def test_loads_takes_one_gcd_per_weighted_pair(monkeypatch):
@@ -512,13 +599,22 @@ def test_loads_takes_one_gcd_per_weighted_pair(monkeypatch):
     # every grid record is a weighted pair over one denominator, and so is the constant
     assert all(len(r) == 2 and all(tok.count("/") == 1 for tok in r) for r in records)
     assert "/" in text.rsplit("constant ", 1)[1]
-    for module, want in ((serialize, len(records) + 1), (serialize_reference, 18546)):
+    # a copy whose records are tab-separated is read token by token
+    tabbed = "".join(
+        line.replace(" ", "\t") if line.startswith("n ") else line
+        for line in text.splitlines(True)
+    )
+    for module, source, want in (
+        (serialize, text, len(records) + 1),
+        (serialize, tabbed, 18546),
+        (serialize_reference, text, 18546),
+    ):
         calls = []
         monkeypatch.setattr(module, "gcd", lambda a, b: calls.append(a) or gcd(a, b))
-        module.loads(text)
+        assert dumps(module.loads(source)) == text
         assert len(calls) == want
-    # one gcd per record and one for the constant; the reference reader
-    # takes one per distinct weight token
+    # one gcd per record and one for the constant; the reference reader,
+    # and the per-token read, take one per distinct weight token
     assert len(records) == 11647
 
 
@@ -574,7 +670,7 @@ def test_loads_matches_the_reference_on_two_fault_records():
                 mutant = "\n".join(lines[:i] + [record] + lines[i + 1:]) + "\n"
                 want = _read_with(serialize_reference.loads, mutant)
                 assert _read_with(loads, mutant) == want, record
-                seen.add((faults, want if isinstance(want, type) else "accepted"))
+                seen.add((faults, _kind(want)))
     # the first arc's fault decides the error, whichever part of the arc it is in
     assert ((StructuralError, ParseError), StructuralError) in seen
     assert ((ParseError, StructuralError), ParseError) in seen
