@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .be_compiler import compile_be
 from .diagram import collector_paused, count_stats, structural_equal
-from .errors import AomddError, ParseError, ResourceLimitError, StructuralError
+from .errors import AomddError, ParseError, ResourceLimitError
 from .model import _ints, _lines, parse_dimacs_cnf, parse_uai, parse_uai_evidence
 from .query import count_solutions, evaluate, mpe, sum_over
 from .search_compiler import bcp_hook, compile_search
@@ -28,7 +28,6 @@ from .structure import (
     build_primal_graph,
     chain_pseudo_tree,
     generate_pseudo_tree,
-    induced_width,
     min_fill_ordering,
 )
 
@@ -37,6 +36,7 @@ MAX_PRECISION = 4300
 
 
 def _build_parser():
+    """The top-level parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="aomdd",
         description="Compile graphical models into canonical AND/OR "
@@ -79,7 +79,7 @@ def _build_parser():
 
     d = sub.add_parser("dot", help="print a diagram file as DOT on stdout")
     d.add_argument("diagram")
-    return parser
+    return parser, sub.choices
 
 
 def _read(path):
@@ -171,7 +171,7 @@ def cmd_compile(args):
         stats = count_stats(compiled)
         print("n %d" % model.n)
         print("k %d" % max(model.domains))
-        print("induced_width %d" % induced_width(g, order))
+        print("induced_width %d" % max(map(len, tree.context)))
         print("height %d" % tree.height)
         for v in tree.dfs_order:
             print("meta_nodes_var %d %d" % (v, stats["meta_nodes_per_var"].get(v, 0)))
@@ -196,8 +196,6 @@ def cmd_query(args):
         print(_number_str(value, args))
         print(" ".join(str(v) for v in witness))
     else:
-        if not args.assignment:
-            raise StructuralError("eval requires --assignment")
         x = _read_ints(args.assignment, "assignment value")
         print(_number_str(evaluate(compiled, x), args))
     return 0
@@ -249,19 +247,23 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    # checked before any file is read, and reported with the subcommand's usage line
+    usage_error = commands[args.command].error
     if (getattr(args, "mem_cap", None) or 0) < 0:
-        parser.error("--mem-cap must not be negative")
+        usage_error("--mem-cap must not be negative")
     if getattr(args, "prune", None) == "bcp" and args.method == "be":
-        parser.error("--prune bcp applies to --method search only")
+        usage_error("--prune bcp applies to --method search only")
     query = getattr(args, "query", None)
     if query == "eval" and args.evidence:
-        parser.error("--evidence applies to --query count, sum and mpe only")
+        usage_error("--evidence applies to --query count, sum and mpe only")
+    if query == "eval" and not args.assignment:
+        usage_error("--query eval requires --assignment")
     if query not in (None, "eval") and args.assignment:
-        parser.error("--assignment applies to --query eval only")
+        usage_error("--assignment applies to --query eval only")
     if not 1 <= getattr(args, "precision", 1) <= MAX_PRECISION:
-        parser.error("--precision must be between 1 and %d digits" % MAX_PRECISION)
+        usage_error("--precision must be between 1 and %d digits" % MAX_PRECISION)
     try:
         with collector_paused(), _digit_limit():
             return _COMMANDS[args.command](args)

@@ -21,13 +21,15 @@ already reduced, since ``n`` is primitive.  Most records have two
 arcs (every record of a binary variable), so the writer builds a
 two-arc record's signature from its two arcs and prints its line with
 one format string, with no per-arc list; wider records take the
-per-arc path.  Both spell the same text.  ``loads`` turns the
+per-arc path.  Both spell the same text, and ``loads`` checks it
+against one pattern per weight (``_WEIGHT``).  ``loads`` turns the
 fractions back into integers by scaling with the lcm of the record's
 denominators.  A two-arc record ``n0/T n1/T`` needs no scaling, and
 ``loads`` reads one as ``dumps`` writes it in one step: a compiled
-pattern, matched at the record's offset in the text, takes its five
-fields, and checking that the pair is reduced takes one gcd,
-``gcd(n0, T)``, which equals ``gcd(n1, T)`` when ``n0 + n1 == T``.
+pattern built from the same canonical integer, matched at the
+record's offset in the text, takes its five fields, and checking that
+the pair is reduced takes one gcd, ``gcd(n0, T)``, which equals
+``gcd(n1, T)`` when ``n0 + n1 == T``.
 
 Format (whitespace-separated ASCII, one record per line)::
 
@@ -172,12 +174,16 @@ def to_dot(diagram):
     return "\n".join(lines) + "\n"
 
 
+# a canonical positive integer: ASCII digits, no sign, no leading zero
+_POSITIVE = r"[1-9][0-9]*"
+# a weight spelled as ``str(Fraction)`` spells a rational >= 0: ``n`` or
+# ``n/d``; the integers check ``d >= 2`` and ``gcd(n, d) == 1``
+_WEIGHT = re.compile(rf"(0|{_POSITIVE})(?:/({_POSITIVE}))?")
 # a weighted pair record ``n <id> <var> n0/T:<children> n1/T:<children>``
-# spelled with single spaces and a "\n" line break, whose numerators and
-# denominator are canonical positive integers
+# spelled with single spaces and a "\n" line break
 _PAIR = re.compile(
-    r"n ([0-9]+) ([0-9]+) (([1-9][0-9]*)/([1-9][0-9]*)):([0-9,.]+)"
-    r" (([1-9][0-9]*)/\5):([0-9,.]+)\n"
+    rf"n ([0-9]+) ([0-9]+) (({_POSITIVE})/({_POSITIVE})):([0-9,.]+)"
+    rf" (({_POSITIVE})/\5):([0-9,.]+)\n"
 )
 
 
@@ -204,8 +210,10 @@ def loads(text):
     (so the DFS ends) and equal the rebuilt DFS order.  One pass over the
     node records checks the canonical form on the tokens:
 
-    - weights are spelled as ``str(Fraction)`` spells them, are >= 0,
-      and are 0/1 in constraint mode;
+    - each weight matches ``_WEIGHT``, its one spelling: ``n`` or
+      ``n/d`` in canonical integers with ``d >= 2`` and
+      ``gcd(n, d) == 1``, as ``str(Fraction)`` spells a rational >= 0;
+      in constraint mode it is 0 or 1;
     - each node has one arc per domain value; its weights sum to 1
       (weighted mode, checked in integers: with ``L`` the lcm of the
       denominators, ``sum(num_i * L / den_i) == L``) or are not all 0
@@ -221,16 +229,20 @@ def loads(text):
       roots are pairwise unrelated and in DFS order.
 
     A weighted two-arc record spelled as ``dumps`` spells it (``_PAIR``:
-    single spaces, a ``"\\n"`` line end, canonical positive integers
-    over one denominator ``T``) is checked in one step: ``T`` must be
-    spelled as ``str(n0 + n1)`` and one gcd, ``gcd(n0, T)``, covers both
-    arcs; then come the children, interval, redundancy and order checks.
-    Records are matched at their offsets in the text until one does not
-    match; the rest come from the line reader, which tries the pattern
-    on each line.  Every other record, and a pair the step refuses, has
-    its weights checked token by token, each token parsed once per
-    file.  A pair the step accepts would pass every per-token test, so
-    each file gets the same outcome and the same error either way.
+    single spaces, a ``"\\n"`` line end, and ``_WEIGHT``'s canonical
+    positive integers over one denominator ``T``) is checked in one
+    step: ``T`` must be spelled as ``str(n0 + n1)`` and one gcd,
+    ``gcd(n0, T)``, covers both arcs; then come the children, redundancy
+    and order checks.  Records are matched at their offsets in the text
+    until one does not match; the rest come from the line reader, which
+    tries the pattern on each line.  Every other record, and a pair the
+    step refuses, has its weights checked token by token, each token
+    parsed once per file.  Both steps check an arc's children with
+    ``read_kids``.  A pair the step accepts would pass every per-token
+    test, so each file gets the same outcome and the same error either
+    way.  ``int`` only reads validated ASCII digits, so its one failure,
+    a ``ValueError`` past Python's limit on the digits of an ``int``,
+    comes the same from either step and from the root constant.
 
     The signature order makes every record new, so each record becomes
     one ``MetaNode`` with its record id as uid, and no unique table is
@@ -282,25 +294,18 @@ def loads(text):
     weights = {} if weighted else {"0": (0, 1), "1": (1, 1)}  # token -> (num, den)
 
     def parse_weight(tok, lineno):
-        """``(num, den)`` of a token spelled as ``str(Fraction)`` spells a rational >= 0.
-
-        That is ``n`` or ``n/d`` with ``d >= 2`` and ``gcd(n, d) == 1``,
-        both canonical decimal integers.
-        """
+        """``(num, den)`` of a ``_WEIGHT`` token with ``d >= 2`` and ``gcd(n, d) == 1``."""
         if not weighted:
             raise ParseError("constraint weight %r not 0/1" % tok, lineno)
-        ntok, slash, dtok = tok.partition("/")
-        try:
-            num = int(ntok)
-            den = int(dtok) if slash else 1
-        except ValueError:
-            num = -1
-        if str(num) != ntok or num < 0 or slash and (
-            str(den) != dtok or den < 2 or gcd(num, den) != 1
-        ):
-            raise ParseError("weight %r is not a canonical non-negative rational" % tok, lineno)
-        weights[tok] = w = num, den
-        return w
+        spelled = _WEIGHT.fullmatch(tok)
+        if spelled is not None:
+            # ASCII digits only, so int fails only past the digit limit
+            ntok, dtok = spelled.groups()
+            num, den = int(ntok), 1 if dtok is None else int(dtok)
+            if dtok is None or den >= 2 and gcd(num, den) == 1:
+                weights[tok] = w = num, den
+                return w
+        raise ParseError("weight %r is not a canonical non-negative rational" % tok, lineno)
 
     dfs_index, subtree_end = tree.dfs_index, tree.subtree_end
     index = {}  # record id token -> record id
@@ -403,21 +408,7 @@ def loads(text):
                 elif wtok == "0":
                     raise StructuralError("node %d has a zero-weight arc with children" % i)
                 else:
-                    # read_kids inlined: a call per arc made loads 3%
-                    # slower on a constraint chain, read token by token
-                    try:
-                        ids = tuple(map(child_id, ktok.split(",")))
-                    except KeyError:
-                        raise ParseError("bad child list %r" % ktok, lineno)
-                    low = pos + 1
-                    for c in ids:
-                        if pos_of[c] < low:
-                            raise _misplaced_children(i, var)
-                        low = end_of[c]
-                        used[c] = 1
-                    if low > stop:
-                        raise _misplaced_children(i, var)
-                    kids = tuple(map(node_of, ids))
+                    ids, kids = read_kids(ktok, i, var, pos, stop, lineno)
                 nums.append(w[0])
                 dens.append(w[1])
                 kids_of.append(kids)

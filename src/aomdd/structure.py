@@ -27,9 +27,6 @@ class PrimalGraph:
         self.n = n
         self.adj = adj  # tuple of frozensets
 
-    def edges(self):
-        return {(u, v) for u in range(self.n) for v in self.adj[u] if u < v}
-
 
 def build_primal_graph(model):
     """Edge {u,v} iff some function scope contains both u and v."""
@@ -148,8 +145,8 @@ class PseudoTree:
     """Rooted tree over all variables with the backarc property.
 
     ``children`` lists follow the generating ordering; ``context`` holds
-    per-variable ancestor lists ordered closest-first, or None when the
-    tree was rebuilt without its primal graph (``loads``); no compiler reads it.
+    a frozenset of ancestors per variable, or None when the tree was
+    rebuilt without its primal graph (``loads``); no compiler reads it.
     The subtree of ``v`` is the DFS interval
     ``dfs_order[dfs_index[v]:subtree_end[v]]``.
     """
@@ -191,7 +188,7 @@ class PseudoTree:
 
 def _finish_tree(parent, order, context=None):
     """Index the tree rooted at ``order[0]``, the one vertex without a parent,
-    with children in ``order``; ``context`` sets become closest-first tuples.
+    with children in ``order``; ``context`` sets become frozensets.
     """
     n = len(parent)
     children = [[] for _ in range(n)]
@@ -212,7 +209,7 @@ def _finish_tree(parent, order, context=None):
     end = [0] * n
     for v in reversed(dfs_order):
         end[v] = end[children[v][-1]] if children[v] else dfs_index[v] + 1
-    tree = PseudoTree(
+    return PseudoTree(
         parent=tuple(parent),
         children=tuple(tuple(c) for c in children),
         root=order[0],
@@ -220,15 +217,8 @@ def _finish_tree(parent, order, context=None):
         dfs_index=tuple(dfs_index),
         depth_of=tuple(depth_of),
         subtree_end=tuple(end),
+        context=None if context is None else tuple(map(frozenset, context)),
     )
-    if context is not None:
-        tree.context = _closest_first(tree, context)
-    return tree
-
-
-def _closest_first(tree, context):
-    depth = tree.depth_of.__getitem__
-    return tuple(tuple(sorted(s, key=depth, reverse=True)) for s in context)
 
 
 def generate_pseudo_tree(g, order):
@@ -257,7 +247,7 @@ def chain_pseudo_tree(g, order):
 
 
 def compute_contexts(tree, g):
-    """Per-variable ancestor lists, closest ancestor first.
+    """A frozenset of ancestors per variable.
 
     An ancestor is in context(X) iff the primal graph connects it to X
     or to a descendant of X: one reverse sweep along ``tree.dfs_order``
@@ -265,7 +255,7 @@ def compute_contexts(tree, g):
     also gets earlier neighbours that are not ancestors.  The compilers
     read these sets off the buckets instead (``compute_buckets``).
     """
-    return _closest_first(tree, _sweep(g, tree.dfs_order, tree.parent)[1])
+    return tuple(map(frozenset, _sweep(g, tree.dfs_order, tree.parent)[1]))
 
 
 def compute_buckets(tree, model):

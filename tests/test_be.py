@@ -123,7 +123,7 @@ def test_compilers_read_a_foreign_trees_contexts_off_the_buckets():
     # context(2) = {0}, as along the tree's loaded copy
     chain = make_model([2, 2, 2], [((0, 1), [1, 2, 3, 4]), ((1, 2), [1, 2, 3, 4])])
     tree = generate_pseudo_tree(build_primal_graph(chain), [0, 1, 2])
-    assert tree.context[2] == (1,)
+    assert tree.context[2] == {1}
     model = make_model([2, 2, 2], [((0, 2), [1, 2, 3, 4])])
     oracle = brute_force_table(model)
     along = _compiles(model, tree)

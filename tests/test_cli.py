@@ -77,6 +77,17 @@ def test_compile_chain_stats(example_cnf, order_file, tmp_path, capsys):
     assert "edges 54" in out
 
 
+def test_chain_stats_print_the_compiled_trees_width(tmp_path, capsys):
+    # the path 0 - 1 - ... - 5 along 0 2 4 1 3 5 has induced width 2, but
+    # the chain tree 0 -> 2 -> 4 -> 1 -> 3 -> 5 gives variable 1 the
+    # context {0, 2, 4}
+    model = _write(tmp_path / "path.cnf", "p cnf 6 5\n1 2 0\n2 3 0\n3 4 0\n4 5 0\n5 6 0\n")
+    order = _write(tmp_path / "order.txt", "0 2 4 1 3 5\n")
+    for flags, width in (([], 2), (["--chain"], 3)):
+        assert main(["compile", model, "--order-file", order, "--stats", *flags]) == 0
+        assert "induced_width %d" % width in capsys.readouterr().out.splitlines()
+
+
 def test_methods_byte_identical(example_cnf, order_file, tmp_path):
     a = _compile(example_cnf, order_file, tmp_path, "--method", "search")
     text_a = a.read_text()
@@ -151,7 +162,9 @@ def test_query_eval(example_cnf, order_file, tmp_path, capsys):
     good = _write(tmp_path / "y.txt", "1 1 1 0 1 1 1 1\n")
     assert main(["query", str(out), "--query", "eval", "--assignment", good]) == 0
     assert capsys.readouterr().out.strip() == "1"
-    assert main(["query", str(out), "--query", "eval"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["query", str(out), "--query", "eval"])
+    assert exc.value.code == 2
     short = _write(tmp_path / "z.txt", "1 1 1\n")
     assert main(["query", str(out), "--query", "eval", "--assignment", short]) == 2
     assert "assignment has 3 values" in capsys.readouterr().err
@@ -417,6 +430,27 @@ def test_query_option_that_the_query_ignores_is_a_usage_error(query, option, tmp
     assert main(["query", str(path), "--query", query, other, str(given)]) == 0
     # the table is [1, 3]: x0 = 1 gives 3, one model of nonzero value
     assert capsys.readouterr().out.split()[0] == ("1" if query == "count" else "3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "/no/such/model.cnf", "--mem-cap", "-1"],
+        ["compile", "/no/such/model.cnf", "--method", "be", "--prune", "bcp"],
+        ["query", "/no/such/file.aomdd", "--query", "eval", "--evidence", "/no/such/e.txt"],
+        ["query", "/no/such/file.aomdd", "--query", "eval"],
+        ["query", "/no/such/file.aomdd", "--query", "count", "--assignment", "/no/such/a.txt"],
+        ["query", "/no/such/file.aomdd", "--query", "sum", "--precision", "0"],
+    ],
+)
+def test_usage_errors_print_the_subcommand_usage_line(argv, capsys):
+    # each is refused before any file is read: none of these files exists
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: aomdd %s " % argv[0])
+    assert "\naomdd %s: error: --" % argv[0] in err
 
 
 def test_precision_cap(capsys):

@@ -1,6 +1,7 @@
 import io
 import itertools
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -684,6 +685,54 @@ def test_loads_rejects_bad_weight_in_constraint_mode(example_model, example_tree
     text = dumps(compile_search(example_model, example_tree))
     with pytest.raises(ParseError):
         loads(text.replace("1:", "2:", 1))
+
+
+def _past_the_digit_limit():
+    """Canonical one-variable files whose weight or constant has 4,401 digits.
+
+    A two-arc record, a three-arc record, a tab-separated copy of the
+    two-arc record (read token by token) and a root constant, spelled
+    with Python's int digit limit off.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        big = 10**4400 + 1  # odd, so 1/big and (big - 2)/big are reduced
+        head = "aomdd 1\nmode weighted\nvars 1\ndomains %d\nparents -1\ndfs 0\nnodes %d\n"
+        pair = head % (2, 1) + "n 0 0 1/%d:. %d/%d:.\nroots 0\nconstant 1\n" % (big, big - 1, big)
+        files = {
+            "pair": pair,
+            "three": head % (3, 1)
+            + "n 0 0 1/%d:. 1/%d:. %d/%d:.\nroots 0\nconstant 1\n" % (big, big, big - 2, big),
+            "tabbed": pair.replace("n 0 0 1/", "n\t0\t0\t1/").replace(":. ", ":.\t"),
+            "constant": head % (2, 0) + "roots .\nconstant %d\n" % big,
+        }
+        # each is canonical: only the digit limit stands in its way
+        for text in files.values():
+            assert dumps(loads(text)).split() == text.split()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return files
+
+
+def test_weight_past_the_digit_limit_is_a_resource_limit(tmp_path, capsys):
+    # both record steps and the constant raise int's ValueError, which the
+    # CLI reports as a resource limit (exit 3) without echoing the token;
+    # the reference reader turns a record's into a ParseError, so this
+    # case is not compared with it
+    files = _past_the_digit_limit()
+    assert "\t" in files["tabbed"] and serialize._PAIR.search(files["tabbed"]) is None
+    for name, text in files.items():
+        with pytest.raises(ValueError, match="integer string conversion"):
+            loads(text)
+        path = tmp_path / (name + ".aomdd")
+        path.write_text(text)
+        assert main(["query", str(path), "--query", "count"]) == 3, name
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err) < 200, name
+        assert "more than %d digits" % sys.get_int_max_str_digits() in captured.err
+    for name in ("pair", "three"):
+        assert _kind(_read_with(serialize_reference.loads, files[name])) is ParseError
 
 
 def _writer_corpus():
