@@ -7,25 +7,37 @@ diagrams and its children's messages pairwise with the APPLY combinator
 and passes the result to its parent's bucket.  No variable is
 eliminated, so the root bucket's message is the full canonical diagram.
 
+A join, a variable with two or more children, shares its bucket with
+the single-child chain above it, up to the next join: Kask, Dechter,
+Larrosa and Dechter ("Unifying tree decompositions for reasoning in
+graphical models", AIJ 2005) contract such chains into one cluster.
+The bucket multiplies the join's tables, then each further member's own
+product of its tables, bottom-up, and only then the join's children's
+messages, which each member's bucket would otherwise rebuild at the
+context levels they share.  No two tables become one: only the
+association of the pairwise products changes.  A chain that ends at a
+leaf would save no product this way and keeps one bucket per variable.
+
 All diagrams of one compilation share one unique table, so APPLY
-results are shared across messages for free.  The bucket of ``X``
-makes nodes only on the path from the root to ``X``: its tables'
-chain diagrams lie there, and APPLY makes a node at a variable only
-where one operand has a node there and the other has one in that
-variable's subtree, which below ``X`` never happens, because only one
-child's message reaches into each child's subtree.  So once ``X``'s
-bucket is done no node of ``X`` will be made again, and the table
-closes ``X``'s level; reference counting then frees the nodes there
-that the final diagram does not use.  More narrowly, the bucket of
-``X`` makes nodes only at ``X`` and its context: its tables' scopes lie
-there, and so, by induction, do its children's messages.  A variable in
-the context of any variable but its children gets message nodes from
-many buckets, so its level holds them weakly until its own bucket
-starts: a message node or an intermediate product there is freed as
-soon as no message, fragment or parent node refers to it, not when its
-level closes near the root.  A level in no context but its children's
-gets nodes only from their buckets and holds them plainly: on a chain
-that is the one bucket before its own, and weak entries cost time.
+results are shared across messages for free.  A bucket makes nodes
+only on the path from the root to its variables: its tables' chain
+diagrams lie there, and APPLY makes a node at a variable only where one
+operand has a node there and the other has one in that variable's
+subtree, which below the bucket's lowest variable never happens,
+because only one child's message reaches into each child's subtree.
+So once the bucket that multiplies ``X``'s tables is done no node of
+``X`` will be made again, and the table closes ``X``'s level; reference
+counting then frees the nodes there that the final diagram does not
+use.  More narrowly, a bucket makes nodes only at its variables and
+their contexts: its tables' scopes lie there, and so, by induction, do
+its children's messages.  A variable in the context of any variable but
+its children gets message nodes from many buckets, so its level holds
+them weakly until the bucket that multiplies its tables starts: a
+message node or an intermediate product there is freed as soon as no
+message, fragment or parent node refers to it, not when its level
+closes near the root.  A level in no context but its children's gets
+nodes only from their buckets and holds them plainly: on a chain that
+is the one bucket before its own, and weak entries cost time.
 When a freed node's arcs come back, the node is created again, so the
 table's creation count can exceed the reference schedule's.  The
 levels stay closed: the returned table serves only its counters.  The
@@ -240,16 +252,19 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
 
     Buckets are processed bottom-up (reverse DFS order) and each sends
     its message to its parent's bucket, so the result is structurally
-    equal to ``compile_search(model, tree)``.  ``d`` and ``chain`` only
-    choose the tree when none is given: the pseudo tree of ``d``
-    (default: a min-fill ordering), or with ``chain=True`` the
-    degenerate chain along ``d`` (MDD/OBDD mode).
+    equal to ``compile_search(model, tree)``.  A join's bucket also
+    multiplies the tables of the single-child chain above it, before
+    its children's messages, and sends to the parent of the chain's top
+    (see the module docstring).  ``d`` and ``chain`` only choose the
+    tree when none is given: the pseudo tree of ``d`` (default: a
+    min-fill ordering), or with ``chain=True`` the degenerate chain
+    along ``d`` (MDD/OBDD mode), where nothing folds.
 
     The level of a variable in the context of any variable but its
-    children is held weakly until its bucket starts (see the module
-    docstring).  Each level is closed when its bucket is done,
-    and the returned table stays closed: interning into it raises, and
-    it serves only its counters.
+    children is held weakly until the bucket that multiplies its tables
+    starts (see the module docstring).  Each level is closed when that
+    bucket is done, and the returned table stays closed: interning into
+    it raises, and it serves only its counters.
     """
     if tree is None:
         g = build_primal_graph(model)
@@ -263,26 +278,44 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     functions, factor = integer_tables(model)
     depth = tree.depth_of.__getitem__
 
-    inbox = [[] for _ in range(tree.n)]
-    weak = {a for x, ctx in enumerate(contexts) for a in ctx if a != tree.parent[x]}
-    for var in weak:
-        table.weaken(var)
-    for var in reversed(tree.dfs_order):
-        if var in weak:
-            table.strengthen(var)
+    def fold_tables(var):
         message = (1, ())
         for fid in buckets[var]:
             f = functions[fid]
             fragment = _chain_fragment(f, tuple(sorted(f.scope, key=depth)), domains, table)
             message = apply_fragments(message, fragment, tree, table)
+        return message
+
+    children, parent = tree.children, tree.parent
+    inbox = [[] for _ in range(tree.n)]
+    weak = {a for x, ctx in enumerate(contexts) for a in ctx if a != parent[x]}
+    for var in weak:
+        table.weaken(var)
+    for var in reversed(tree.dfs_order):
+        if inbox[var] is None:  # folded into the bucket of a join below it
+            continue
+        # a join's bucket takes the single-child chain above it
+        members = [var]
+        dest = parent[var]
+        if len(children[var]) > 1:
+            while dest is not None and len(children[dest]) == 1:
+                members.append(dest)
+                dest = parent[dest]
+        for v in members:
+            if v in weak:
+                table.strengthen(v)
+        message = fold_tables(var)
+        for v in members[1:]:
+            message = apply_fragments(message, fold_tables(v), tree, table)
         for fragment in inbox[var]:
             message = apply_fragments(message, fragment, tree, table)
-        inbox[var] = None
-        table.close(var)
-        if var != tree.root:
-            inbox[tree.parent[var]].append(message)
+        for v in members:
+            inbox[v] = None
+            table.close(v)
+        if dest is not None:
+            inbox[dest].append(message)
 
-    # the root comes last in reverse DFS order: ``message`` is its bucket's
+    # the root's bucket, folded or not, comes last: ``message`` is its message
     const, nodes = message
     constant = const * factor
     if constant == 0:

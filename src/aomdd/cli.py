@@ -225,7 +225,9 @@ def _digit_limit():
 
     An exact answer, or a weight or root constant that ``dumps`` spells,
     is a product of table entries, which no input check bounds; past the
-    limit ``str`` raises ``ValueError``.
+    limit ``str`` and ``int`` raise ``ValueError``.  The message names
+    the environment variable that lifts the limit, the one way to do so
+    from the command line.
     """
     try:
         yield
@@ -234,7 +236,7 @@ def _digit_limit():
             raise
         raise ResourceLimitError(
             "an exact value has more than %d digits, Python's limit on spelling an"
-            " int (sys.set_int_max_str_digits)" % sys.get_int_max_str_digits()
+            " int; PYTHONINTMAXSTRDIGITS=0 lifts it" % sys.get_int_max_str_digits()
         ) from None
 
 

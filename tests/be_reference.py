@@ -6,38 +6,71 @@ lists by DFS position and one scan over DFS intervals: every node of one
 list is tested against every node of the other with
 ``is_ancestor_or_self``.
 
-``compile_be`` is the earlier BE schedule, driven by an ordering ``d``
-next to the tree: buckets in reverse ``d``, scopes sorted by position in
-``d``.  For a tree generated from ``d`` (or the chain along ``d``) it
-folds the same fragments in the same order as the tree schedule.
+``compile_be`` is the BE schedule driven by an ordering ``d`` next to
+the tree: buckets in reverse ``d``, scopes sorted by position in ``d``.
+A join (a variable with two or more children) and the single-child
+chain above it are one bucket, taken at the chain's top: the join's
+tables, then each further member's own product, bottom-up, then the
+join's children's messages.  ``compile_be_per_bucket`` is the earlier
+schedule, one bucket per variable.  For a tree generated from ``d`` (or
+the chain along ``d``) each folds the same fragments in the same order
+as ``aomdd.be_compiler.compile_be`` or its per-bucket predecessor.
+Both keep every node, so a table's size counts the distinct node
+structures its schedule creates.
 """
 
 from aomdd.be_compiler import _chain_fragment, apply_fragments
-from aomdd.diagram import Aomdd, UniqueTable
+from aomdd.diagram import Aomdd, UniqueTable, collector_paused
 from aomdd.model import WEIGHTED
 from aomdd.search_compiler import integer_tables
 from aomdd.structure import compute_buckets
 
 
 def compile_be(model, d, tree):
-    """BE along ``tree``, scheduled by the ordering ``d`` it came from."""
-    buckets = compute_buckets(tree, model)[0]
+    """BE along ``tree``, scheduled by ``d``, each join's chain folded into its bucket."""
+    buckets = {var: [var] for var in range(tree.n)}
+    for join in (var for var, kids in enumerate(tree.children) if len(kids) > 1):
+        members = buckets.pop(join)
+        while members[-1] != tree.root and len(tree.children[tree.parent[members[-1]]]) == 1:
+            members += buckets.pop(tree.parent[members[-1]])
+        buckets[members[-1]] = members
+    return _compile(model, d, tree, buckets)
+
+
+def compile_be_per_bucket(model, d, tree):
+    """BE along ``tree``, scheduled by ``d``, one bucket per variable."""
+    return _compile(model, d, tree, {var: [var] for var in range(tree.n)})
+
+
+@collector_paused()
+def _compile(model, d, tree, buckets):
+    """BE whose bucket at ``top`` holds the variables ``buckets[top]``, bottom-up."""
+    tables = compute_buckets(tree, model)[0]
     weighted = model.kind == WEIGHTED
     table = UniqueTable(weighted, model.domains)
     domains = model.domains
     functions, factor = integer_tables(model)
     pos = {v: i for i, v in enumerate(d)}
 
-    inbox = [[] for _ in range(tree.n)]
-    final = None
-    for var in reversed(d):
+    def fold_tables(var):
         message = (1, ())
-        for fid in buckets[var]:
+        for fid in tables[var]:
             f = functions[fid]
             chain_vars = tuple(sorted(f.scope, key=pos.__getitem__))
             fragment = _chain_fragment(f, chain_vars, domains, table)
             message = apply_fragments(message, fragment, tree, table)
-        for fragment in inbox[var]:
+        return message
+
+    inbox = [[] for _ in range(tree.n)]
+    final = None
+    for var in reversed(d):
+        if var not in buckets:
+            continue
+        bottom, *above = buckets[var]
+        message = fold_tables(bottom)
+        for member in above:
+            message = apply_fragments(message, fold_tables(member), tree, table)
+        for fragment in inbox[bottom]:
             message = apply_fragments(message, fragment, tree, table)
         parent = tree.parent[var]
         if parent is None:

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -289,18 +290,91 @@ def test_tree_schedule_matches_ordering_schedule(monkeypatch):
         _assert_same_as_oracle(m, d, tree, monkeypatch)
 
 
+def _workload(name, seed=1):
+    """A bench workload's model, its min-fill order and that order's pseudo tree."""
+    workload = getattr(bench_workloads(), name)(seed)
+    parse = parse_uai if workload.model_file.endswith(".uai") else parse_dimacs_cnf
+    model = parse(workload.model_text)
+    g = build_primal_graph(model)
+    d = min_fill_ordering(g)
+    return model, d, generate_pseudo_tree(g, d)
+
+
 def test_tree_schedule_matches_ordering_schedule_on_bench_workloads(monkeypatch):
-    workloads = bench_workloads()
     again = {}
     for name in ("grid", "chain", "cnf"):
-        w = workloads.WORKLOADS[name](1)
-        parse = parse_uai if w.model_file.endswith(".uai") else parse_dimacs_cnf
-        m = parse(w.model_text)
-        g = build_primal_graph(m)
-        d = min_fill_ordering(g)
-        _, again[name] = _assert_same_as_oracle(m, d, generate_pseudo_tree(g, d), monkeypatch)
-    # a few freed message nodes come back on grid and cnf
-    assert again["grid"] > 0 and again["cnf"] > 0
+        _, again[name] = _assert_same_as_oracle(*_workload(name), monkeypatch)
+    # a few freed message nodes come back on grid; folding cnf's chains
+    # into their joins' buckets leaves no freed node there to come back
+    assert again == {"grid": 6, "chain": 0, "cnf": 0}
+
+
+# Node structures each schedule creates at seed 1 (the references keep
+# every node): (folded, one bucket per variable).  Chain's only join is
+# its root, so nothing there folds.
+FOLDED_CREATIONS = {"grid": (19734, 25952), "chain": (15987, 15987), "cnf": (75277, 115720)}
+
+
+def test_folding_chains_into_joins_creates_no_more_nodes():
+    folded = per_bucket = 0
+    for name in ("grid", "chain", "cnf"):
+        for seed in (1, 2, 3):
+            model, d, tree = _workload(name, seed)
+            a = be_reference.compile_be(model, d, tree)
+            b = be_reference.compile_be_per_bucket(model, d, tree)
+            assert dumps(a) == dumps(b)
+            if seed == 1:
+                assert (len(a.table), len(b.table)) == FOLDED_CREATIONS[name]
+            folded += len(a.table)
+            per_bucket += len(b.table)
+    assert folded <= per_bucket
+
+
+def _broom(n, weighted):
+    """A path ``0 - 1 - ... - n-1`` whose end ``n-1`` has two 3-variable branches.
+
+    Pairwise tables on every edge, and the pseudo tree of the order
+    that lists the path from ``0`` and then each branch from its top,
+    which is the broom itself.
+    """
+    edges = [(v, v + 1) for v in range(n - 1)]
+    for top in (n, n + 3):
+        edges += [(n - 1, top), (top, top + 1), (top + 1, top + 2)]
+    tables = [(e, [1 + i % 3, 2, 3, 4 - i % 2] if weighted else [1, 1, 0, 1]) for i, e in enumerate(edges)]
+    model = make_model([2] * (n + 6), tables, kind="weighted" if weighted else "constraint")
+    tree = generate_pseudo_tree(build_primal_graph(model), list(range(n + 6)))
+    assert [len(tree.children[v]) for v in range(n)] == [1] * (n - 1) + [2]
+    return model, tree
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_a_chain_past_the_recursion_limit_folds_into_its_joins_bucket(weighted, monkeypatch):
+    # a level closes in the bucket that multiplies its tables: every
+    # level of the handle closes with no APPLY between them, and each
+    # branch variable in a bucket of its own
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    model, tree = _broom(n, weighted)
+    applies = 0
+    closed = {}
+    apply_fragments_, close = be_compiler.apply_fragments, UniqueTable.close
+
+    def counting(*args):
+        nonlocal applies
+        applies += 1
+        return apply_fragments_(*args)
+
+    def recording(table, var):
+        closed[var] = applies
+        close(table, var)
+
+    monkeypatch.setattr(be_compiler, "apply_fragments", counting)
+    monkeypatch.setattr(UniqueTable, "close", recording)
+    compiled = compile_be(model, tree=tree)
+    assert dumps(compiled) == dumps(compile_search(model, tree))
+    assert len(closed) == n + 6
+    assert {closed[v] for v in range(n)} == {applies}
+    assert len(set(closed.values())) == 7
 
 
 def test_group_descendants_matches_reference(monkeypatch):
@@ -367,14 +441,6 @@ def test_apply_enters_each_memo_key_once(monkeypatch):
     assert needed > sum(map(len, entered)) > 0
 
 
-def _workload_and_tree(name):
-    workload = getattr(bench_workloads(), name)(1)
-    parse = parse_uai if workload.model_file.endswith(".uai") else parse_dimacs_cnf
-    model = parse(workload.model_text)
-    g = build_primal_graph(model)
-    return model, generate_pseudo_tree(g, min_fill_ordering(g))
-
-
 def _traced_peak(compile_):
     gc.collect()
     tracemalloc.start()
@@ -392,7 +458,7 @@ def _traced_peak(compile_):
 # 10.6 and 1.9.
 @pytest.mark.parametrize("name, bound", [("grid", 1.5), ("chain", 1.0)])
 def test_be_memory_tracks_the_diagram(name, bound):
-    model, tree = _workload_and_tree(name)
+    model, _, tree = _workload(name)
     search = _traced_peak(lambda: compile_search(model, tree))
     be = _traced_peak(lambda: compile_be(model, tree=tree))
     assert be <= bound * search
@@ -400,11 +466,12 @@ def test_be_memory_tracks_the_diagram(name, bound):
 
 # BE's tables hold the message nodes at the levels above the bucket
 # weakly.  Before, they stayed until those levels closed near the root,
-# and BE peaked at 10.6 MiB on grid and 38.7 MiB on cnf; now 7.6 and
-# 28.7 MiB (Python 3.11).
+# and BE peaked at 10.6 MiB on grid and 38.7 MiB on cnf; then 7.6 and
+# 28.7 MiB, and with each join's chain folded into its bucket 7.5 and
+# 27.6 MiB (Python 3.11).
 @pytest.mark.parametrize("name, mib", [("grid", 9.0), ("cnf", 33.0)])
 def test_be_frees_dead_message_nodes(name, mib):
-    model, tree = _workload_and_tree(name)
+    model, _, tree = _workload(name)
     assert _traced_peak(lambda: compile_be(model, tree=tree)) <= mib * 2**20
 
 
@@ -444,7 +511,7 @@ def test_interning_at_a_closed_level_raises():
 def test_be_returns_its_table_closed(monkeypatch):
     rng = seeded_rng(61)
     models = [random_model(rng, weighted=i % 2 == 0) for i in range(40)]
-    models.append(_workload_and_tree("grid")[0])
+    models.append(_workload("grid")[0])
     for model in models:
         g = build_primal_graph(model)
         d = min_fill_ordering(g)

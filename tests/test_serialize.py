@@ -1,12 +1,15 @@
 import io
 import itertools
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import aomdd
 from aomdd import (
     ParseError,
     StructuralError,
@@ -731,8 +734,17 @@ def test_weight_past_the_digit_limit_is_a_resource_limit(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err) < 200, name
         assert "more than %d digits" % sys.get_int_max_str_digits() in captured.err
+        assert "PYTHONINTMAXSTRDIGITS=0" in captured.err
     for name in ("pair", "three"):
         assert _kind(_read_with(serialize_reference.loads, files[name])) is ParseError
+    # the variable the message names lifts the limit: one 3-valued variable
+    src = os.path.dirname(os.path.dirname(aomdd.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "aomdd.cli", "query", str(tmp_path / "three.aomdd"), "--query", "count"],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="0"),
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "3\n")
 
 
 def _writer_corpus():
