@@ -258,7 +258,9 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     (see the module docstring).  ``d`` and ``chain`` only choose the
     tree when none is given: the pseudo tree of ``d`` (default: a
     min-fill ordering), or with ``chain=True`` the degenerate chain
-    along ``d`` (MDD/OBDD mode), where nothing folds.
+    along ``d`` (MDD/OBDD mode), where nothing folds.  A product of a
+    variable's tables starts from its first table's chain diagram, so a
+    bucket with one table makes no APPLY for it.
 
     The level of a variable in the context of any variable but its
     children is held weakly until the bucket that multiplies its tables
@@ -279,12 +281,12 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     depth = tree.depth_of.__getitem__
 
     def fold_tables(var):
-        message = (1, ())
+        message = None
         for fid in buckets[var]:
             f = functions[fid]
             fragment = _chain_fragment(f, tuple(sorted(f.scope, key=depth)), domains, table)
-            message = apply_fragments(message, fragment, tree, table)
-        return message
+            message = fragment if message is None else apply_fragments(message, fragment, tree, table)
+        return (1, ()) if message is None else message
 
     children, parent = tree.children, tree.parent
     inbox = [[] for _ in range(tree.n)]

@@ -352,10 +352,14 @@ def parse_uai(text):
 
 
 def parse_dimacs_cnf(text):
-    """Parse DIMACS CNF into a constraint model, one 0/1 table per clause.
+    """Parse DIMACS CNF into a constraint model, one 0/1 table per clause scope.
 
     Each clause forbids exactly the one assignment falsifying all its
-    literals.  A tautological clause is constant 1 and gets no table.
+    literals, so it writes one 0 into the table of its scope (its
+    variables, sorted); clauses over the same variables share that
+    table, and the tables follow their scopes' first appearance.  A
+    tautological clause is constant 1 and writes nothing; every empty
+    clause writes into one constant-0 table.
     """
     nvars = None
     clauses = []
@@ -394,8 +398,7 @@ def parse_dimacs_cnf(text):
     if nvars is None:
         raise ParseError("missing 'p cnf' header")
 
-    functions = []
-    domains = [2] * nvars
+    tables = {}  # scope -> its values, in first-appearance order
     for lits, lineno in clauses:
         signs = {}
         for lit in lits:
@@ -409,13 +412,14 @@ def parse_dimacs_cnf(text):
                     "line %d: clause over %d variables needs a %d-entry table, cap is %d"
                     % (lineno, len(scope), size, MAX_CLAUSE_TABLE)
                 )
-            values = [1] * size
+            values = tables.get(scope)
+            if values is None:
+                values = tables[scope] = [1] * size
             idx = 0
             for v in scope:  # the one assignment that falsifies every literal
                 idx = idx * 2 + (not signs[v])
             values[idx] = 0  # an empty clause is the constant 0
-            functions.append((scope, tuple(values)))
-    return make_model(domains, functions, kind=CONSTRAINT)
+    return make_model([2] * nvars, tables.items(), kind=CONSTRAINT)
 
 
 def parse_uai_evidence(text, n=None):

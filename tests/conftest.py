@@ -1,6 +1,7 @@
 """Shared fixtures: worked example, 4-queens, random model generators."""
 
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -11,7 +12,11 @@ from pathlib import Path
 import pytest
 
 from aomdd import (
+    bcp_hook,
     build_primal_graph,
+    compile_be,
+    compile_search,
+    dumps,
     generate_pseudo_tree,
     make_model,
     parse_dimacs_cnf,
@@ -172,6 +177,57 @@ def random_cnf_text(rng):
         lits = [v if rng.random() < 0.5 else -v for v in vs]
         lines.append(" ".join(str(l) for l in lits) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def per_clause_model(text):
+    """The constraint model of DIMACS text with one 0/1 table per clause.
+
+    The oracle for ``parse_dimacs_cnf``, which shares one table among
+    the clauses over one variable set.  A clause's table is 1 wherever
+    one of its literals holds, over its sorted variables; a tautology's
+    table would be all 1s and is left out, and an empty clause's table
+    is the constant 0.  Assumes well-formed input.
+    """
+    nvars = 0
+    literals = []
+    for line in text.splitlines():
+        toks = line.split()
+        if toks and toks[0] == "p":
+            nvars = int(toks[2])
+        elif toks and toks[0] != "c":
+            literals += map(int, toks)
+    functions = []
+    clause = []
+    for lit in literals:
+        if lit:
+            clause.append(lit)
+            continue
+        scope = sorted({abs(l) - 1 for l in clause})
+        values = [
+            int(any(x[scope.index(abs(l) - 1)] == (l > 0) for l in clause))
+            for x in itertools.product((0, 1), repeat=len(scope))
+        ]
+        if not all(values):
+            functions.append((scope, values))
+        clause = []
+    return make_model([2] * nvars, functions, kind="constraint")
+
+
+def compiles(model, tree=None):
+    """Search, BE and bcp along ``tree`` (default: the model's own), by name."""
+    return {
+        "search": compile_search(model, tree),
+        "be": compile_be(model, tree=tree),
+        "bcp": compile_search(model, tree, hook=bcp_hook(model)),
+    }
+
+
+def bytes_and_counters(compiled):
+    """Each compile's ``dumps``, and its ``CompileStats`` or BE's ``created_per_var``."""
+    return {
+        name: (dumps(d), d.table.created_per_var if d.stats is None else d.stats)
+        for name, d in compiled.items()
+    }
 
 
 def shuffled_chain_cnf_text(n, seed):

@@ -20,7 +20,14 @@ from aomdd.model import (
     weight_of_full_assignment,
 )
 
-from conftest import BAD_CNF, BAD_EVIDENCE, BAD_UAI
+from conftest import (
+    BAD_CNF,
+    BAD_EVIDENCE,
+    BAD_UAI,
+    bytes_and_counters,
+    compiles,
+    per_clause_model,
+)
 
 # a two-variable UAI network and a three-variable CNF, each with a blank line
 UAI = "MARKOV\n2\n2 2\n\n2\n1 0\n2 0 1\n2\n0.3 0.7\n4\n0.5 0.25 1 0.75\n"
@@ -217,6 +224,50 @@ def test_dimacs_unit_clause():
 def test_dimacs_tautology_dropped():
     m = parse_dimacs_cnf("p cnf 2 1\n1 -1 2 0\n")
     assert not m.functions
+
+
+def _assert_shared_tables(text, tables):
+    """``text`` parses to the tables ``tables``, and to the per-clause model's function.
+
+    Against the model with one table per clause: the same brute-force
+    table, the same bytes from search, BE and bcp, the same search and
+    bcp counters, and no more BE creations.
+    """
+    m = parse_dimacs_cnf(text)
+    assert [(f.scope, f.values) for f in m.functions] == tables
+    oracle = per_clause_model(text)
+    assert brute_force_table(m) == brute_force_table(oracle)
+    got = bytes_and_counters(compiles(m))
+    want = bytes_and_counters(compiles(oracle))
+    assert got["search"] == want["search"]
+    assert got["bcp"] == want["bcp"]
+    assert got["be"][0] == want["be"][0]
+    assert sum(got["be"][1].values()) <= sum(want["be"][1].values())
+
+
+def test_dimacs_xor_clauses_share_one_table():
+    # x1 xor x2 xor x3 = 1: four clauses, literals shuffled, each forbidding
+    # one even-parity assignment, 000, 011, 101 or 110
+    text = "p cnf 3 4\n-3 1 -2 0\n2 3 1 0\n-2 -1 3 0\n-3 2 -1 0\n"
+    _assert_shared_tables(text, [((0, 1, 2), (0, 1, 1, 0, 1, 0, 0, 1))])
+
+
+def test_dimacs_duplicate_clause_writes_the_same_zero():
+    _assert_shared_tables("p cnf 2 3\n1 -2 0\n-2 1 0\n2 0\n", [((0, 1), (1, 0, 1, 1)), ((1,), (0, 1))])
+
+
+def test_dimacs_opposite_unit_clauses_give_an_all_zero_table():
+    _assert_shared_tables("p cnf 2 3\n1 0\n2 -1 0\n-1 0\n", [((0,), (0, 0)), ((0, 1), (1, 1, 0, 1))])
+
+
+def test_dimacs_empty_clauses_share_one_constant_zero():
+    _assert_shared_tables("p cnf 2 3\n0\n1 2 0\n0\n", [((), (0,)), ((0, 1), (0, 1, 1, 1))])
+
+
+def test_dimacs_tautology_beside_a_clause_on_its_scope():
+    # the tautology writes nothing, so the unit clause's scope comes first
+    text = "p cnf 3 3\n2 -2 1 0\n3 0\n1 2 0\n"
+    _assert_shared_tables(text, [((2,), (0, 1)), ((0, 1), (0, 1, 1, 1))])
 
 
 def test_dimacs_wide_clause_is_a_resource_error():

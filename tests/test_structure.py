@@ -130,9 +130,9 @@ def test_context_width_agreement():
 
 def test_buckets_example(example_model, example_tree):
     buckets = compute_buckets(example_tree, example_model)[0]
-    # clauses F|H and A|~H land in H's bucket; the xor clauses and F|G in G's
+    # clauses F|H and A|~H land in H's bucket; the xor's table and F|G in G's
     assert buckets[H] == (0, 1)
-    assert buckets[G] == (2, 3, 4, 5, 6)
+    assert buckets[G] == (2, 3)
     assert sum(len(b) for b in buckets) == len(example_model.functions)
     for v, bucket in enumerate(buckets):
         allowed = {v, *example_tree.context[v]}
