@@ -228,6 +228,8 @@ def apply_fragments(a, b, tree, table):
     cb, nb = b
     if ca == 0 or cb == 0:
         return 0, ()
+    if not na or not nb:  # a constant operand scales the other
+        return ca * cb, na or nb
     memo = {}
     num = den = 1
     out = []

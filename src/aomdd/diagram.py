@@ -163,23 +163,18 @@ def normalize_arcs(arcs):
     """Scale integer weights to their primitive vector; return (arcs, total).
 
     ``total`` is the sum of the input weights, so arc ``i`` keeps the
-    value ``total * n_i / sum(n)``.  An all-zero arc set signals the
-    terminal 0: returns ``(None, 0)``.  A two-arc set is read without a
-    weight list.
+    value ``total * n_i / sum(n)``.  Some weight must be nonzero:
+    ``make_node`` returns the dead node before it normalizes.  A two-arc
+    set is read without a weight list.
     """
     if len(arcs) == 2:
         (w0, c0), (w1, c1) = arcs
-        total = w0 + w1
-        if total == 0:
-            return None, total
         g = gcd(w0, w1)
         if g != 1:
             arcs = ((w0 // g, c0), (w1 // g, c1))
-        return arcs, total
+        return arcs, w0 + w1
     weights = [w for w, _ in arcs]
     total = sum(weights)
-    if total == 0:
-        return None, total
     g = gcd(*weights)
     if g != 1:
         arcs = tuple([(w // g, children) for w, children in arcs])

@@ -15,9 +15,9 @@ its children's subtree widths (``subtree_end - dfs_index``) sum to less
 than the width of its own interval, so the fold lists the slices only
 for such an arc.
 
-Sum, count, MPE and the root sum are one bottom-up fold, ``_fold``,
-over the reachable nodes in the semiring style of algebraic model
-counting.  Three inputs fix the query:
+Eval, sum, count, MPE and the root sum are one bottom-up fold,
+``_fold``, over the reachable nodes in the semiring style of algebraic
+model counting.  Three inputs fix the query:
 
 - how a node's arcs combine: ``+`` (sum, count, root sum) or max (MPE,
   which also keeps each node's first maximizing value);
@@ -34,9 +34,10 @@ over the arcs, once per node, not once per arc.  Under evidence the fold
 covers only the nodes that evidence-consistent arcs reach from the roots
 (``_consistent``, one top-down pass); a node below an arc the evidence
 rules out adds nothing to any answer.  Without evidence every node is
-reached, and that pass is skipped.
-``evaluate`` reads one solution tree and ``enumerate_solutions`` walks
-the paths, so neither is a fold.
+reached, and that pass is skipped.  ``evaluate`` is the sum under its
+full assignment as evidence, so the fold covers the one solution tree
+the assignment reads.  ``enumerate_solutions`` walks the paths and is
+not a fold.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ def _arc_items(tree, lo, hi, children):
 def evaluate(diagram, x):
     """Value of the compiled function at a full assignment.
 
-    Root constant times the product of arc values along the unique
-    solution-tree read of ``x``; skipped variables contribute factor 1.
+    The sum over the one assignment that agrees with ``x``: ``x`` as
+    evidence, so the fold covers only the solution tree that ``x``
+    reads, and the result has the type ``sum_over`` gives.
     """
     if len(x) != len(diagram.domains):
         raise StructuralError(
@@ -90,17 +92,7 @@ def evaluate(diagram, x):
     for var, k in enumerate(diagram.domains):
         if x[var] is None or not 0 <= x[var] < k:
             raise StructuralError("variable %d unassigned or out of domain" % var)
-    num = den = 1
-    stack = list(diagram.roots)
-    while stack:
-        u = stack.pop()
-        w, children = u.arcs[x[u.var]]
-        if w == 0:
-            return w
-        num *= w
-        den *= node_total(u, diagram.weighted)
-        stack.extend(children)
-    return diagram.constant * ratio(num, den)
+    return diagram.constant * _fold(diagram, dict(enumerate(x)))[1]
 
 
 def _consistent(nodes, roots, evidence):
@@ -227,9 +219,10 @@ def mpe(diagram, evidence=None):
     """Highest evidence-consistent value and a witness attaining it.
 
     Don't-care variables contribute factor 1 and take value 0 in the
-    witness (evidence values when observed); ``evaluate`` at the witness
-    reproduces the value exactly.  Each node on the witness takes its
-    first maximizing value.
+    witness (evidence values when observed).  ``evaluate`` at the
+    witness, the same fold with the witness as evidence, reproduces the
+    value and its type.  Each node on the witness takes its first
+    maximizing value.
     """
     evidence = _check_evidence(diagram, evidence)
     argmax, value = _fold(diagram, evidence, maximize=True, sizes=False)

@@ -117,7 +117,6 @@ def test_normalize_arcs():
     arcs, const = normalize_arcs([(6, ()), (4, ()), (0, ())])
     assert const == 10
     assert arcs == ((3, ()), (2, ()), (0, ()))
-    assert normalize_arcs([(0, ()), (0, ())]) == (None, 0)
 
 
 def test_count_stats_terminal(example_model, example_tree):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -439,3 +440,38 @@ def test_loaded_diagram_folds_without_a_walk(monkeypatch):
     # the records are every reachable node, children first
     assert len(loaded.nodes) == live == 11647
     assert [u.uid for u in loaded.nodes] == list(range(live))
+
+
+def _assignments(rng, diagram):
+    """Every full assignment when there are at most 256, else 20 seeded ones and the MPE witness."""
+    domains = diagram.domains
+    if math.prod(domains) <= 256:
+        return list(full_assignments(domains))
+    sample = [[rng.randrange(k) for k in domains] for _ in range(20)]
+    return sample + [mpe(diagram)[1]]
+
+
+def test_evaluate_is_the_sum_under_its_assignment():
+    rng = seeded_rng(35)
+    for d in {id(d): d for d, _ in _fold_corpus()}.values():
+        loaded = loads(dumps(d))
+        for x in _assignments(rng, d):
+            for diagram in (d, loaded):
+                want = _typed(sum_over(diagram, dict(enumerate(x))))
+                assert _typed(evaluate(diagram, x)) == want
+
+
+def _weighted_quarter_chain(n):
+    """A pairwise chain over n binary variables whose table entries are j/4, j in 1..4."""
+    tables = [
+        ((i, i + 1), [Fraction((i + k) % 4 + 1, 4) for k in range(4)]) for i in range(n - 1)
+    ]
+    return make_model([2] * n, tables)
+
+
+def test_evaluate_at_the_witness_of_a_weighted_chain():
+    # exact weights grow with the height, and eval still reproduces MPE
+    d = compile_search(_weighted_quarter_chain(1000))
+    for diagram in (d, loads(dumps(d))):
+        value, witness = mpe(diagram)
+        assert _typed(evaluate(diagram, witness)) == _typed(value)
