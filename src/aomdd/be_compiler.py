@@ -321,7 +321,4 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
 
     # the root's bucket, folded or not, comes last: ``message`` is its message
     const, nodes = message
-    constant = const * factor
-    if constant == 0:
-        nodes = ()
-    return Aomdd(tree, domains, tuple(nodes), constant, table, weighted, None)
+    return Aomdd(tree, domains, tuple(nodes), const * factor, table, weighted, None)

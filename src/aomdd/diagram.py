@@ -227,52 +227,65 @@ def make_node(var, arcs, table):
 
 
 class Aomdd:
-    """A compiled diagram: root meta-nodes, root constant, owning tree.
+    """A diagram: root meta-nodes, root constant, owning tree.
 
     ``roots`` may hold several nodes when the root variable itself
     reduced away; an empty tuple is a terminal diagram (constant
-    function).  ``constant`` is 0 exactly for the always-zero function.
-    ``table`` is the compiler's unique table, kept for its counters, and
-    None for a loaded diagram.  ``stats`` is the search compiler's
-    ``CompileStats``, else None.  ``nodes`` is a loaded diagram's nodes
-    in record order, which ``loads`` has checked to be every reachable
-    node, children first; None for a compiled diagram.
+    function).  ``constant`` is 0 exactly for the always-zero function,
+    which has no roots, and is an ``int`` whenever its value is one.
+    ``nodes`` is every node reachable from the roots, children first: a
+    maker that holds that sequence passes it (``loads``, its records),
+    and any other gets one walk from the roots.  ``table`` is the
+    compiler's unique table, kept for its counters, and None for a
+    loaded diagram.  ``stats`` is the search compiler's ``CompileStats``,
+    else None.  The constructor fixes these invariants for every maker,
+    so a compiled diagram and its loaded copy are one value.
     """
 
     __slots__ = ("tree", "domains", "roots", "constant", "table", "weighted", "stats", "nodes")
 
     def __init__(self, tree, domains, roots, constant, table, weighted, stats=None, nodes=None):
+        if constant == 0:
+            roots = nodes = ()
         self.tree = tree
         self.domains = domains
         self.roots = roots
-        self.constant = constant
+        self.constant = ratio(constant.numerator, constant.denominator)
         self.table = table
         self.weighted = weighted
         self.stats = stats
-        self.nodes = nodes
+        self.nodes = tuple(reached_nodes(roots, {})) if nodes is None else nodes
 
 
-def reachable_nodes(diagram):
-    """All meta-nodes reachable from the roots, each after its children.
+def reached_nodes(roots, evidence):
+    """The nodes that arcs agreeing with ``evidence`` reach from ``roots``, children first.
 
-    A node's ``uid`` is above its children's (``intern`` creates a node
-    only once its children exist, and ``loads`` numbers the records
-    children first), so sorting by ``uid`` puts children first.  Sorting
-    the reachable set costs O(r log r), not a pass over a table that may
-    hold many more dead nodes.  A loaded diagram's ``nodes`` are already
-    that sequence, and are returned without a walk.
+    One stack walk: a node reaches the children of every arc, or only of
+    the arc of its evidence value when the evidence fixes its variable.
+    A zero-weight arc has no children, so it reaches nothing.  A node's
+    ``uid`` is above its children's (``intern`` creates a node only once
+    its children exist, and ``loads`` numbers the records children
+    first), so sorting the reached set by ``uid`` puts children first:
+    O(r log r) for the r nodes reached, whatever else the diagram holds.
     """
-    if diagram.nodes is not None:
-        return diagram.nodes
     seen = set()
-    stack = list(diagram.roots)
+    stack = list(roots)
     while stack:
         u = stack.pop()
         if u not in seen:
             seen.add(u)
-            for _, children in u.arcs:
-                stack.extend(children)
+            fixed = evidence.get(u.var)
+            if fixed is None:
+                for _, children in u.arcs:
+                    stack.extend(children)
+            else:
+                stack.extend(u.arcs[fixed][1])
     return sorted(seen, key=attrgetter("uid"))
+
+
+def reachable_nodes(diagram):
+    """All meta-nodes reachable from the roots, each after its children."""
+    return diagram.nodes
 
 
 def count_stats(diagram):
@@ -317,34 +330,3 @@ def structural_equal(a, b):
         )
     return tuple(image[r] for r in b.roots) == a.roots
 
-
-def check_reduced(nodes):
-    """Assert the reduced-diagram invariants: no isomorphic pair, no redundant node.
-
-    ``nodes`` is any iterable of meta-nodes, such as a diagram's
-    ``reachable_nodes`` or every node one compile made.  Two nodes are
-    isomorphic exactly when they share ``(var, arcs)``, because the arc
-    tuple is canonical: every weight is a non-negative ``int`` and each
-    node's weights have gcd 1.  Redundancy freedom, the weight form and
-    children-first creation (every child's ``uid`` below its parent's,
-    which the bottom-up traversals rely on) are checked per node.
-    """
-    nodes = list(nodes)
-    if len({(u.var, u.arcs) for u in nodes}) != len(nodes):
-        raise AssertionError("isomorphic meta-nodes survived")
-    for node in nodes:
-        first = node.arcs[0]
-        if all(a == first for a in node.arcs[1:]):
-            raise AssertionError("redundant meta-node survived: %r" % node)
-        for w, children in node.arcs:
-            if type(w) is not int or w < 0:
-                raise AssertionError("weight %r of %r is not a non-negative int" % (w, node))
-            if w == 0 and children:
-                raise AssertionError("zero-weight arc with children on %r" % node)
-            for c in children:
-                if c.uid >= node.uid:
-                    raise AssertionError("child %r not created before %r" % (c, node))
-        g = gcd(*[w for w, _ in node.arcs])
-        if g != 1:
-            raise AssertionError("weights of %r have gcd %d, not 1" % (node, g))
-    return True

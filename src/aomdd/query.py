@@ -30,21 +30,21 @@ one gcd per node, and no ``Fraction`` until the result.  A weighted
 meta-node stores integer arc weights whose values are ``n_i / sum(n)``;
 the fold multiplies the integers, its children's values among them, in
 the node's own loop, and divides by a node's sum, added up in its pass
-over the arcs, once per node, not once per arc.  Under evidence the fold
-covers only the nodes that evidence-consistent arcs reach from the roots
-(``_consistent``, one top-down pass); a node below an arc the evidence
-rules out adds nothing to any answer.  Without evidence every node is
-reached, and that pass is skipped.  ``evaluate`` is the sum under its
-full assignment as evidence, so the fold covers the one solution tree
-the assignment reads.  ``enumerate_solutions`` walks the paths and is
-not a fold.
+over the arcs, once per node, not once per arc.  Without evidence the
+fold reads the diagram's ``nodes``.  Under evidence it folds only the
+nodes a walk from the roots reaches along evidence-consistent arcs
+(``reached_nodes``): a node below an arc the evidence rules out adds
+nothing to any answer.  ``evaluate`` is the sum under its full
+assignment as evidence, so it pays for the one solution tree the
+assignment reads.  ``enumerate_solutions`` walks the paths and is not a
+fold.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .diagram import node_total, ratio, reachable_nodes
+from .diagram import node_total, ratio, reached_nodes
 from .errors import StructuralError
 
 
@@ -95,25 +95,6 @@ def evaluate(diagram, x):
     return diagram.constant * _fold(diagram, dict(enumerate(x)))[1]
 
 
-def _consistent(nodes, roots, evidence):
-    """The ``nodes`` (children first) that evidence-consistent arcs reach from ``roots``.
-
-    One pass, parents first: a reached node reaches the children of each
-    arc that agrees with the evidence on its variable.  A zero-weight
-    arc has no children, so it reaches nothing.
-    """
-    live = set(roots)
-    for u in reversed(nodes):
-        if u in live:
-            fixed = evidence.get(u.var)
-            if fixed is None:
-                for _, children in u.arcs:
-                    live.update(children)
-            else:
-                live.update(u.arcs[fixed][1])
-    return [u for u in nodes if u in live]
-
-
 def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
     """Fold the nodes the evidence leaves reachable, children first; return ``(argmax, value)``.
 
@@ -122,8 +103,7 @@ def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
     1; an arc counts its weight when ``weights``, else 1.  ``value`` is
     the roots' value without the root constant; ``argmax`` maps each
     folded node to its first maximizing value (when ``maximize``; else
-    to a value the evidence allows).  Without evidence every reachable
-    node is folded; with it, only those that ``_consistent`` keeps.
+    to a value the evidence allows).
     """
     domains = diagram.domains
     tree = diagram.tree
@@ -140,9 +120,7 @@ def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
                 num *= domains[item]
         return num
 
-    nodes = reachable_nodes(diagram)
-    if evidence:
-        nodes = _consistent(nodes, diagram.roots, evidence)
+    nodes = reached_nodes(diagram.roots, evidence) if evidence else diagram.nodes
     for u in nodes:
         num, den = 0, 1
         fixed = evidence.get(u.var)

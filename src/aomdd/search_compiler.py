@@ -172,10 +172,7 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
         (stats.cache_hits, hit_count),
     ):
         counter.update({var: c for var, c in enumerate(counts) if c})
-    constant = const * factor
-    if constant == 0:
-        children = ()
-    return Aomdd(tree, domains, tuple(children), constant, table, weighted, stats)
+    return Aomdd(tree, domains, tuple(children), const * factor, table, weighted, stats)
 
 
 def model_nogoods(model):

@@ -248,8 +248,7 @@ def loads(text):
     one ``MetaNode`` with its record id as uid, and no unique table is
     built: the diagram's ``table`` is None.  Every record is reachable
     and numbered children first, so the records, as a tuple, are the
-    diagram's ``nodes``, which ``reachable_nodes`` returns without a
-    walk.  A weighted node stores
+    diagram's ``nodes``, and it takes no walk.  A weighted node stores
     ``num_i * L / den_i``: reduced fractions that sum to 1 scale to
     integers with gcd 1, the compilers' primitive form.
     """

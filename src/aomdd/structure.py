@@ -253,7 +253,9 @@ def compute_contexts(tree, g):
     or to a descendant of X: one reverse sweep along ``tree.dfs_order``
     that follows ``tree.parent``.  A tree without the backarc property
     also gets earlier neighbours that are not ancestors.  The compilers
-    read these sets off the buckets instead (``compute_buckets``).
+    read these sets off the buckets instead (``compute_buckets``); this
+    stays because ``tests/test_acyclic.py`` imports it from here and the
+    benchmark's tracer wraps it.
     """
     return tuple(map(frozenset, _sweep(g, tree.dfs_order, tree.parent)[1]))
 

@@ -79,10 +79,7 @@ def _compile(model, d, tree, buckets):
             inbox[parent].append(message)
 
     const, nodes = final
-    constant = const * factor
-    if constant == 0:
-        nodes = ()
-    return Aomdd(tree, domains, tuple(nodes), constant, table, weighted, None)
+    return Aomdd(tree, domains, tuple(nodes), const * factor, table, weighted, None)
 
 
 def group_descendants(list_f, list_g, tree):

@@ -10,9 +10,12 @@ uids and per-variable creation counts.
 
 ``structural_equal`` is the earlier memoized isomorphism walk, kept as
 the oracle for identity-based equality on diagrams of one mode.
+``check_reduced`` asserts the reduced-diagram invariants of any set of
+meta-nodes.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from aomdd import compile_search, search_compiler
 from aomdd._recursion import run
@@ -177,3 +180,35 @@ def structural_equal(a, b):
         return ok
 
     return all(run(iso(u, v)) for u, v in zip(a.roots, b.roots))
+
+
+def check_reduced(nodes):
+    """Assert the reduced-diagram invariants: no isomorphic pair, no redundant node.
+
+    ``nodes`` is any iterable of meta-nodes, such as a diagram's
+    ``reachable_nodes`` or every node one compile made.  Two nodes are
+    isomorphic exactly when they share ``(var, arcs)``, because the arc
+    tuple is canonical: every weight is a non-negative ``int`` and each
+    node's weights have gcd 1.  Redundancy freedom, the weight form and
+    children-first creation (every child's ``uid`` below its parent's,
+    which the bottom-up traversals rely on) are checked per node.
+    """
+    nodes = list(nodes)
+    if len({(u.var, u.arcs) for u in nodes}) != len(nodes):
+        raise AssertionError("isomorphic meta-nodes survived")
+    for node in nodes:
+        first = node.arcs[0]
+        if all(a == first for a in node.arcs[1:]):
+            raise AssertionError("redundant meta-node survived: %r" % node)
+        for w, children in node.arcs:
+            if type(w) is not int or w < 0:
+                raise AssertionError("weight %r of %r is not a non-negative int" % (w, node))
+            if w == 0 and children:
+                raise AssertionError("zero-weight arc with children on %r" % node)
+            for c in children:
+                if c.uid >= node.uid:
+                    raise AssertionError("child %r not created before %r" % (c, node))
+        g = gcd(*[w for w, _ in node.arcs])
+        if g != 1:
+            raise AssertionError("weights of %r have gcd %d, not 1" % (node, g))
+    return True

@@ -207,7 +207,4 @@ def compile_search(model, tree=None, hook=None, node_cap=None):
         # keep the caches and the trace's nodes alive until the cyclic
         # collector ran, so break it and let reference counting free them
         del solve
-    constant = const * factor
-    if constant == 0:
-        children = ()
-    return Aomdd(tree, domains, tuple(children), constant, table, weighted, stats)
+    return Aomdd(tree, domains, tuple(children), const * factor, table, weighted, stats)

@@ -28,11 +28,12 @@ from aomdd import (
 )
 from aomdd import be_compiler
 from aomdd.be_compiler import apply_fragments, group_descendants
-from aomdd.diagram import UniqueTable, check_reduced, reachable_nodes
+from aomdd.diagram import UniqueTable, reachable_nodes
 from aomdd.serialize import weight_strs
 from aomdd.structure import PrimalGraph, compute_contexts
 
 import be_reference
+from diagram_reference import check_reduced
 from conftest import (
     bench_workloads,
     bytes_and_counters,

@@ -22,7 +22,6 @@ from aomdd import (
 from aomdd.diagram import (
     MetaNode,
     UniqueTable,
-    check_reduced,
     make_node,
     normalize_arcs,
     reachable_nodes,
@@ -30,6 +29,7 @@ from aomdd.diagram import (
 from aomdd.errors import ResourceLimitError
 
 import diagram_reference as ref
+from diagram_reference import check_reduced
 from conftest import bench_workloads, open_nodes, random_model, seeded_rng
 
 

@@ -8,6 +8,7 @@ from aomdd import (
     brute_force_table,
     build_primal_graph,
     chain_pseudo_tree,
+    compile_be,
     compile_search,
     count_solutions,
     dumps,
@@ -401,18 +402,33 @@ def test_folds_list_items_only_for_an_arc_that_skips(monkeypatch):
     assert len(calls) == 4
 
 
-def test_loaded_diagram_folds_without_a_walk(monkeypatch):
-    # ``loads`` keeps its records, children first, so the folds and the
-    # structural comparison of a loaded diagram sort no reachable set
+def _sorted_sizes(monkeypatch):
+    """Patch ``aomdd.diagram``'s ``sorted``; return the list of the sizes it sorts."""
     from aomdd import diagram
 
-    sorts = []
+    sizes = []
     monkeypatch.setattr(
-        diagram, "sorted", lambda *a, **k: sorts.append(1) or sorted(*a, **k), raising=False
+        diagram,
+        "sorted",
+        lambda *a, **k: sizes.append(len(a[0])) or sorted(*a, **k),
+        raising=False,
     )
+    return sizes
+
+
+def test_loaded_diagram_folds_without_a_walk(monkeypatch):
+    # a diagram sorts its reachable nodes once, when it is built, and a
+    # loaded one not at all: ``loads`` keeps its records, children first.
+    # A fold without evidence then sorts nothing on either diagram, and
+    # an evidence fold sorts only the set it reaches.
+    sorts = _sorted_sizes(monkeypatch)
     grid = bench_workloads().grid(1)
     compiled = compile_search(parse_uai(grid.model_text))
+    live = len(reachable_nodes(compiled))
+    assert sorts == [live] == [11647]
     evidence = parse_uai_evidence(grid.evidence_text, n=len(compiled.domains))
+    reached = len(_consistent_walk(compiled, evidence))
+    assert reached == 6769
     want = [
         _typed(ref.count_solutions(compiled)),
         _typed(ref.sum_over(compiled)),
@@ -421,25 +437,40 @@ def test_loaded_diagram_folds_without_a_walk(monkeypatch):
         ref.mpe(compiled, evidence),
         _typed(ref.normalized_root_sum(compiled)),
     ]
-    assert len(sorts) == 6  # the patch sees each walk of a compiled diagram
-    live = len(reachable_nodes(compiled))
     text = dumps(compiled)
-    sorts.clear()
     loaded = loads(text)
-    got = [
-        _typed(count_solutions(loaded)),
-        _typed(sum_over(loaded)),
-        _typed(sum_over(loaded, evidence)),
-        mpe(loaded),
-        mpe(loaded, evidence),
-        _typed(normalized_root_sum(loaded)),
-    ]
-    assert structural_equal(loaded, loads(text))
-    assert sorts == []
-    assert got == want
+    assert structural_equal(loaded, loads(text)) and structural_equal(compiled, loaded)
+    assert sorts == [live]
+    for diagram in (compiled, loaded):
+        sorts.clear()
+        got = [
+            _typed(count_solutions(diagram)),
+            _typed(sum_over(diagram)),
+            _typed(sum_over(diagram, evidence)),
+            mpe(diagram),
+            mpe(diagram, evidence),
+            _typed(normalized_root_sum(diagram)),
+        ]
+        assert got == want
+        assert sorts == [reached, reached]  # the two evidence folds
     # the records are every reachable node, children first
     assert len(loaded.nodes) == live == 11647
     assert [u.uid for u in loaded.nodes] == list(range(live))
+
+
+def test_evaluate_sorts_only_the_solution_tree_it_reads(monkeypatch):
+    sorts = _sorted_sizes(monkeypatch)
+    grid = bench_workloads().grid(1)
+    compiled = compile_search(parse_uai(grid.model_text))
+    loaded = loads(dumps(compiled))
+    x = grid.assignment
+    want = _typed(ref.sum_over(compiled, dict(enumerate(x))))
+    tree = _consistent_walk(compiled, dict(enumerate(x)))
+    assert len(tree) <= 81  # one node per variable at most
+    for diagram in (compiled, loaded):
+        sorts.clear()
+        assert _typed(evaluate(diagram, x)) == want
+        assert sorts == [len(tree)]
 
 
 def _assignments(rng, diagram):
@@ -459,6 +490,38 @@ def test_evaluate_is_the_sum_under_its_assignment():
             for diagram in (d, loaded):
                 want = _typed(sum_over(diagram, dict(enumerate(x))))
                 assert _typed(evaluate(diagram, x)) == want
+
+
+def _answers(diagram, evidences, assignments):
+    """``(value, type)`` of count, sum and MPE under each evidence, and of eval at each assignment."""
+    out = []
+    for evidence in evidences:
+        value, witness = mpe(diagram, evidence)
+        out += [
+            _typed(count_solutions(diagram, evidence)),
+            _typed(sum_over(diagram, evidence)),
+            (_typed(value), witness),
+        ]
+    return out + [_typed(evaluate(diagram, x)) for x in assignments]
+
+
+def test_a_compiled_diagram_and_its_loaded_copy_answer_alike():
+    rng = seeded_rng(36)
+    evidences = {}
+    for d, evidence in _fold_corpus():
+        evidences.setdefault(d, []).append(evidence)
+    # weighted models whose root constants include integers, zero among them
+    for seed in range(60, 80):
+        models = seeded_rng(seed)
+        for _ in range(40):
+            m = random_model(models, weighted=True)
+            for d in (compile_search(m), compile_be(m)):
+                evidences[d] = [{}, _random_evidence(rng, m.domains)]
+    for d, cases in evidences.items():
+        loaded = loads(dumps(d))
+        assert type(d.constant) is type(loaded.constant)
+        xs = _assignments(rng, d)
+        assert _answers(d, cases, xs) == _answers(loaded, cases, xs)
 
 
 def _weighted_quarter_chain(n):

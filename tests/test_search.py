@@ -25,13 +25,14 @@ from aomdd import (
     structural_equal,
     sum_over,
 )
-from aomdd.diagram import check_reduced, reachable_nodes
+from aomdd.diagram import reachable_nodes
 from aomdd.errors import ResourceLimitError
 from aomdd.model import full_assignments
 from aomdd.search_compiler import integer_tables
 from aomdd.structure import compute_contexts
 
 import diagram_reference
+from diagram_reference import check_reduced
 import search_reference
 from conftest import (
     bench_workloads,
