@@ -202,12 +202,16 @@ def cmd_query(args):
 
 
 def cmd_equiv(args):
-    text_a = _read(args.a)
-    a = loads(text_a)
-    text_b = _read(args.b)
+    text = _read(args.a)
+    other = _read(args.b)
     # Canonical files of equal diagrams are identical, so equal text
-    # settles it once ``a`` is known to be a valid diagram.
-    if text_b == text_a or structural_equal(a, loads(text_b)):
+    # settles it once ``a`` is known to be a valid diagram.  Equal texts
+    # are kept once, and a text goes as soon as its diagram is loaded.
+    if other == text:
+        other = None
+    a = loads(text)
+    del text
+    if other is None or structural_equal(a, loads(other)):
         print("equivalent")
         return 0
     print("not equivalent")

@@ -26,8 +26,9 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, lt
 from weakref import ref
 
 from .errors import ResourceLimitError, StructuralError
@@ -107,10 +108,16 @@ class UniqueTable:
         self._removers[var] = _remover(ref(self), var)
 
     def strengthen(self, var):
-        """Hold the live nodes at the weak level ``var`` plainly again."""
-        level = self._levels[var]
+        """Hold the live nodes at the weak level ``var`` plainly again.
+
+        A node can die while the level is copied, when whatever a step
+        of the copy runs (a key's hash, another thread) drops its last
+        reference; its callback then deletes its entry.  So the copy
+        walks a snapshot of the entries and skips the dead ones.
+        """
+        entries = list(self._levels[var].items())
         self._removers[var] = None
-        self._levels[var] = {arcs: entry() for arcs, entry in level.items()}
+        self._levels[var] = {arcs: node for arcs, entry in entries if (node := entry()) is not None}
 
     def close(self, var):
         """Intern nothing more at ``var``; forget the nodes interned there."""
@@ -233,9 +240,13 @@ class Aomdd:
     reduced away; an empty tuple is a terminal diagram (constant
     function).  ``constant`` is 0 exactly for the always-zero function,
     which has no roots, and is an ``int`` whenever its value is one.
-    ``nodes`` is every node reachable from the roots, children first: a
-    maker that holds that sequence passes it (``loads``, its records),
-    and any other gets one walk from the roots.  ``table`` is the
+    ``nodes`` is every node reachable from the roots, sorted by ``uid``,
+    which puts children first: a maker that holds that sequence passes
+    it (``loads``, its records), and any other gets one walk from the
+    roots.  Uids are distinct and non-negative, which the walk checks
+    (nodes of two unique tables can share a uid); the writer relies on
+    both and on the order, to size its dense ids by the last node's
+    ``uid`` and index them by ``uid``.  ``table`` is the
     compiler's unique table, kept for its counters, and None for a
     loaded diagram.  ``stats`` is the search compiler's ``CompileStats``,
     else None.  The constructor fixes these invariants for every maker,
@@ -254,7 +265,14 @@ class Aomdd:
         self.table = table
         self.weighted = weighted
         self.stats = stats
-        self.nodes = tuple(reached_nodes(roots, {})) if nodes is None else nodes
+        if nodes is None:
+            nodes = tuple(reached_nodes(roots, {}))
+            # sorted by uid, so a repeated uid sits beside its twin
+            uids = map(attrgetter("uid"), nodes)
+            following = map(attrgetter("uid"), islice(nodes, 1, None))
+            if nodes and (nodes[0].uid < 0 or not all(map(lt, uids, following))):
+                raise StructuralError("node uids must be distinct and non-negative")
+        self.nodes = nodes
 
 
 def reached_nodes(roots, evidence):

@@ -6,11 +6,13 @@ with dense ids and exact rational weights, so two equal diagrams —
 however they were compiled — serialize to byte-identical files.  That
 makes file equality a valid fast path for the equivalence command.
 This module alone spells and orders the records (``canonical_records``),
-prints them (``dumps``, ``to_dot``) and checks them (``loads``); the
-writer holds one variable block of signatures at a time and can write
-each line to a file as it is made, the reader (``model._lines`` and
-``model._ints``, shared with the parsers) one 64k chunk of lines.  ``loads`` rebuilds the
-tree with ``structure``'s one tree constructor and checks it against ``dfs``.
+prints them (``dumps``, ``to_dot``) and checks them (``loads``).  The
+writer holds one variable block of signatures at a time, beside the
+nodes sorted once by variable and a dense id per uid (4 bytes each
+while the uids are dense), and can write each line to a file as it is
+made; the reader (``model._lines`` and ``model._ints``, shared with the
+parsers) holds one 64k chunk of lines.  ``loads`` rebuilds the tree
+with ``structure``'s one tree constructor and checks it against ``dfs``.
 
 A weighted node holds the primitive integer vector ``n`` of its arc
 weights; the file spells arc ``i`` as the reduced fraction
@@ -48,10 +50,12 @@ Format (whitespace-separated ASCII, one record per line)::
 from __future__ import annotations
 
 import re
+from array import array
+from itertools import groupby
 from math import gcd, lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
-from .diagram import Aomdd, MetaNode, node_total, ratio, reachable_nodes
+from .diagram import Aomdd, MetaNode, node_total, ratio
 from .diagram import make_node  # noqa: F401  (bench/tracing.py wraps serialize.make_node)
 from .errors import ParseError, StructuralError
 from .model import CONSTRAINT, WEIGHTED, _ints, _lines, _text
@@ -69,12 +73,16 @@ def weight_strs(node, weighted):
     already reduced.  Wider records take one integer gcd per arc.
     """
     arcs = node.arcs
+    if len(arcs) == 2:
+        (n0, _), (n1, _) = arcs
+        total = n0 + n1 if weighted else 1
+        if total == 1:
+            return [str(n0), str(n1)]
+        den = "/%d" % total
+        return [str(n0) + den, str(n1) + den]
     total = node_total(node, weighted)
     if total == 1:
         return [str(w) for w, _ in arcs]
-    if len(arcs) == 2:
-        den = "/%d" % total
-        return [str(arcs[0][0]) + den, str(arcs[1][0]) + den]
     out = []
     for w, _ in arcs:
         g = gcd(w, total)
@@ -82,41 +90,56 @@ def weight_strs(node, weighted):
     return out
 
 
-def canonical_records(diagram, ids):
-    """The number of reachable nodes, and an iterator of their records.
+def canonical_records(diagram):
+    """The dense ids of the nodes by uid, and an iterator of their records.
 
     The iterator yields ``(var, sig)`` per node in canonical order.
     Variables are visited bottom-up (reverse DFS); within a variable,
     nodes sort by their signature, one ``(weight string, child ids)``
     pair per arc, so equal diagrams enumerate identically regardless of
     creation order.  Weight string ``"0"`` is exactly a zero-weight arc.
-    As its record is yielded, a node enters ``ids`` under its dense id.
+    As its record is yielded, a node's dense id enters the ids under its
+    ``uid``.  ``diagram.nodes`` is sorted by ``uid``, so the last node's
+    ``uid + 1`` counts the uids.  While they number at most 8 per node
+    the ids are an ``array`` of 4 bytes per uid, at most 32 bytes per
+    node, sized once and filled with -1: a child with no id yet (its
+    variable is not below its parent's) reads -1, a record ``loads``
+    rejects.  Sparser uids, as a BE compile that freed many nodes
+    leaves, take a dict from uid to id, about 60-90 bytes per node,
+    which raises ``KeyError`` on such a child.
     """
-    by_var = {}
-    for u in reachable_nodes(diagram):
-        by_var.setdefault(u.var, []).append(u)
-    return sum(map(len, by_var.values())), _records(diagram, by_var, ids)
+    nodes = diagram.nodes
+    uids = nodes[-1].uid + 1 if nodes else 0
+    ids = array("i", [-1]) * uids if uids <= 8 * len(nodes) else {}
+    return ids, _records(diagram, ids)
 
 
-def _records(diagram, by_var, ids):
+def _records(diagram, ids):
     weighted = diagram.weighted
-    id_of = ids.__getitem__
-    for var in reversed(diagram.tree.dfs_order):
+    pos = diagram.tree.dfs_index
+    # one stable sort groups the nodes by variable, bottom-up
+    nodes = sorted(diagram.nodes, key=lambda u: pos[u.var], reverse=True)
+    dense = 0
+    for var, group in groupby(nodes, attrgetter("var")):
         block = []
-        for u in by_var.pop(var, ()):
+        for u in group:
             strs = weight_strs(u, weighted)
             arcs = u.arcs
             if len(arcs) == 2:
-                sig = (
-                    (strs[0], tuple(map(id_of, arcs[0][1]))),
-                    (strs[1], tuple(map(id_of, arcs[1][1]))),
-                )
+                k0, k1 = arcs[0][1], arcs[1][1]
+                # an arc into one child builds no list
+                kids0 = (ids[k0[0].uid],) if len(k0) == 1 else tuple([ids[c.uid] for c in k0])
+                kids1 = (ids[k1[0].uid],) if len(k1) == 1 else tuple([ids[c.uid] for c in k1])
+                sig = ((strs[0], kids0), (strs[1], kids1))
             else:
-                sig = tuple([(s, tuple(map(id_of, ch))) for s, (_, ch) in zip(strs, arcs)])
+                sig = tuple(
+                    [(s, tuple([ids[c.uid] for c in ch])) for s, (_, ch) in zip(strs, arcs)]
+                )
             block.append((sig, u))
         block.sort(key=itemgetter(0))
         for sig, u in block:
-            ids[u] = len(ids)
+            ids[u.uid] = dense
+            dense += 1
             yield var, sig
 
 
@@ -128,15 +151,14 @@ def dumps(diagram, file=None):
     """
     lines = []
     write = lines.append if file is None else file.write
-    ids = {}
-    count, records = canonical_records(diagram, ids)
+    ids, records = canonical_records(diagram)
     write("aomdd 1\n")
     write("mode %s\n" % (WEIGHTED if diagram.weighted else CONSTRAINT))
     write("vars %d\n" % len(diagram.domains))
     write("domains %s\n" % " ".join(map(str, diagram.domains)))
     write("parents %s\n" % " ".join("-1" if p is None else str(p) for p in diagram.tree.parent))
     write("dfs %s\n" % " ".join(map(str, diagram.tree.dfs_order)))
-    write("nodes %d\n" % count)
+    write("nodes %d\n" % len(diagram.nodes))
     for i, (var, sig) in enumerate(records):
         if len(sig) == 2:
             (s0, kids0), (s1, kids1) = sig
@@ -146,7 +168,7 @@ def dumps(diagram, file=None):
             continue
         arcs = ["%s:%s" % (s, ",".join(map(str, kids)) or ".") for s, kids in sig]
         write("n %d %d %s\n" % (i, var, " ".join(arcs)))
-    write("roots %s\n" % (" ".join(str(ids[r]) for r in diagram.roots) or "."))
+    write("roots %s\n" % (" ".join(str(ids[r.uid]) for r in diagram.roots) or "."))
     write("constant %s\n" % diagram.constant)
     if file is None:
         return "".join(lines)
@@ -157,7 +179,7 @@ def to_dot(diagram):
     lines = ["digraph aomdd {", "  node [shape=record];"]
     arrows = []
     terminals = set() if diagram.roots else {"t0" if diagram.constant == 0 else "t1"}
-    _, records = canonical_records(diagram, {})
+    _, records = canonical_records(diagram)
     for i, (var, sig) in enumerate(records):
         ports = " | ".join("<p%d> %d: %s" % (j, j, s) for j, (s, _) in enumerate(sig))
         lines.append('  n%d [label="{X%d | { %s }}"];' % (i, var, ports))

@@ -4,8 +4,11 @@
 ``n1/T`` without a gcd, and a record with ``T == 1`` with ``str``;
 ``weight_strs`` here is the earlier form, copied verbatim with
 ``canonical_records``, ``_records``, ``dumps`` and ``to_dot``: it takes
-one gcd per arc.  Both writers must print the same bytes for every
-diagram.
+one gcd per arc.  ``canonical_records`` here keeps a dict from each node
+to its dense id and a list of nodes per variable, where
+``aomdd.serialize`` keeps the ids by ``uid`` (in an array, or a dict
+when the uids are sparse) and groups the nodes with one sort.  Both writers must print the same bytes
+for every diagram.
 
 ``aomdd.serialize.loads`` skips the lcm when a record's denominators are
 equal, binds its lookups once and inlines the children-interval check

@@ -508,6 +508,32 @@ def test_a_weak_level_lets_a_freed_node_go():
     assert kept() is not None  # a plain level holds it
 
 
+def test_strengthen_survives_a_node_dying_mid_copy():
+    # A sampling profiler that drops the last reference to a node while
+    # the level is copied once made strengthen raise "dictionary changed
+    # size during iteration"; here a key's hash does it deterministically.
+    class Trigger:
+        armed = False
+
+        def __hash__(self):
+            if Trigger.armed:
+                Trigger.armed = False
+                nonlocal doomed
+                doomed = None  # its callback deletes its entry
+            return 1
+
+    table = UniqueTable(weighted=False, domains=(2, 2))
+    table.weaken(0)
+    low = table.intern(1, ((1, ()), (0, ())))
+    first = table.intern(0, (Trigger(),))
+    doomed = table.intern(0, ((1, (low,)), (0, ())))
+    last = table.intern(0, ((0, ()), (1, (low,))))
+    Trigger.armed = True
+    table.strengthen(0)
+    assert doomed is None and not Trigger.armed
+    assert open_nodes(table) == [low, first, last]
+
+
 def test_interning_at_a_closed_level_raises():
     table = UniqueTable(weighted=False, domains=(2, 2))
     low = table.intern(1, ((1, ()), (0, ())))

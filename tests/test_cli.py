@@ -700,6 +700,16 @@ def test_equiv_identical_corrupt_files(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_equiv_unreadable_or_corrupt_file(example_cnf, order_file, tmp_path, capsys):
+    out = str(_compile(example_cnf, order_file, tmp_path))
+    corrupt = _write(tmp_path / "corrupt.aomdd", "not a diagram\n")
+    missing = str(tmp_path / "missing.aomdd")
+    for pair in ((out, missing), (missing, out), (corrupt, out), (out, corrupt)):
+        assert main(["equiv", *pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     from aomdd import cli
 

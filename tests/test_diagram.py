@@ -20,13 +20,14 @@ from aomdd import (
     to_dot,
 )
 from aomdd.diagram import (
+    Aomdd,
     MetaNode,
     UniqueTable,
     make_node,
     normalize_arcs,
     reachable_nodes,
 )
-from aomdd.errors import ResourceLimitError
+from aomdd.errors import ResourceLimitError, StructuralError
 
 import diagram_reference as ref
 from diagram_reference import check_reduced
@@ -120,8 +121,6 @@ def test_normalize_arcs():
 
 
 def test_count_stats_terminal(example_model, example_tree):
-    from aomdd.diagram import Aomdd
-
     table = UniqueTable(weighted=False, domains=example_model.domains)
     empty = Aomdd(example_tree, example_model.domains, (), 1, table, False)
     stats = count_stats(empty)
@@ -353,6 +352,22 @@ def test_check_reduced_enforces_no_isomorphic_pair():
     twin = MetaNode(1, ((0, ()), (1, ())), 1)
     with pytest.raises(AssertionError, match="isomorphic"):
         check_reduced([low, twin])
+
+
+def test_a_diagram_refuses_a_repeated_or_negative_uid():
+    tree = compile_search(parse_dimacs_cnf("p cnf 2 1\n1 2 0\n")).tree
+    top, below = tree.dfs_order
+    # two unique tables each number their first node 0
+    low = MetaNode(below, ((0, ()), (1, ())), 0)
+    other = MetaNode(below, ((1, ()), (0, ())), 0)
+    root = MetaNode(top, ((1, (low,)), (1, (other,))), 1)
+    with pytest.raises(StructuralError, match="distinct and non-negative"):
+        Aomdd(tree, (2, 2), (root,), 1, None, False)
+    negative = MetaNode(below, ((0, ()), (1, ())), -1)
+    with pytest.raises(StructuralError, match="distinct and non-negative"):
+        Aomdd(tree, (2, 2), (MetaNode(top, ((1, (negative,)), (0, ())), 0),), 1, None, False)
+    fine = Aomdd(tree, (2, 2), (MetaNode(top, ((1, (low,)), (0, ())), 7),), 1, None, False)
+    assert [u.uid for u in fine.nodes] == [0, 7]
 
 
 def _assert_same_as_reference(a, b):
