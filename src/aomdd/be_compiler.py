@@ -1,7 +1,14 @@
 """Bucket-elimination compilation: per-function chain diagrams folded by APPLY.
 
 Each input function becomes a small chain diagram over its scope, placed
-in the bucket of its deepest variable.  The schedule is bottom-up along
+in the bucket of its deepest variable, then pushed down into the
+deepest bucket below whose context holds its scope (``_push_down``): a
+tree decomposition may place a function in any cluster that covers its
+scope (Kask, Dechter, Larrosa and Dechter, "Unifying tree
+decompositions for reasoning in graphical models", AIJ 2005).  There it
+cuts the bucket's message before the context levels.  APPLY's result
+is canonical whatever the association (Bryant, IEEE TC 1986), so only
+the intermediate products change.  The schedule is bottom-up along
 the pseudo tree, which is the bucket tree: each bucket folds its
 diagrams and its children's messages pairwise with the APPLY combinator
 and passes the result to its parent's bucket.  No variable is
@@ -9,8 +16,7 @@ eliminated, so the root bucket's message is the full canonical diagram.
 
 A join, a variable with two or more children, shares its bucket with
 the single-child chain above it, up to the next join: Kask, Dechter,
-Larrosa and Dechter ("Unifying tree decompositions for reasoning in
-graphical models", AIJ 2005) contract such chains into one cluster.
+Larrosa and Dechter contract such chains into one cluster.
 The bucket multiplies the join's tables, then each further member's own
 product of its tables, bottom-up, and only then the join's children's
 messages, which each member's bucket would otherwise rebuild at the
@@ -25,19 +31,21 @@ diagrams lie there, and APPLY makes a node at a variable only where one
 operand has a node there and the other has one in that variable's
 subtree, which below the bucket's lowest variable never happens,
 because only one child's message reaches into each child's subtree.
-So once the bucket that multiplies ``X``'s tables is done no node of
-``X`` will be made again, and the table closes ``X``'s level; reference
-counting then frees the nodes there that the final diagram does not
-use.  More narrowly, a bucket makes nodes only at its variables and
-their contexts: its tables' scopes lie there, and so, by induction, do
-its children's messages.  A variable in the context of any variable but
-its children gets message nodes from many buckets, so its level holds
-them weakly until the bucket that multiplies its tables starts: a
-message node or an intermediate product there is freed as soon as no
-message, fragment or parent node refers to it, not when its level
-closes near the root.  A level in no context but its children's gets
-nodes only from their buckets and holds them plainly: on a chain that
-is the one bucket before its own, and weak entries cost time.
+Tables only move down, so no bucket above ``X``'s multiplies a table
+over ``X``.  So once ``X``'s bucket is done no node of ``X`` will be
+made again, and the table closes ``X``'s level; reference counting
+then frees the nodes there that the final diagram does not use.  More
+narrowly, a bucket makes nodes only at its variables and their
+contexts: its own tables' scopes lie there, a table pushed into it has
+its scope in its context, and so, by induction, do its children's
+messages.  A variable in the context of any variable but its children
+gets message nodes from many buckets, so its level holds them weakly
+until its own bucket starts: a message node or an intermediate product
+there is freed as soon as no message, fragment or parent node refers
+to it, not when its level closes near the root.  A level in no context
+but its children's gets nodes only from their buckets and holds them
+plainly: on a chain that is the one bucket before its own, and weak
+entries cost time.
 When a freed node's arcs come back, the node is created again, so the
 table's creation count can exceed the reference schedule's.  The
 levels stay closed: the returned table serves only its counters.  The
@@ -248,26 +256,51 @@ def apply_fragments(a, b, tree, table):
     return ca * cb * ratio(num, den), tuple(out)
 
 
+def _push_down(tree, model, buckets, contexts):
+    """Function ids per variable, each table moved as deep as contexts allow.
+
+    Top-down, a table leaves a variable's bucket for the first child
+    whose context holds its scope, and enters before that child's own
+    tables.
+    """
+    tables = [()] * len(buckets)
+    children, functions = tree.children, model.functions
+    for var in tree.dfs_order:
+        stay = []
+        for fid in (*tables[var], *buckets[var]):
+            scope = functions[fid].scope
+            for c in children[var]:
+                if contexts[c].issuperset(scope):
+                    tables[c] += (fid,)
+                    break
+            else:
+                stay.append(fid)
+        tables[var] = tuple(stay)
+    return tables
+
+
 @collector_paused()
 def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     """Compile a model by bucket elimination along the pseudo tree ``tree``.
 
     Buckets are processed bottom-up (reverse DFS order) and each sends
     its message to its parent's bucket, so the result is structurally
-    equal to ``compile_search(model, tree)``.  A join's bucket also
-    multiplies the tables of the single-child chain above it, before
-    its children's messages, and sends to the parent of the chain's top
-    (see the module docstring).  ``d`` and ``chain`` only choose the
-    tree when none is given: the pseudo tree of ``d`` (default: a
-    min-fill ordering), or with ``chain=True`` the degenerate chain
-    along ``d`` (MDD/OBDD mode), where nothing folds.  A product of a
-    variable's tables starts from its first table's chain diagram, so a
-    bucket with one table makes no APPLY for it.
+    equal to ``compile_search(model, tree)``.  Each table is multiplied
+    in the deepest bucket at or below its deepest variable whose context
+    holds its scope, before that bucket's own tables (``_push_down``).
+    A join's bucket also multiplies the tables of the single-child chain
+    above it, before its children's messages, and sends to the parent
+    of the chain's top (see the module docstring).  ``d`` and ``chain``
+    only choose the tree when none is given: the pseudo tree of ``d``
+    (default: a min-fill ordering), or with ``chain=True`` the
+    degenerate chain along ``d`` (MDD/OBDD mode), where nothing folds.
+    A product of a variable's tables starts from its first table's
+    chain diagram, so a bucket with one table makes no APPLY for it.
 
     The level of a variable in the context of any variable but its
-    children is held weakly until the bucket that multiplies its tables
-    starts (see the module docstring).  Each level is closed when that
-    bucket is done, and the returned table stays closed: interning into
+    children is held weakly until the variable's own bucket starts (see
+    the module docstring).  Each level is closed when that bucket is
+    done, and the returned table stays closed: interning into
     it raises, and it serves only its counters.
     """
     if tree is None:
@@ -276,6 +309,7 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
             d = min_fill_ordering(g)
         tree = chain_pseudo_tree(g, d) if chain else generate_pseudo_tree(g, d)
     buckets, contexts = compute_buckets(tree, model)
+    buckets = _push_down(tree, model, buckets, contexts)
     weighted = model.kind == WEIGHTED
     table = UniqueTable(weighted, model.domains, node_cap)
     domains = model.domains

@@ -26,9 +26,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice
 from math import gcd
-from operator import attrgetter, lt
 from weakref import ref
 
 from .errors import ResourceLimitError, StructuralError
@@ -267,11 +265,6 @@ class Aomdd:
         self.stats = stats
         if nodes is None:
             nodes = tuple(reached_nodes(roots, {}))
-            # sorted by uid, so a repeated uid sits beside its twin
-            uids = map(attrgetter("uid"), nodes)
-            following = map(attrgetter("uid"), islice(nodes, 1, None))
-            if nodes and (nodes[0].uid < 0 or not all(map(lt, uids, following))):
-                raise StructuralError("node uids must be distinct and non-negative")
         self.nodes = nodes
 
 
@@ -283,22 +276,35 @@ def reached_nodes(roots, evidence):
     A zero-weight arc has no children, so it reaches nothing.  A node's
     ``uid`` is above its children's (``intern`` creates a node only once
     its children exist, and ``loads`` numbers the records children
-    first), so sorting the reached set by ``uid`` puts children first:
-    O(r log r) for the r nodes reached, whatever else the diagram holds.
+    first), so the roots hold the largest uid, and a list indexed by
+    ``uid`` up to it marks each node as it is first visited and gives
+    the reached nodes in ``uid`` order, children first, with no sort:
+    8 bytes per uid up to the largest root's.  A slot taken by another
+    node, a negative uid, or a uid above every root's raises a
+    structural error.
     """
-    seen = set()
+    slots = [None] * (max([u.uid for u in roots], default=-1) + 1)
     stack = list(roots)
     while stack:
         u = stack.pop()
-        if u not in seen:
-            seen.add(u)
+        uid = u.uid
+        try:
+            seen = slots[uid]
+        except IndexError:  # above every root's uid
+            seen = False
+        if seen is None and uid >= 0:
+            slots[uid] = u
             fixed = evidence.get(u.var)
             if fixed is None:
                 for _, children in u.arcs:
                     stack.extend(children)
             else:
                 stack.extend(u.arcs[fixed][1])
-    return sorted(seen, key=attrgetter("uid"))
+        elif seen is not u:
+            raise StructuralError(
+                "node uids must be distinct and non-negative, each below its parents'"
+            )
+    return list(filter(None, slots))
 
 
 def reachable_nodes(diagram):

@@ -82,7 +82,11 @@ def evaluate(diagram, x):
 
     The sum over the one assignment that agrees with ``x``: ``x`` as
     evidence, so the fold covers only the solution tree that ``x``
-    reads, and the result has the type ``sum_over`` gives.
+    reads, and the result has the type ``sum_over`` gives.  One walk
+    from each root reads that tree.  A root whose tree holds a zero arc
+    is 0 there, whatever its other branches hold, so the walk stops
+    there and the fold covers only the other roots' trees: their
+    denominators still fix the type of the 0 that ``sum_over`` gives.
     """
     if len(x) != len(diagram.domains):
         raise StructuralError(
@@ -92,10 +96,31 @@ def evaluate(diagram, x):
     for var, k in enumerate(diagram.domains):
         if x[var] is None or not 0 <= x[var] < k:
             raise StructuralError("variable %d unassigned or out of domain" % var)
-    return diagram.constant * _fold(diagram, dict(enumerate(x)))[1]
+    live, nodes = [], []
+    for root in diagram.roots:
+        reached = _solution_tree(root, x)
+        if reached is not None:
+            live.append(root)
+            nodes += reached
+    value = _fold(diagram, dict(enumerate(x)), roots=live, nodes=nodes[::-1])[1]
+    return diagram.constant * (value if len(live) == len(diagram.roots) else 0 * value)
 
 
-def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
+def _solution_tree(root, x):
+    """The nodes below ``root`` that ``x`` picks, parents first; None at a zero arc."""
+    nodes = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        w, children = u.arcs[x[u.var]]
+        if w == 0:
+            return None
+        nodes.append(u)
+        stack.extend(children)
+    return nodes
+
+
+def _fold(diagram, evidence, maximize=False, sizes=True, weights=True, roots=None, nodes=None):
     """Fold the nodes the evidence leaves reachable, children first; return ``(argmax, value)``.
 
     Arcs combine by max when ``maximize``, else by ``+``; a skipped
@@ -103,7 +128,9 @@ def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
     1; an arc counts its weight when ``weights``, else 1.  ``value`` is
     the roots' value without the root constant; ``argmax`` maps each
     folded node to its first maximizing value (when ``maximize``; else
-    to a value the evidence allows).
+    to a value the evidence allows).  ``roots`` and ``nodes``, when
+    given, are some of the diagram's roots and the nodes they reach
+    under the evidence, children first: the fold reads only those.
     """
     domains = diagram.domains
     tree = diagram.tree
@@ -120,7 +147,9 @@ def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
                 num *= domains[item]
         return num
 
-    nodes = reached_nodes(diagram.roots, evidence) if evidence else diagram.nodes
+    if roots is None:
+        roots = diagram.roots
+        nodes = reached_nodes(roots, evidence) if evidence else diagram.nodes
     for u in nodes:
         num, den = 0, 1
         fixed = evidence.get(u.var)
@@ -156,13 +185,13 @@ def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
     # the roots, as one arc over the whole tree
     num = den = 1
     skipped = tree.n
-    for c in diagram.roots:
+    for c in roots:
         a, b = memo[c]
         num *= a
         den *= b
         skipped -= width[c.var]
     if sizes and skipped:
-        num = skipped_sizes(num, 0, tree.n, diagram.roots)
+        num = skipped_sizes(num, 0, tree.n, roots)
     return argmax, ratio(num, den)
 
 

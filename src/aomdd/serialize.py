@@ -8,7 +8,7 @@ makes file equality a valid fast path for the equivalence command.
 This module alone spells and orders the records (``canonical_records``),
 prints them (``dumps``, ``to_dot``) and checks them (``loads``).  The
 writer holds one variable block of signatures at a time, beside the
-nodes sorted once by variable and a dense id per uid (4 bytes each
+nodes bucketed once by variable and a dense id per uid (4 bytes each
 while the uids are dense), and can write each line to a file as it is
 made; the reader (``model._lines`` and ``model._ints``, shared with the
 parsers) holds one 64k chunk of lines.  ``loads`` rebuilds the tree
@@ -51,9 +51,8 @@ from __future__ import annotations
 
 import re
 from array import array
-from itertools import groupby
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .diagram import Aomdd, MetaNode, node_total, ratio
 from .diagram import make_node  # noqa: F401  (bench/tracing.py wraps serialize.make_node)
@@ -116,11 +115,13 @@ def canonical_records(diagram):
 
 def _records(diagram, ids):
     weighted = diagram.weighted
-    pos = diagram.tree.dfs_index
-    # one stable sort groups the nodes by variable, bottom-up
-    nodes = sorted(diagram.nodes, key=lambda u: pos[u.var], reverse=True)
+    # one pass buckets the nodes by variable; the blocks are read bottom-up
+    by_var = [[] for _ in diagram.domains]
+    for u in diagram.nodes:
+        by_var[u.var].append(u)
     dense = 0
-    for var, group in groupby(nodes, attrgetter("var")):
+    for var in reversed(diagram.tree.dfs_order):
+        group, by_var[var] = by_var[var], None
         block = []
         for u in group:
             strs = weight_strs(u, weighted)

@@ -8,15 +8,21 @@ list is tested against every node of the other with
 
 ``compile_be`` is the BE schedule driven by an ordering ``d`` next to
 the tree: buckets in reverse ``d``, scopes sorted by position in ``d``.
-A join (a variable with two or more children) and the single-child
-chain above it are one bucket, taken at the chain's top: the join's
-tables, then each further member's own product, bottom-up, then the
-join's children's messages.  ``compile_be_per_bucket`` is the earlier
-schedule, one bucket per variable.  For a tree generated from ``d`` (or
-the chain along ``d``) each folds the same fragments in the same order
-as ``aomdd.be_compiler.compile_be`` or its per-bucket predecessor.
-Both keep every node, so a table's size counts the distinct node
-structures its schedule creates.
+Each table descends from its deepest variable, one child at a time, to
+the first child whose context holds its scope, while there is one; a
+variable's tables are those that stop there, ordered by the depth they
+started from and then by id, so a moved table comes before the
+bucket's own.  A join (a variable with two or more children) and the
+single-child chain above it are one bucket, taken at the chain's top:
+the join's tables, then each further member's own product, bottom-up,
+then the join's children's messages.  ``compile_be_unpushed`` is the
+same schedule with every table in its deepest variable's bucket, and
+``compile_be_per_bucket`` the one before it, one bucket per variable
+and no table moved.  For a tree generated from ``d`` (or the chain
+along ``d``) each folds the same fragments in the same order as
+``aomdd.be_compiler.compile_be`` or one of its predecessors.  All keep
+every node, so a table's size counts the distinct node structures its
+schedule creates.
 """
 
 from aomdd.be_compiler import _chain_fragment, apply_fragments
@@ -26,26 +32,59 @@ from aomdd.search_compiler import integer_tables
 from aomdd.structure import compute_buckets
 
 
-def compile_be(model, d, tree):
-    """BE along ``tree``, scheduled by ``d``, each join's chain folded into its bucket."""
+def pushed_tables(tree, model):
+    """Function ids per variable, each table descended as far as contexts allow."""
+    buckets, contexts = compute_buckets(tree, model)
+    stops = []
+    for start, fids in enumerate(buckets):
+        for fid in fids:
+            var = start
+            scope = set(model.functions[fid].scope)
+            while True:
+                below = [c for c in tree.children[var] if scope <= contexts[c]]
+                if not below:
+                    break
+                var = below[0]
+            stops.append((tree.depth_of[start], fid, var))
+    tables = [[] for _ in range(tree.n)]
+    for _, fid, var in sorted(stops):
+        tables[var].append(fid)
+    return tables
+
+
+def _folded(tree):
+    """Each join's single-child chain folded into its bucket, keyed by the chain's top."""
     buckets = {var: [var] for var in range(tree.n)}
     for join in (var for var, kids in enumerate(tree.children) if len(kids) > 1):
         members = buckets.pop(join)
         while members[-1] != tree.root and len(tree.children[tree.parent[members[-1]]]) == 1:
             members += buckets.pop(tree.parent[members[-1]])
         buckets[members[-1]] = members
-    return _compile(model, d, tree, buckets)
+    return buckets
+
+
+def compile_be(model, d, tree):
+    """BE along ``tree``, scheduled by ``d``: tables pushed down, joins' chains folded."""
+    return _compile(model, d, tree, _folded(tree), pushed_tables(tree, model))
+
+
+def compile_be_unpushed(model, d, tree):
+    """BE along ``tree``, scheduled by ``d``, each join's chain folded into its bucket."""
+    return _compile(model, d, tree, _folded(tree), compute_buckets(tree, model)[0])
 
 
 def compile_be_per_bucket(model, d, tree):
     """BE along ``tree``, scheduled by ``d``, one bucket per variable."""
-    return _compile(model, d, tree, {var: [var] for var in range(tree.n)})
+    buckets = {var: [var] for var in range(tree.n)}
+    return _compile(model, d, tree, buckets, compute_buckets(tree, model)[0])
 
 
 @collector_paused()
-def _compile(model, d, tree, buckets):
-    """BE whose bucket at ``top`` holds the variables ``buckets[top]``, bottom-up."""
-    tables = compute_buckets(tree, model)[0]
+def _compile(model, d, tree, buckets, tables):
+    """BE whose bucket at ``top`` holds the variables ``buckets[top]``, bottom-up.
+
+    ``tables`` lists the function ids each variable multiplies.
+    """
     weighted = model.kind == WEIGHTED
     table = UniqueTable(weighted, model.domains)
     domains = model.domains

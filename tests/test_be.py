@@ -30,7 +30,7 @@ from aomdd import be_compiler
 from aomdd.be_compiler import apply_fragments, group_descendants
 from aomdd.diagram import UniqueTable, reachable_nodes
 from aomdd.serialize import weight_strs
-from aomdd.structure import PrimalGraph, compute_contexts
+from aomdd.structure import PrimalGraph, compute_buckets, compute_contexts
 
 import be_reference
 from diagram_reference import check_reduced
@@ -242,7 +242,7 @@ def test_shared_clause_tables_change_no_bytes_and_create_no_more():
         merged += len(model.functions) < len(oracle.functions)
         shared += sum(got["be"][1].values())
         per_clause += sum(want["be"][1].values())
-    assert (merged, shared, per_clause) == (216, 8867, 9362)
+    assert (merged, shared, per_clause) == (216, 8244, 8718)
 
 
 def _creations(compile_, structures, monkeypatch):
@@ -317,29 +317,62 @@ def test_tree_schedule_matches_ordering_schedule_on_bench_workloads(monkeypatch)
     again = {}
     for name in ("grid", "chain", "cnf"):
         _, again[name] = _assert_same_as_oracle(*_workload(name), monkeypatch)
-    # a few freed message nodes come back on grid, and one on cnf
-    assert again == {"grid": 6, "chain": 0, "cnf": 1}
+    # a few freed message nodes come back on grid and cnf
+    assert again == {"grid": 8, "chain": 0, "cnf": 24}
 
 
 # Node structures each schedule creates at seed 1 (the references keep
-# every node): (folded, one bucket per variable).  Chain's only join is
-# its root, so nothing there folds.
-FOLDED_CREATIONS = {"grid": (19734, 25952), "chain": (11989, 11989), "cnf": (75265, 115708)}
+# every node): (tables pushed down, folded, one bucket per variable).
+# Chain's only join is its root, so nothing there folds, and no context
+# there holds a table's scope, so no table moves.
+FOLDED_CREATIONS = {
+    "grid": (18098, 19734, 25952),
+    "chain": (11989, 11989, 11989),
+    "cnf": (57440, 75265, 115708),
+}
 
 
 def test_folding_chains_into_joins_creates_no_more_nodes():
-    folded = per_bucket = 0
+    pushed = folded = per_bucket = 0
     for name in ("grid", "chain", "cnf"):
         for seed in (1, 2, 3):
             model, d, tree = _workload(name, seed)
             a = be_reference.compile_be(model, d, tree)
-            b = be_reference.compile_be_per_bucket(model, d, tree)
-            assert dumps(a) == dumps(b)
+            b = be_reference.compile_be_unpushed(model, d, tree)
+            c = be_reference.compile_be_per_bucket(model, d, tree)
+            assert dumps(a) == dumps(b) == dumps(c)
             if seed == 1:
-                assert (len(a.table), len(b.table)) == FOLDED_CREATIONS[name]
-            folded += len(a.table)
-            per_bucket += len(b.table)
-    assert folded <= per_bucket
+                assert (len(a.table), len(b.table), len(c.table)) == FOLDED_CREATIONS[name]
+            pushed += len(a.table)
+            folded += len(b.table)
+            per_bucket += len(c.table)
+    assert pushed <= folded <= per_bucket
+
+
+def test_a_moved_table_lies_in_the_context_of_its_new_bucket():
+    # each table ends in one bucket at or below its deepest variable; a
+    # moved one has its scope in that bucket's context, and no child of
+    # the bucket has its scope in its own context
+    rng = seeded_rng(71)
+    models = [random_model(rng, weighted=i % 2 == 0) for i in range(200)]
+    models += [_workload(name)[0] for name in ("grid", "chain", "cnf")]
+    moved = 0
+    for model in models:
+        tree = compile_be(model).tree
+        buckets, contexts = compute_buckets(tree, model)
+        tables = be_compiler._push_down(tree, model, buckets, contexts)
+        assert list(map(list, tables)) == be_reference.pushed_tables(tree, model)
+        assert sorted(sum(tables, ())) == sorted(sum(buckets, ()))
+        origin = {fid: var for var, fids in enumerate(buckets) for fid in fids}
+        for var, fids in enumerate(tables):
+            for fid in fids:
+                scope = set(model.functions[fid].scope)
+                assert tree.is_ancestor_or_self(origin[fid], var)
+                if var != origin[fid]:
+                    moved += 1
+                    assert scope <= contexts[var]
+                assert not any(scope <= contexts[c] for c in tree.children[var])
+    assert moved > 100
 
 
 def _broom(n, weighted):

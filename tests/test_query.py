@@ -402,30 +402,46 @@ def test_folds_list_items_only_for_an_arc_that_skips(monkeypatch):
     assert len(calls) == 4
 
 
-def _sorted_sizes(monkeypatch):
-    """Patch ``aomdd.diagram``'s ``sorted``; return the list of the sizes it sorts."""
+def _walks(monkeypatch):
+    """Patch the walk from the roots; return a list of ``(visits, reached)`` per walk.
+
+    A visit is one read of the evidence, which the walk makes once for
+    each node whose arcs it follows.
+    """
     from aomdd import diagram
 
-    sizes = []
-    monkeypatch.setattr(
-        diagram,
-        "sorted",
-        lambda *a, **k: sizes.append(len(a[0])) or sorted(*a, **k),
-        raising=False,
-    )
-    return sizes
+    walks = []
+    walk = diagram.reached_nodes
+
+    def recording(roots, evidence):
+        visits = 0
+
+        class Counting(dict):
+            def get(self, *args):
+                nonlocal visits
+                visits += 1
+                return dict.get(self, *args)
+
+        nodes = walk(roots, Counting(evidence))
+        walks.append((visits, len(nodes)))
+        return nodes
+
+    monkeypatch.setattr(diagram, "reached_nodes", recording)
+    monkeypatch.setattr(query, "reached_nodes", recording)
+    return walks
 
 
 def test_loaded_diagram_folds_without_a_walk(monkeypatch):
-    # a diagram sorts its reachable nodes once, when it is built, and a
-    # loaded one not at all: ``loads`` keeps its records, children first.
-    # A fold without evidence then sorts nothing on either diagram, and
-    # an evidence fold sorts only the set it reaches.
-    sorts = _sorted_sizes(monkeypatch)
+    # a compiled diagram walks its reachable nodes once, when it is
+    # built, and a loaded one not at all: ``loads`` keeps its records,
+    # children first.  A fold without evidence then walks nothing on
+    # either diagram, and an evidence fold visits only the nodes it
+    # reaches, each once.
+    walks = _walks(monkeypatch)
     grid = bench_workloads().grid(1)
     compiled = compile_search(parse_uai(grid.model_text))
     live = len(reachable_nodes(compiled))
-    assert sorts == [live] == [11647]
+    assert walks == [(live, live)] and live == 11647
     evidence = parse_uai_evidence(grid.evidence_text, n=len(compiled.domains))
     reached = len(_consistent_walk(compiled, evidence))
     assert reached == 6769
@@ -440,9 +456,9 @@ def test_loaded_diagram_folds_without_a_walk(monkeypatch):
     text = dumps(compiled)
     loaded = loads(text)
     assert structural_equal(loaded, loads(text)) and structural_equal(compiled, loaded)
-    assert sorts == [live]
+    assert walks == [(live, live)]
     for diagram in (compiled, loaded):
-        sorts.clear()
+        walks.clear()
         got = [
             _typed(count_solutions(diagram)),
             _typed(sum_over(diagram)),
@@ -452,25 +468,83 @@ def test_loaded_diagram_folds_without_a_walk(monkeypatch):
             _typed(normalized_root_sum(diagram)),
         ]
         assert got == want
-        assert sorts == [reached, reached]  # the two evidence folds
+        assert walks == [(reached, reached)] * 2  # the two evidence folds
     # the records are every reachable node, children first
     assert len(loaded.nodes) == live == 11647
     assert [u.uid for u in loaded.nodes] == list(range(live))
 
 
-def test_evaluate_sorts_only_the_solution_tree_it_reads(monkeypatch):
-    sorts = _sorted_sizes(monkeypatch)
+def _folded(monkeypatch):
+    """Patch the fold; return the list of the nodes each fold reads, as sets."""
+    folds = []
+    fold = query._fold
+
+    def recording(diagram, evidence, *args, nodes=None, **kwargs):
+        folds.append(set(diagram.nodes if nodes is None else nodes))
+        return fold(diagram, evidence, *args, nodes=nodes, **kwargs)
+
+    monkeypatch.setattr(query, "_fold", recording)
+    return folds
+
+
+def test_evaluate_walks_only_the_solution_tree_it_reads(monkeypatch):
+    walks = _walks(monkeypatch)
+    folds = _folded(monkeypatch)
     grid = bench_workloads().grid(1)
     compiled = compile_search(parse_uai(grid.model_text))
     loaded = loads(dumps(compiled))
     x = grid.assignment
     want = _typed(ref.sum_over(compiled, dict(enumerate(x))))
-    tree = _consistent_walk(compiled, dict(enumerate(x)))
-    assert len(tree) <= 81  # one node per variable at most
+    assert want[0] != 0
     for diagram in (compiled, loaded):
-        sorts.clear()
+        walks.clear()
+        folds.clear()
+        tree = _consistent_walk(diagram, dict(enumerate(x)))
+        assert len(tree) <= 81  # one node per variable at most
         assert _typed(evaluate(diagram, x)) == want
-        assert sorts == [len(tree)]
+        assert walks == [] and folds == [tree]
+
+
+def test_evaluate_at_a_zero_folds_no_root_the_zero_reaches(monkeypatch):
+    # the chain's assignment has value 0: its one root is 0 there, so
+    # the fold reads nothing, yet the 0 has the type sum_over gives
+    folds = _folded(monkeypatch)
+    chain = bench_workloads().chain(1)
+    compiled = compile_search(parse_dimacs_cnf(chain.model_text))
+    assert len(compiled.roots) == 1
+    x = chain.assignment
+    want = _typed(ref.sum_over(compiled, dict(enumerate(x))))
+    assert want == (0, int)
+    for diagram in (compiled, loads(dumps(compiled))):
+        folds.clear()
+        assert _typed(evaluate(diagram, x)) == want
+        assert folds == [set()]
+
+
+def test_evaluate_matches_the_oracles_at_zero_and_nonzero_assignments():
+    # value from the table product, type from the reference fold, on
+    # diagrams with one root and with several, some of whose roots are 0
+    # at an assignment while others are not
+    rng = seeded_rng(38)
+    zero = nonzero = split = fraction = 0
+    # two roots and an integer constant: where the first root's table
+    # is 0, the second root's fraction 1/3 makes sum_over's 0 a Fraction
+    models = [make_model([2, 2, 2], [((1,), [0, 1]), ((2,), [1, 2])])]
+    models += [random_model(rng, weighted=i % 3 != 0) for i in range(120)]
+    for m in models:
+        table = brute_force_table(m)
+        for d in (compile_search(m), compile_be(m)):
+            for x in _assignments(rng, d):
+                evidence = dict(enumerate(x))
+                got = _typed(evaluate(d, x))
+                assert got == _typed(ref.sum_over(d, evidence))
+                assert got[0] == table.value_at(x)
+                zero += got[0] == 0
+                nonzero += got[0] != 0
+                roots = [query._solution_tree(r, x) for r in d.roots]
+                split += got[0] == 0 and any(t is not None for t in roots)
+                fraction += got == (0, Fraction)
+    assert min(zero, nonzero, split) > 50 and fraction > 0
 
 
 def _assignments(rng, diagram):
