@@ -9,34 +9,25 @@ decompositions for reasoning in graphical models", AIJ 2005).  There it
 cuts the bucket's message before the context levels.  APPLY's result
 is canonical whatever the association (Bryant, IEEE TC 1986), so only
 the intermediate products change.  The schedule is bottom-up along
-the pseudo tree, which is the bucket tree: each bucket folds its
-diagrams and its children's messages pairwise with the APPLY combinator
-and passes the result to its parent's bucket.  No variable is
-eliminated, so the root bucket's message is the full canonical diagram.
-
-A join, a variable with two or more children, shares its bucket with
-the single-child chain above it, up to the next join: Kask, Dechter,
-Larrosa and Dechter contract such chains into one cluster.
-The bucket multiplies the join's tables, then each further member's own
-product of its tables, bottom-up, and only then the join's children's
-messages, which each member's bucket would otherwise rebuild at the
-context levels they share.  No two tables become one: only the
-association of the pairwise products changes.  A chain that ends at a
-leaf would save no product this way and keeps one bucket per variable.
+the pseudo tree, which is the bucket tree, one bucket per variable:
+each bucket folds its diagrams and its children's messages pairwise
+with the APPLY combinator and passes the result to its parent's
+bucket.  No variable is eliminated, so the root bucket's message is
+the full canonical diagram.
 
 All diagrams of one compilation share one unique table, so APPLY
 results are shared across messages for free.  A bucket makes nodes
-only on the path from the root to its variables: its tables' chain
+only on the path from the root to its variable: its tables' chain
 diagrams lie there, and APPLY makes a node at a variable only where one
 operand has a node there and the other has one in that variable's
-subtree, which below the bucket's lowest variable never happens,
+subtree, which below the bucket's variable never happens,
 because only one child's message reaches into each child's subtree.
 Tables only move down, so no bucket above ``X``'s multiplies a table
 over ``X``.  So once ``X``'s bucket is done no node of ``X`` will be
 made again, and the table closes ``X``'s level; reference counting
 then frees the nodes there that the final diagram does not use.  More
-narrowly, a bucket makes nodes only at its variables and their
-contexts: its own tables' scopes lie there, a table pushed into it has
+narrowly, a bucket makes nodes only at its variable and its
+context: its own tables' scopes lie there, a table pushed into it has
 its scope in its context, and so, by induction, do its children's
 messages.  A variable in the context of any variable but its children
 gets message nodes from many buckets, so its level holds them weakly
@@ -283,17 +274,15 @@ def _push_down(tree, model, buckets, contexts):
 def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     """Compile a model by bucket elimination along the pseudo tree ``tree``.
 
-    Buckets are processed bottom-up (reverse DFS order) and each sends
-    its message to its parent's bucket, so the result is structurally
+    One bucket per variable, processed bottom-up (reverse DFS order):
+    each multiplies its tables, then its children's messages, and sends
+    the product to its parent's bucket, so the result is structurally
     equal to ``compile_search(model, tree)``.  Each table is multiplied
     in the deepest bucket at or below its deepest variable whose context
     holds its scope, before that bucket's own tables (``_push_down``).
-    A join's bucket also multiplies the tables of the single-child chain
-    above it, before its children's messages, and sends to the parent
-    of the chain's top (see the module docstring).  ``d`` and ``chain``
-    only choose the tree when none is given: the pseudo tree of ``d``
-    (default: a min-fill ordering), or with ``chain=True`` the
-    degenerate chain along ``d`` (MDD/OBDD mode), where nothing folds.
+    ``d`` and ``chain`` only choose the tree when none is given: the
+    pseudo tree of ``d`` (default: a min-fill ordering), or with
+    ``chain=True`` the degenerate chain along ``d`` (MDD/OBDD mode).
     A product of a variable's tables starts from its first table's
     chain diagram, so a bucket with one table makes no APPLY for it.
 
@@ -324,35 +313,22 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
             message = fragment if message is None else apply_fragments(message, fragment, tree, table)
         return (1, ()) if message is None else message
 
-    children, parent = tree.children, tree.parent
+    parent = tree.parent
     inbox = [[] for _ in range(tree.n)]
     weak = {a for x, ctx in enumerate(contexts) for a in ctx if a != parent[x]}
     for var in weak:
         table.weaken(var)
     for var in reversed(tree.dfs_order):
-        if inbox[var] is None:  # folded into the bucket of a join below it
-            continue
-        # a join's bucket takes the single-child chain above it
-        members = [var]
-        dest = parent[var]
-        if len(children[var]) > 1:
-            while dest is not None and len(children[dest]) == 1:
-                members.append(dest)
-                dest = parent[dest]
-        for v in members:
-            if v in weak:
-                table.strengthen(v)
+        if var in weak:
+            table.strengthen(var)
         message = fold_tables(var)
-        for v in members[1:]:
-            message = apply_fragments(message, fold_tables(v), tree, table)
         for fragment in inbox[var]:
             message = apply_fragments(message, fragment, tree, table)
-        for v in members:
-            inbox[v] = None
-            table.close(v)
-        if dest is not None:
-            inbox[dest].append(message)
+        inbox[var] = None  # the children's messages die with their last use
+        table.close(var)
+        if parent[var] is not None:
+            inbox[parent[var]].append(message)
 
-    # the root's bucket, folded or not, comes last: ``message`` is its message
+    # the root's bucket comes last: ``message`` is its message
     const, nodes = message
     return Aomdd(tree, domains, tuple(nodes), const * factor, table, weighted, None)

@@ -7,22 +7,24 @@ list is tested against every node of the other with
 ``is_ancestor_or_self``.
 
 ``compile_be`` is the BE schedule driven by an ordering ``d`` next to
-the tree: buckets in reverse ``d``, scopes sorted by position in ``d``.
-Each table descends from its deepest variable, one child at a time, to
-the first child whose context holds its scope, while there is one; a
-variable's tables are those that stop there, ordered by the depth they
-started from and then by id, so a moved table comes before the
-bucket's own.  A join (a variable with two or more children) and the
-single-child chain above it are one bucket, taken at the chain's top:
-the join's tables, then each further member's own product, bottom-up,
-then the join's children's messages.  ``compile_be_unpushed`` is the
-same schedule with every table in its deepest variable's bucket, and
-``compile_be_per_bucket`` the one before it, one bucket per variable
-and no table moved.  For a tree generated from ``d`` (or the chain
-along ``d``) each folds the same fragments in the same order as
-``aomdd.be_compiler.compile_be`` or one of its predecessors.  All keep
-every node, so a table's size counts the distinct node structures its
-schedule creates.
+the tree: one bucket per variable, in reverse ``d``, scopes sorted by
+position in ``d``.  Each table descends from its deepest variable, one
+child at a time, to the first child whose context holds its scope,
+while there is one; a variable's tables are those that stop there,
+ordered by the depth they started from and then by id, so a moved
+table comes before the bucket's own.  A bucket multiplies its tables,
+then its children's messages.  ``compile_be_per_bucket`` is the same
+schedule with every table in its deepest variable's bucket.  Two
+schedules that fold a join (a variable with two or more children) and
+the single-child chain above it into one bucket, taken at the chain's
+top, are kept as comparators: the join's tables, then each further
+member's own product, bottom-up, then the join's children's messages.
+``compile_be_folded`` folds the pushed tables that way and
+``compile_be_unpushed`` the unmoved ones.  For a tree generated from
+``d`` (or the chain along ``d``) each folds the same fragments in the
+same order as ``aomdd.be_compiler.compile_be`` or one of its
+predecessors.  All keep every node, so a table's size counts the
+distinct node structures its schedule creates.
 """
 
 from aomdd.be_compiler import _chain_fragment, apply_fragments
@@ -63,7 +65,17 @@ def _folded(tree):
     return buckets
 
 
+def _per_variable(tree):
+    """One bucket per variable."""
+    return {var: [var] for var in range(tree.n)}
+
+
 def compile_be(model, d, tree):
+    """BE along ``tree``, scheduled by ``d``: tables pushed down, one bucket per variable."""
+    return _compile(model, d, tree, _per_variable(tree), pushed_tables(tree, model))
+
+
+def compile_be_folded(model, d, tree):
     """BE along ``tree``, scheduled by ``d``: tables pushed down, joins' chains folded."""
     return _compile(model, d, tree, _folded(tree), pushed_tables(tree, model))
 
@@ -74,9 +86,8 @@ def compile_be_unpushed(model, d, tree):
 
 
 def compile_be_per_bucket(model, d, tree):
-    """BE along ``tree``, scheduled by ``d``, one bucket per variable."""
-    buckets = {var: [var] for var in range(tree.n)}
-    return _compile(model, d, tree, buckets, compute_buckets(tree, model)[0])
+    """BE along ``tree``, scheduled by ``d``, one bucket per variable, no table moved."""
+    return _compile(model, d, tree, _per_variable(tree), compute_buckets(tree, model)[0])
 
 
 @collector_paused()
