@@ -238,17 +238,18 @@ class Aomdd:
     reduced away; an empty tuple is a terminal diagram (constant
     function).  ``constant`` is 0 exactly for the always-zero function,
     which has no roots, and is an ``int`` whenever its value is one.
-    ``nodes`` is every node reachable from the roots, sorted by ``uid``,
-    which puts children first: a maker that holds that sequence passes
-    it (``loads``, its records), and any other gets one walk from the
-    roots.  Uids are distinct and non-negative, which the walk checks
-    (nodes of two unique tables can share a uid); the writer relies on
-    both and on the order, to size its dense ids by the last node's
-    ``uid`` and index them by ``uid``.  ``table`` is the
-    compiler's unique table, kept for its counters, and None for a
-    loaded diagram.  ``stats`` is the search compiler's ``CompileStats``,
-    else None.  The constructor fixes these invariants for every maker,
-    so a compiled diagram and its loaded copy are one value.
+    ``nodes`` is every node reachable from the roots, children first,
+    and a node's ``uid`` is its index there.  ``loads`` passes its
+    records, numbered so; any other maker gets one walk from the roots
+    in the unique table's uid order (distinct and non-negative, which
+    the walk checks), and the walked nodes are renumbered.  So a node
+    belongs to one diagram: another built over it would renumber it.
+    ``table`` is the compiler's unique table, kept for its counters,
+    and None for a loaded diagram; a search compile leaves it open, and
+    a node interned there later takes uid ``len(table)``, at least N.
+    ``stats`` is the search compiler's ``CompileStats``, else None.
+    The constructor fixes these invariants for every maker, so a
+    compiled diagram and its loaded copy are one value.
     """
 
     __slots__ = ("tree", "domains", "roots", "constant", "table", "weighted", "stats", "nodes")
@@ -265,6 +266,8 @@ class Aomdd:
         self.stats = stats
         if nodes is None:
             nodes = tuple(reached_nodes(roots, {}))
+            for uid, u in enumerate(nodes):
+                u.uid = uid
         self.nodes = nodes
 
 
@@ -275,13 +278,13 @@ def reached_nodes(roots, evidence):
     the arc of its evidence value when the evidence fixes its variable.
     A zero-weight arc has no children, so it reaches nothing.  A node's
     ``uid`` is above its children's (``intern`` creates a node only once
-    its children exist, and ``loads`` numbers the records children
-    first), so the roots hold the largest uid, and a list indexed by
+    its children exist, and a diagram's uids are its children-first
+    indices), so the roots hold the largest uid, and a list indexed by
     ``uid`` up to it marks each node as it is first visited and gives
     the reached nodes in ``uid`` order, children first, with no sort:
-    8 bytes per uid up to the largest root's.  A slot taken by another
-    node, a negative uid, or a uid above every root's raises a
-    structural error.
+    8 bytes per uid up to the largest root's, at most N in a diagram.
+    A slot taken by another node, a negative uid, or a uid above every
+    root's raises a structural error.
     """
     slots = [None] * (max([u.uid for u in roots], default=-1) + 1)
     stack = list(roots)

@@ -8,10 +8,10 @@ makes file equality a valid fast path for the equivalence command.
 This module alone spells and orders the records (``canonical_records``),
 prints them (``dumps``, ``to_dot``) and checks them (``loads``).  The
 writer holds one variable block of signatures at a time, beside the
-nodes bucketed once by variable and a dense id per uid (4 bytes each
-while the uids are dense), and can write each line to a file as it is
-made; the reader (``model._lines`` and ``model._ints``, shared with the
-parsers) holds one 64k chunk of lines.  ``loads`` rebuilds the tree
+nodes bucketed once by variable and one array of dense ids, 4 bytes
+per node indexed by ``uid``, and can write each line to a file as it
+is made; the reader (``model._lines`` and ``model._ints``, shared with
+the parsers) holds one 64k chunk of lines.  ``loads`` rebuilds the tree
 with ``structure``'s one tree constructor and checks it against ``dfs``.
 
 A weighted node holds the primitive integer vector ``n`` of its arc
@@ -98,18 +98,12 @@ def canonical_records(diagram):
     pair per arc, so equal diagrams enumerate identically regardless of
     creation order.  Weight string ``"0"`` is exactly a zero-weight arc.
     As its record is yielded, a node's dense id enters the ids under its
-    ``uid``.  ``diagram.nodes`` is sorted by ``uid``, so the last node's
-    ``uid + 1`` counts the uids.  While they number at most 8 per node
-    the ids are an ``array`` of 4 bytes per uid, at most 32 bytes per
-    node, sized once and filled with -1: a child with no id yet (its
-    variable is not below its parent's) reads -1, a record ``loads``
-    rejects.  Sparser uids, as a BE compile that freed many nodes
-    leaves, take a dict from uid to id, about 60-90 bytes per node,
-    which raises ``KeyError`` on such a child.
+    ``uid``, its index in ``diagram.nodes``.  The ids are an ``array`` of
+    4 bytes per node, sized once and filled with -1: a child with no id
+    yet (its variable is not below its parent's) reads -1, a record
+    ``loads`` rejects.
     """
-    nodes = diagram.nodes
-    uids = nodes[-1].uid + 1 if nodes else 0
-    ids = array("i", [-1]) * uids if uids <= 8 * len(nodes) else {}
+    ids = array("i", [-1]) * len(diagram.nodes)
     return ids, _records(diagram, ids)
 
 

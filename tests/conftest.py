@@ -263,10 +263,12 @@ def loaded_tree_models():
 
 
 def open_nodes(table):
-    """The nodes interned at a unique table's open variables, in creation order.
+    """The nodes interned at a unique table's open variables, sorted by ``uid``.
 
     A search compile leaves every variable open, so these are all the
     nodes it made; a BE compile closes every variable, which leaves none.
+    The order is creation order, children first, until a diagram
+    renumbers the nodes it reaches; it stays children first after.
     """
     nodes = [u for level in table._levels if level for u in level.values()]
     return sorted(nodes, key=attrgetter("uid"))
@@ -299,3 +301,72 @@ def bench_tracing():
     """
     _bench_module("harness", "harness")
     return _bench_module("tracing", "tracing")
+
+
+def recorded_walks(monkeypatch):
+    """Patch the walk from the roots; return a list of ``(visits, reached)`` per walk.
+
+    A visit is one read of the evidence, which the walk makes once for
+    each node whose arcs it follows.
+    """
+    from aomdd import diagram, query
+
+    walks = []
+    walk = diagram.reached_nodes
+
+    def recording(roots, evidence):
+        visits = 0
+
+        class Counting(dict):
+            def get(self, *args):
+                nonlocal visits
+                visits += 1
+                return dict.get(self, *args)
+
+        nodes = walk(roots, Counting(evidence))
+        walks.append((visits, len(nodes)))
+        return nodes
+
+    monkeypatch.setattr(diagram, "reached_nodes", recording)
+    monkeypatch.setattr(query, "reached_nodes", recording)
+    return walks
+
+
+class BenchCompiles(dict):
+    """The seed-1 bench workloads and their compiles, each made on first use.
+
+    ``self[name]`` is the workload ``name`` ("grid", "chain" or "cnf")
+    and ``self[name, method]`` its model compiled by "search", "be" or
+    "bcp" (search with ``bcp_hook``, on the chain's ``bcp_model_text``).
+    ``walks[name, method]`` lists the walks from the roots that compile
+    made, as ``recorded_walks`` gives them.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.walks = {}
+
+    def __missing__(self, key):
+        if isinstance(key, str):
+            value = getattr(bench_workloads(), key)(1)
+        else:
+            name, method = key
+            workload = self[name]
+            text = workload.model_text
+            if method == "bcp":
+                text = workload.bcp_model_text or text
+            model = (parse_uai if workload.model_file.endswith(".uai") else parse_dimacs_cnf)(text)
+            with pytest.MonkeyPatch.context() as patched:
+                self.walks[key] = recorded_walks(patched)
+                if method == "be":
+                    value = compile_be(model)
+                else:
+                    value = compile_search(model, hook=bcp_hook(model) if method == "bcp" else None)
+        self[key] = value
+        return value
+
+
+@pytest.fixture(scope="session")
+def bench_compiles():
+    """One ``BenchCompiles`` per session: tests share its diagrams, so none may change one."""
+    return BenchCompiles()

@@ -5,8 +5,8 @@ weighted meta-node stores ``Fraction`` weights that sum to 1, and the
 compilers multiply the model's rational tables directly.  Patching
 ``make_node`` and ``tables`` into ``aomdd.search_compiler`` compiles a
 model that way; ``dumps`` writes the resulting diagram as the earlier
-serializer did.  The integer form must give the same bytes, unique-table
-uids and per-variable creation counts.
+serializer did.  The integer form must give the same bytes, the same
+node creations in the same order, and the same per-variable counts.
 
 ``structural_equal`` is the earlier memoized isomorphism walk, kept as
 the oracle for identity-based equality on diagrams of one mode.

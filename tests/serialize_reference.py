@@ -6,8 +6,8 @@
 ``canonical_records``, ``_records``, ``dumps`` and ``to_dot``: it takes
 one gcd per arc.  ``canonical_records`` here keeps a dict from each node
 to its dense id and a list of nodes per variable, where
-``aomdd.serialize`` keeps the ids by ``uid`` (in an array, or a dict
-when the uids are sparse) and groups the nodes with one sort.  Both writers must print the same bytes
+``aomdd.serialize`` keeps the ids in one array indexed by ``uid`` and
+buckets the nodes by variable.  Both writers must print the same bytes
 for every diagram.
 
 ``aomdd.serialize.loads`` skips the lcm when a record's denominators are

@@ -31,7 +31,7 @@ from aomdd.errors import ResourceLimitError, StructuralError
 
 import diagram_reference as ref
 from diagram_reference import check_reduced
-from conftest import bench_workloads, open_nodes, random_model, seeded_rng
+from conftest import bench_workloads, compiles, open_nodes, random_model, seeded_rng
 
 
 def test_make_node_redundant_returns_children():
@@ -366,28 +366,69 @@ def test_a_diagram_refuses_a_repeated_or_negative_uid():
     negative = MetaNode(below, ((0, ()), (1, ())), -1)
     with pytest.raises(StructuralError, match="distinct and non-negative"):
         Aomdd(tree, (2, 2), (MetaNode(top, ((1, (negative,)), (0, ())), 0),), 1, None, False)
+    # a gap in the uids is fine: the diagram renumbers its nodes children first
     fine = Aomdd(tree, (2, 2), (MetaNode(top, ((1, (low,)), (0, ())), 7),), 1, None, False)
-    assert [u.uid for u in fine.nodes] == [0, 7]
+    assert [u.uid for u in fine.nodes] == [0, 1]
 
 
-def _assert_same_as_reference(a, b):
-    """``a`` in integer form equals ``b`` in sum-to-1 form: bytes, uids, counts."""
+def test_every_diagrams_uids_are_its_children_first_indices(bench_compiles):
+    # search, BE and bcp compiles of 300 random models and of the bench
+    # workloads; a loaded diagram's uids are its record ids (test_serialize)
+    rng = seeded_rng(2024)
+    diagrams = []
+    for i in range(300):
+        diagrams += compiles(random_model(rng, weighted=i % 3 != 0)).values()
+    for name in ("grid", "chain", "cnf"):
+        diagrams += [bench_compiles[name, method] for method in ("search", "be", "bcp")]
+    for d in diagrams:
+        assert [u.uid for u in d.nodes] == list(range(len(d.nodes)))
+
+
+def _creations(monkeypatch):
+    """Record each unique table's nodes in creation order; return the dict of lists.
+
+    A node's ``uid`` is its creation index only until the diagram that
+    holds it renumbers it.
+    """
+    made = {}
+    intern = UniqueTable.intern
+
+    def recording(table, var, arcs):
+        created = len(table)
+        node = intern(table, var, arcs)
+        if len(table) > created:
+            made.setdefault(table, []).append(node)
+        return node
+
+    monkeypatch.setattr(UniqueTable, "intern", recording)
+    return made
+
+
+def _assert_same_as_reference(a, b, made):
+    """``a`` in integer form equals ``b`` in sum-to-1 form: bytes, creations, counts.
+
+    ``made`` is ``_creations``' record, which this empties for the next pair.
+    """
     assert dumps(a) == ref.dumps(b)
     assert a.constant == b.constant
     assert a.table.created_per_var == b.table.created_per_var
-    by_uid = {u.uid: u for u in open_nodes(b.table)}
-    assert len(by_uid) == len(a.table)
-    for u in open_nodes(a.table):
-        v = by_uid[u.uid]
+    made_a, made_b = made.get(a.table, []), made.get(b.table, [])
+    made.clear()
+    assert len(made_a) == len(made_b) == len(a.table)
+    # each creation maps to the reference's creation of the same index
+    index_a = {u: i for i, u in enumerate(made_a)}
+    index_b = {v: i for i, v in enumerate(made_b)}
+    for u, v in zip(made_a, made_b):
         total = sum(w for w, _ in u.arcs) if a.weighted else 1
         assert u.var == v.var
         assert [Fraction(w, total) for w, _ in u.arcs] == [w for w, _ in v.arcs]
-        assert [[c.uid for c in ch] for _, ch in u.arcs] == [
-            [c.uid for c in ch] for _, ch in v.arcs
+        assert [[index_a[c] for c in ch] for _, ch in u.arcs] == [
+            [index_b[c] for c in ch] for _, ch in v.arcs
         ]
 
 
 def test_integer_form_matches_fraction_reference(monkeypatch):
+    made = _creations(monkeypatch)
     rng = seeded_rng(2024)
     for i in range(300):
         model = random_model(rng, weighted=i % 3 != 0)
@@ -395,14 +436,15 @@ def test_integer_form_matches_fraction_reference(monkeypatch):
         order = min_fill_ordering(g, seed=i)
         tree = generate_pseudo_tree(g, order)
         a = compile_search(model, tree)
-        _assert_same_as_reference(a, ref.compile_reference(monkeypatch, model, tree))
         assert dumps(compile_be(model, d=order, tree=tree)) == dumps(a)
+        _assert_same_as_reference(a, ref.compile_reference(monkeypatch, model, tree), made)
 
 
 def test_integer_form_matches_fraction_reference_on_grid(monkeypatch):
+    made = _creations(monkeypatch)
     workloads = bench_workloads()
     for seed in (1, 2, 3):
         model = parse_uai(workloads.grid(seed).model_text)
         a = compile_search(model)
-        _assert_same_as_reference(a, ref.compile_reference(monkeypatch, model))
+        _assert_same_as_reference(a, ref.compile_reference(monkeypatch, model), made)
         check_reduced(open_nodes(a.table))

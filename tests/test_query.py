@@ -31,9 +31,9 @@ from aomdd.model import full_assignments, weight_of_full_assignment
 import query_reference as ref
 from conftest import (
     EXAMPLE_CNF,
-    bench_workloads,
     queens_model,
     random_model,
+    recorded_walks,
     seeded_rng,
 )
 
@@ -294,7 +294,7 @@ def _shallow_evidence(rng, diagram):
     return {v: rng.randrange(diagram.domains[v]) for v in picked}
 
 
-def _fold_corpus():
+def _fold_corpus(bench_compiles):
     """Diagrams, each with no evidence, with some, and with evidence near the root.
 
     300 random models in both modes, the skip model, and the benchmark's
@@ -307,11 +307,10 @@ def _fold_corpus():
     for m in models:
         d = compile_search(m)
         cases += [(d, {}), (d, _random_evidence(rng, m.domains)), (d, _shallow_evidence(rng, d))]
-    workloads = bench_workloads()
-    grid = workloads.grid(1)
-    d = compile_search(parse_uai(grid.model_text))
-    cases += [(d, {}), (d, parse_uai_evidence(grid.evidence_text, n=len(d.domains)))]
-    d = compile_search(parse_dimacs_cnf(workloads.chain(1).model_text))
+    d = bench_compiles["grid", "search"]
+    evidence = parse_uai_evidence(bench_compiles["grid"].evidence_text, n=len(d.domains))
+    cases += [(d, {}), (d, evidence)]
+    d = bench_compiles["chain", "search"]
     cases += [(d, {}), (d, _random_evidence(rng, d.domains)), (d, _shallow_evidence(rng, d))]
     return cases
 
@@ -350,9 +349,9 @@ def _typed(value):
     return value, type(value)
 
 
-def test_queries_match_the_reference_fold():
+def test_queries_match_the_reference_fold(bench_compiles):
     skips = none = cut = 0
-    for d, evidence in _fold_corpus():
+    for d, evidence in _fold_corpus(bench_compiles):
         assert _typed(count_solutions(d, evidence)) == _typed(ref.count_solutions(d, evidence))
         assert _typed(sum_over(d, evidence)) == _typed(ref.sum_over(d, evidence))
         value, witness = mpe(d, evidence)
@@ -372,21 +371,34 @@ def test_queries_match_the_reference_fold():
     assert cut > 0
 
 
-def test_fold_under_evidence_skips_the_nodes_it_cuts_off():
-    grid = bench_workloads().grid(1)
-    d = compile_search(parse_uai(grid.model_text))
-    evidence = parse_uai_evidence(grid.evidence_text, n=len(d.domains))
+def test_bench_compiles_answer_as_the_workloads_references(bench_compiles):
+    # the benchmark's own oracles, none of them a compiler: variable
+    # elimination on grid, the closed form of the chain, DPLL on cnf
+    for name, method in (("grid", "search"), ("chain", "search"), ("cnf", "bcp")):
+        workload = bench_compiles[name]
+        d = bench_compiles[name, method]
+        evidence = parse_uai_evidence(workload.evidence_text, n=len(d.domains))
+        assert count_solutions(d) == workload.count
+        assert sum_over(d, evidence) == workload.sum
+        value, witness = mpe(d)
+        assert value == workload.mpe == workload.weight_of(witness)
+        assert evaluate(d, workload.assignment) == workload.eval
+
+
+def test_fold_under_evidence_skips_the_nodes_it_cuts_off(bench_compiles):
+    d = bench_compiles["grid", "search"]
+    evidence = parse_uai_evidence(bench_compiles["grid"].evidence_text, n=len(d.domains))
     assert evidence == {0: 1, 49: 0, 70: 0, 77: 0}
     # ``argmax`` holds one entry per folded node
     assert len(query._fold(d, evidence)[0]) == 6769
     assert len(query._fold(d, {})[0]) == len(reachable_nodes(d)) == 11647
 
 
-def test_folds_list_items_only_for_an_arc_that_skips(monkeypatch):
+def test_folds_list_items_only_for_an_arc_that_skips(monkeypatch, bench_compiles):
     calls = []
     arc_items = query._arc_items
     monkeypatch.setattr(query, "_arc_items", lambda *a: calls.append(a) or arc_items(*a))
-    grid = compile_search(parse_uai(bench_workloads().grid(1).model_text))
+    grid = bench_compiles["grid", "search"]
     assert _arc_skips(grid) == (0, 23294)
     count_solutions(grid)
     sum_over(grid)
@@ -402,46 +414,17 @@ def test_folds_list_items_only_for_an_arc_that_skips(monkeypatch):
     assert len(calls) == 4
 
 
-def _walks(monkeypatch):
-    """Patch the walk from the roots; return a list of ``(visits, reached)`` per walk.
-
-    A visit is one read of the evidence, which the walk makes once for
-    each node whose arcs it follows.
-    """
-    from aomdd import diagram
-
-    walks = []
-    walk = diagram.reached_nodes
-
-    def recording(roots, evidence):
-        visits = 0
-
-        class Counting(dict):
-            def get(self, *args):
-                nonlocal visits
-                visits += 1
-                return dict.get(self, *args)
-
-        nodes = walk(roots, Counting(evidence))
-        walks.append((visits, len(nodes)))
-        return nodes
-
-    monkeypatch.setattr(diagram, "reached_nodes", recording)
-    monkeypatch.setattr(query, "reached_nodes", recording)
-    return walks
-
-
-def test_loaded_diagram_folds_without_a_walk(monkeypatch):
+def test_loaded_diagram_folds_without_a_walk(monkeypatch, bench_compiles):
     # a compiled diagram walks its reachable nodes once, when it is
     # built, and a loaded one not at all: ``loads`` keeps its records,
     # children first.  A fold without evidence then walks nothing on
     # either diagram, and an evidence fold visits only the nodes it
     # reaches, each once.
-    walks = _walks(monkeypatch)
-    grid = bench_workloads().grid(1)
-    compiled = compile_search(parse_uai(grid.model_text))
+    grid = bench_compiles["grid"]
+    compiled = bench_compiles["grid", "search"]
     live = len(reachable_nodes(compiled))
-    assert walks == [(live, live)] and live == 11647
+    assert bench_compiles.walks["grid", "search"] == [(live, live)] and live == 11647
+    walks = recorded_walks(monkeypatch)
     evidence = parse_uai_evidence(grid.evidence_text, n=len(compiled.domains))
     reached = len(_consistent_walk(compiled, evidence))
     assert reached == 6769
@@ -456,7 +439,7 @@ def test_loaded_diagram_folds_without_a_walk(monkeypatch):
     text = dumps(compiled)
     loaded = loads(text)
     assert structural_equal(loaded, loads(text)) and structural_equal(compiled, loaded)
-    assert walks == [(live, live)]
+    assert walks == []
     for diagram in (compiled, loaded):
         walks.clear()
         got = [
@@ -487,11 +470,11 @@ def _folded(monkeypatch):
     return folds
 
 
-def test_evaluate_walks_only_the_solution_tree_it_reads(monkeypatch):
-    walks = _walks(monkeypatch)
+def test_evaluate_walks_only_the_solution_tree_it_reads(monkeypatch, bench_compiles):
+    walks = recorded_walks(monkeypatch)
     folds = _folded(monkeypatch)
-    grid = bench_workloads().grid(1)
-    compiled = compile_search(parse_uai(grid.model_text))
+    grid = bench_compiles["grid"]
+    compiled = bench_compiles["grid", "search"]
     loaded = loads(dumps(compiled))
     x = grid.assignment
     want = _typed(ref.sum_over(compiled, dict(enumerate(x))))
@@ -505,12 +488,12 @@ def test_evaluate_walks_only_the_solution_tree_it_reads(monkeypatch):
         assert walks == [] and folds == [tree]
 
 
-def test_evaluate_at_a_zero_folds_no_root_the_zero_reaches(monkeypatch):
+def test_evaluate_at_a_zero_folds_no_root_the_zero_reaches(monkeypatch, bench_compiles):
     # the chain's assignment has value 0: its one root is 0 there, so
     # the fold reads nothing, yet the 0 has the type sum_over gives
     folds = _folded(monkeypatch)
-    chain = bench_workloads().chain(1)
-    compiled = compile_search(parse_dimacs_cnf(chain.model_text))
+    chain = bench_compiles["chain"]
+    compiled = bench_compiles["chain", "search"]
     assert len(compiled.roots) == 1
     x = chain.assignment
     want = _typed(ref.sum_over(compiled, dict(enumerate(x))))
@@ -556,9 +539,9 @@ def _assignments(rng, diagram):
     return sample + [mpe(diagram)[1]]
 
 
-def test_evaluate_is_the_sum_under_its_assignment():
+def test_evaluate_is_the_sum_under_its_assignment(bench_compiles):
     rng = seeded_rng(35)
-    for d in {id(d): d for d, _ in _fold_corpus()}.values():
+    for d in {id(d): d for d, _ in _fold_corpus(bench_compiles)}.values():
         loaded = loads(dumps(d))
         for x in _assignments(rng, d):
             for diagram in (d, loaded):
@@ -579,10 +562,10 @@ def _answers(diagram, evidences, assignments):
     return out + [_typed(evaluate(diagram, x)) for x in assignments]
 
 
-def test_a_compiled_diagram_and_its_loaded_copy_answer_alike():
+def test_a_compiled_diagram_and_its_loaded_copy_answer_alike(bench_compiles):
     rng = seeded_rng(36)
     evidences = {}
-    for d, evidence in _fold_corpus():
+    for d, evidence in _fold_corpus(bench_compiles):
         evidences.setdefault(d, []).append(evidence)
     # weighted models whose root constants include integers, zero among them
     for seed in range(60, 80):

@@ -29,7 +29,6 @@ from aomdd import (
     make_model,
     min_fill_ordering,
     parse_dimacs_cnf,
-    parse_uai,
     structural_equal,
     sum_over,
 )
@@ -599,8 +598,8 @@ def test_loads_reads_respaced_records_as_the_reference_does(old, new, fault):
     assert _kind(want) == ("accepted" if fault is None else ParseError)
 
 
-def test_loads_takes_one_gcd_per_weighted_pair(monkeypatch):
-    text = dumps(compile_search(parse_uai(bench_workloads().grid(1).model_text)))
+def test_loads_takes_one_gcd_per_weighted_pair(monkeypatch, bench_compiles):
+    text = dumps(bench_compiles["grid", "search"])
     records = [line.split()[3:] for line in text.splitlines() if line.startswith("n ")]
     # every grid record is a weighted pair over one denominator, and so is the constant
     assert all(len(r) == 2 and all(tok.count("/") == 1 for tok in r) for r in records)
@@ -749,33 +748,26 @@ def test_weight_past_the_digit_limit_is_a_resource_limit(tmp_path, capsys):
     assert (proc.returncode, proc.stdout) == (0, "3\n")
 
 
-def _writer_corpus():
+def _writer_corpus(bench_compiles):
     """The reader corpus, 300 random models in both modes, grid and chain at seed 1.
 
-    Grid is also compiled by BE, whose uids have gaps (19,740 created
-    for 11,647 nodes), and loaded back, whose uids are the record ids.
-    The BE compile of cnf at seed 1 has uids sparse enough (about 75,000
-    for 2,753 nodes) that the writer keeps its ids in a dict.
+    Grid and cnf at seed 1 are also compiled by BE, which creates many
+    more nodes than it keeps, and loaded back.
     """
     diagrams = _corpus_diagrams()
     rng = seeded_rng(71)
     diagrams += [compile_search(random_model(rng, weighted=i % 2 == 0)) for i in range(300)]
-    workloads = bench_workloads()
-    grid = parse_uai(workloads.grid(1).model_text)
-    diagrams.append(compile_search(grid))
-    sparse = compile_be(grid)
-    assert sparse.nodes[-1].uid >= len(sparse.nodes)  # its uids have gaps
-    diagrams += [sparse, loads(dumps(sparse))]
-    sparser = compile_be(parse_dimacs_cnf(workloads.cnf(1).model_text))
-    assert sparser.nodes[-1].uid >= 8 * len(sparser.nodes)
-    diagrams += [sparser, loads(dumps(sparser))]
-    diagrams.append(compile_search(parse_dimacs_cnf(workloads.chain(1).model_text)))
+    diagrams.append(bench_compiles["grid", "search"])
+    for name in ("grid", "cnf"):
+        be = bench_compiles[name, "be"]
+        diagrams += [be, loads(dumps(be))]
+    diagrams.append(bench_compiles["chain", "search"])
     return diagrams
 
 
-def test_dumps_matches_the_reference_writer():
+def test_dumps_matches_the_reference_writer(bench_compiles):
     texts = []
-    for d in _writer_corpus():
+    for d in _writer_corpus(bench_compiles):
         want = serialize_reference.dumps(d)
         assert dumps(d) == want
         streamed = io.StringIO()
@@ -804,8 +796,8 @@ class _Discard:
 def test_dumps_holds_little_beyond_the_diagram():
     # The writer once kept a dict from every node to its dense id and a
     # list per variable: 108-113 bytes per node on this chain (Python
-    # 3.11).  Dense ids in an array indexed by uid and one sort by
-    # variable take about 37.
+    # 3.11).  Dense ids in one array indexed by uid and one list per
+    # variable take about 52.
     model = parse_dimacs_cnf(bench_workloads().chain(1, n=8000).model_text)
     diagram = compile_search(model)
     assert len(diagram.nodes) == 15999
