@@ -275,16 +275,17 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     """Compile a model by bucket elimination along the pseudo tree ``tree``.
 
     One bucket per variable, processed bottom-up (reverse DFS order):
-    each multiplies its tables, then its children's messages, and sends
-    the product to its parent's bucket, so the result is structurally
-    equal to ``compile_search(model, tree)``.  Each table is multiplied
-    in the deepest bucket at or below its deepest variable whose context
-    holds its scope, before that bucket's own tables (``_push_down``).
-    ``d`` and ``chain`` only choose the tree when none is given: the
-    pseudo tree of ``d`` (default: a min-fill ordering), or with
-    ``chain=True`` the degenerate chain along ``d`` (MDD/OBDD mode).
-    A product of a variable's tables starts from its first table's
-    chain diagram, so a bucket with one table makes no APPLY for it.
+    each folds its tables' chain diagrams, then its children's messages,
+    by APPLY from the first of them, and sends the product to its
+    parent's bucket, so the result is structurally equal to
+    ``compile_search(model, tree)``.  ``k`` operands make ``k - 1``
+    APPLYs; the constant 1 stands only for a bucket with none.  Each
+    table is multiplied in the deepest bucket at or below its deepest
+    variable whose context holds its scope, before that bucket's own
+    tables (``_push_down``).  ``d`` and ``chain`` only choose the tree
+    when none is given: the pseudo tree of ``d`` (default: a min-fill
+    ordering), or with ``chain=True`` the degenerate chain along ``d``
+    (MDD/OBDD mode).
 
     The level of a variable in the context of any variable but its
     children is held weakly until the variable's own bucket starts (see
@@ -305,13 +306,12 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     functions, factor = integer_tables(model)
     depth = tree.depth_of.__getitem__
 
-    def fold_tables(var):
-        message = None
+    def operands(var):
+        # each table's chain diagram is made when the fold reaches it
         for fid in buckets[var]:
             f = functions[fid]
-            fragment = _chain_fragment(f, tuple(sorted(f.scope, key=depth)), domains, table)
-            message = fragment if message is None else apply_fragments(message, fragment, tree, table)
-        return (1, ()) if message is None else message
+            yield _chain_fragment(f, tuple(sorted(f.scope, key=depth)), domains, table)
+        yield from inbox[var]
 
     parent = tree.parent
     inbox = [[] for _ in range(tree.n)]
@@ -321,9 +321,11 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     for var in reversed(tree.dfs_order):
         if var in weak:
             table.strengthen(var)
-        message = fold_tables(var)
-        for fragment in inbox[var]:
-            message = apply_fragments(message, fragment, tree, table)
+        message = None
+        for operand in operands(var):
+            message = operand if message is None else apply_fragments(message, operand, tree, table)
+        if message is None:
+            message = (1, ())
         inbox[var] = None  # the children's messages die with their last use
         table.close(var)
         if parent[var] is not None:

@@ -61,7 +61,7 @@ def _build_parser():
         " so a model with none compiles as with --prune none",
     )
     c.add_argument("--seed", type=int, default=0, help="seed for ordering tie-breaks")
-    c.add_argument("--mem-cap", type=int, help="abort after this many meta-nodes")
+    c.add_argument("--mem-cap", type=int, help="abort after this many created meta-nodes")
     c.add_argument("--out", help="write the canonical diagram file here")
     c.add_argument("--stats", action="store_true", help="print a stats block")
 

@@ -359,7 +359,8 @@ def parse_dimacs_cnf(text):
     variables, sorted); clauses over the same variables share that
     table, and the tables follow their scopes' first appearance.  A
     tautological clause is constant 1 and writes nothing; every empty
-    clause writes into one constant-0 table.
+    clause writes into one constant-0 table.  The text has exactly one
+    ``p cnf`` header, before the first clause.
     """
     nvars = None
     clauses = []
@@ -369,6 +370,8 @@ def parse_dimacs_cnf(text):
             continue
         if toks[0] == "p":
             line = " ".join(toks)
+            if nvars is not None:
+                raise ParseError("second problem line %r" % line, lineno)
             if len(toks) != 4 or toks[1] != "cnf":
                 raise ParseError("malformed problem line %r" % line, lineno)
             try:

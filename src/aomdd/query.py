@@ -35,9 +35,10 @@ fold reads the diagram's ``nodes``.  Under evidence it folds only the
 nodes a walk from the roots reaches along evidence-consistent arcs
 (``reached_nodes``): a node below an arc the evidence rules out adds
 nothing to any answer.  ``evaluate`` is the sum under its full
-assignment as evidence, so it pays for the one solution tree the
-assignment reads.  ``enumerate_solutions`` walks the paths and is not a
-fold.
+assignment as evidence: its walk reads the one solution tree the
+assignment picks, down to the first zero arc on each path, and the
+fold covers those nodes.  ``enumerate_solutions`` walks the paths and
+is not a fold.
 """
 
 from __future__ import annotations
@@ -80,13 +81,12 @@ def _arc_items(tree, lo, hi, children):
 def evaluate(diagram, x):
     """Value of the compiled function at a full assignment.
 
-    The sum over the one assignment that agrees with ``x``: ``x`` as
-    evidence, so the fold covers only the solution tree that ``x``
-    reads, and the result has the type ``sum_over`` gives.  One walk
-    from each root reads that tree.  A root whose tree holds a zero arc
-    is 0 there, whatever its other branches hold, so the walk stops
-    there and the fold covers only the other roots' trees: their
-    denominators still fix the type of the 0 that ``sum_over`` gives.
+    The sum over the one assignment that agrees with ``x``: the fold
+    with ``x`` as evidence, so the result has the type ``sum_over``
+    gives.  Its walk from the roots reads the one solution tree that
+    ``x`` picks and stops at a zero arc; a root that is 0 there is
+    still folded, and the other roots' denominators fix the type of
+    the 0 that results.
     """
     if len(x) != len(diagram.domains):
         raise StructuralError(
@@ -96,31 +96,10 @@ def evaluate(diagram, x):
     for var, k in enumerate(diagram.domains):
         if x[var] is None or not 0 <= x[var] < k:
             raise StructuralError("variable %d unassigned or out of domain" % var)
-    live, nodes = [], []
-    for root in diagram.roots:
-        reached = _solution_tree(root, x)
-        if reached is not None:
-            live.append(root)
-            nodes += reached
-    value = _fold(diagram, dict(enumerate(x)), roots=live, nodes=nodes[::-1])[1]
-    return diagram.constant * (value if len(live) == len(diagram.roots) else 0 * value)
+    return diagram.constant * _fold(diagram, dict(enumerate(x)))[1]
 
 
-def _solution_tree(root, x):
-    """The nodes below ``root`` that ``x`` picks, parents first; None at a zero arc."""
-    nodes = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        w, children = u.arcs[x[u.var]]
-        if w == 0:
-            return None
-        nodes.append(u)
-        stack.extend(children)
-    return nodes
-
-
-def _fold(diagram, evidence, maximize=False, sizes=True, weights=True, roots=None, nodes=None):
+def _fold(diagram, evidence, maximize=False, sizes=True, weights=True):
     """Fold the nodes the evidence leaves reachable, children first; return ``(argmax, value)``.
 
     Arcs combine by max when ``maximize``, else by ``+``; a skipped
@@ -128,9 +107,7 @@ def _fold(diagram, evidence, maximize=False, sizes=True, weights=True, roots=Non
     1; an arc counts its weight when ``weights``, else 1.  ``value`` is
     the roots' value without the root constant; ``argmax`` maps each
     folded node to its first maximizing value (when ``maximize``; else
-    to a value the evidence allows).  ``roots`` and ``nodes``, when
-    given, are some of the diagram's roots and the nodes they reach
-    under the evidence, children first: the fold reads only those.
+    to a value the evidence allows).
     """
     domains = diagram.domains
     tree = diagram.tree
@@ -147,10 +124,8 @@ def _fold(diagram, evidence, maximize=False, sizes=True, weights=True, roots=Non
                 num *= domains[item]
         return num
 
-    if roots is None:
-        roots = diagram.roots
-        nodes = reached_nodes(roots, evidence) if evidence else diagram.nodes
-    for u in nodes:
+    roots = diagram.roots
+    for u in reached_nodes(roots, evidence) if evidence else diagram.nodes:
         num, den = 0, 1
         fixed = evidence.get(u.var)
         arg = fixed or 0  # a node of value 0 takes its first allowed value

@@ -13,6 +13,7 @@ import pytest
 
 from aomdd import (
     bcp_hook,
+    be_compiler,
     build_primal_graph,
     compile_be,
     compile_search,
@@ -77,6 +78,9 @@ BAD_CNF = [
     ("p cnf 2 1\n+1 0\n", "line 2: expected integer literal, got '\\+1'"),
     ("p cnf 2 1\n1 \u0660\n", "line 2: expected integer literal, got '\u0660'"),
     ("p cnf 2 1\n1 -0\n", "line 2: expected integer literal, got '-0'"),
+    # one header only: a second one, declaring fewer or more variables
+    ("p cnf 3 1\n3 0\np cnf 1 1\n1 0\n", "line 3: second problem line 'p cnf 1 1'"),
+    ("p cnf 1 1\n1 0\np cnf 3 1\n3 0\n", "line 3: second problem line 'p cnf 3 1'"),
 ]
 
 # each evidence file the example's diagram rejects (8 variables), with the message
@@ -339,12 +343,14 @@ class BenchCompiles(dict):
     and ``self[name, method]`` its model compiled by "search", "be" or
     "bcp" (search with ``bcp_hook``, on the chain's ``bcp_model_text``).
     ``walks[name, method]`` lists the walks from the roots that compile
-    made, as ``recorded_walks`` gives them.
+    made, as ``recorded_walks`` gives them, and ``applies[name, method]``
+    counts its calls of ``apply_fragments``.
     """
 
     def __init__(self):
         super().__init__()
         self.walks = {}
+        self.applies = {}
 
     def __missing__(self, key):
         if isinstance(key, str):
@@ -356,8 +362,16 @@ class BenchCompiles(dict):
             if method == "bcp":
                 text = workload.bcp_model_text or text
             model = (parse_uai if workload.model_file.endswith(".uai") else parse_dimacs_cnf)(text)
+            apply_fragments = be_compiler.apply_fragments
+            self.applies[key] = 0
+
+            def counting(*args):
+                self.applies[key] += 1
+                return apply_fragments(*args)
+
             with pytest.MonkeyPatch.context() as patched:
                 self.walks[key] = recorded_walks(patched)
+                patched.setattr(be_compiler, "apply_fragments", counting)
                 if method == "be":
                     value = compile_be(model)
                 else:

@@ -352,6 +352,22 @@ def test_pushing_tables_down_creates_no_more_nodes():
     assert pushed <= folded <= per_bucket
 
 
+def test_a_bucket_makes_one_apply_per_operand_past_its_first(bench_compiles):
+    # a bucket folds its tables' chain diagrams, then its children's
+    # messages, from the first of them: k operands make k - 1 APPLYs, and
+    # a bucket with none or one makes none
+    applies = {}
+    for name in ("grid", "chain", "cnf"):
+        workload, tree = bench_compiles[name], bench_compiles[name, "be"].tree
+        parse = parse_uai if workload.model_file.endswith(".uai") else parse_dimacs_cnf
+        model = parse(workload.model_text)
+        buckets = be_compiler._push_down(tree, model, *compute_buckets(tree, model))
+        operands = [len(buckets[v]) + len(tree.children[v]) for v in range(tree.n)]
+        applies[name] = bench_compiles.applies[name, "be"]
+        assert applies[name] == sum(k - 1 for k in operands if k)
+    assert applies == {"grid": 224, "chain": 1998, "cnf": 106}
+
+
 def test_a_moved_table_lies_in_the_context_of_its_new_bucket():
     # each table ends in one bucket at or below its deepest variable; a
     # moved one has its scope in that bucket's context, and no child of
@@ -397,12 +413,14 @@ def _broom(n, weighted):
 
 @pytest.mark.parametrize("weighted", [True, False])
 def test_each_level_closes_in_its_own_bucket_past_the_recursion_limit(weighted, monkeypatch):
-    # a level closes when its own bucket is done: along the handle each
-    # bucket holds one table and one child's message, so its level
-    # closes one APPLY after the level below it, bottom-up, and the join
-    # ``n-1`` after one APPLY per child; a leaf's bucket holds one table
-    # and makes none, so the branch done second has its leaf close at
-    # the count the first one's top did
+    # a level closes when its own bucket is done, and a bucket folds
+    # from its first operand: along the handle each bucket below the
+    # root holds one table and one child's message, so its level closes
+    # one APPLY after the level below it, bottom-up, and the join ``n-1``
+    # after one APPLY per child; a leaf's bucket (one table) and the
+    # root's (one message) make none, so the branch done second has its
+    # leaf close at the count the first one's top did, and the root
+    # closes with its child
     n = 1500
     assert n > sys.getrecursionlimit()
     model, tree = _broom(n, weighted)
@@ -424,9 +442,10 @@ def test_each_level_closes_in_its_own_bucket_past_the_recursion_limit(weighted, 
     compiled = compile_be(model, tree=tree)
     assert dumps(compiled) == dumps(compile_search(model, tree))
     assert len(closed) == n + 6
-    assert [closed[v] for v in range(n)] == list(range(applies, applies - n, -1))
+    assert closed[0] == closed[1]
+    assert [closed[v] for v in range(1, n)] == list(range(applies, applies - n + 1, -1))
     assert sorted(closed[v] for v in range(n, n + 6)) == [0, 1, 2, 2, 3, 4]
-    assert applies == n + 5
+    assert applies == n + 4
 
 
 def test_group_descendants_matches_reference(monkeypatch):

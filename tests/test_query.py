@@ -458,13 +458,17 @@ def test_loaded_diagram_folds_without_a_walk(monkeypatch, bench_compiles):
 
 
 def _folded(monkeypatch):
-    """Patch the fold; return the list of the nodes each fold reads, as sets."""
+    """Patch the fold; return the list of the nodes each fold reads, as sets.
+
+    The nodes a fold reads are the keys of the ``argmax`` it returns.
+    """
     folds = []
     fold = query._fold
 
-    def recording(diagram, evidence, *args, nodes=None, **kwargs):
-        folds.append(set(diagram.nodes if nodes is None else nodes))
-        return fold(diagram, evidence, *args, nodes=nodes, **kwargs)
+    def recording(*args, **kwargs):
+        argmax, value = fold(*args, **kwargs)
+        folds.append(set(argmax))
+        return argmax, value
 
     monkeypatch.setattr(query, "_fold", recording)
     return folds
@@ -483,25 +487,46 @@ def test_evaluate_walks_only_the_solution_tree_it_reads(monkeypatch, bench_compi
         walks.clear()
         folds.clear()
         tree = _consistent_walk(diagram, dict(enumerate(x)))
-        assert len(tree) <= 81  # one node per variable at most
+        assert len(tree) == 81  # one node per variable
         assert _typed(evaluate(diagram, x)) == want
-        assert walks == [] and folds == [tree]
+        # one walk from the roots, one evidence read per node, and the
+        # fold reads the nodes it reached
+        assert walks == [(81, 81)] and folds == [tree]
 
 
-def test_evaluate_at_a_zero_folds_no_root_the_zero_reaches(monkeypatch, bench_compiles):
-    # the chain's assignment has value 0: its one root is 0 there, so
-    # the fold reads nothing, yet the 0 has the type sum_over gives
+def test_evaluate_at_a_zero_folds_the_solution_tree_down_to_its_zero_arcs(
+    monkeypatch, bench_compiles
+):
+    # the chain's assignment has value 0: the fold reads the nodes that
+    # assignment picks from the one root, down to the first zero arc on
+    # each path, 1,350 of the 3,999, and its 0 has the type sum_over gives
+    walks = recorded_walks(monkeypatch)
     folds = _folded(monkeypatch)
     chain = bench_compiles["chain"]
     compiled = bench_compiles["chain", "search"]
-    assert len(compiled.roots) == 1
+    assert len(compiled.roots) == 1 and len(compiled.nodes) == 3999
     x = chain.assignment
     want = _typed(ref.sum_over(compiled, dict(enumerate(x))))
     assert want == (0, int)
     for diagram in (compiled, loads(dumps(compiled))):
+        walks.clear()
         folds.clear()
+        tree = _consistent_walk(diagram, dict(enumerate(x)))
+        assert len(tree) == 1350
         assert _typed(evaluate(diagram, x)) == want
-        assert folds == [set()]
+        assert walks == [(1350, 1350)] and folds == [tree]
+
+
+def _zero_below(root, x):
+    """Whether the solution tree ``x`` picks below ``root`` holds a zero arc."""
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        w, children = u.arcs[x[u.var]]
+        if w == 0:
+            return True
+        stack.extend(children)
+    return False
 
 
 def test_evaluate_matches_the_oracles_at_zero_and_nonzero_assignments():
@@ -524,10 +549,9 @@ def test_evaluate_matches_the_oracles_at_zero_and_nonzero_assignments():
                 assert got[0] == table.value_at(x)
                 zero += got[0] == 0
                 nonzero += got[0] != 0
-                roots = [query._solution_tree(r, x) for r in d.roots]
-                split += got[0] == 0 and any(t is not None for t in roots)
+                split += got[0] == 0 and not all(_zero_below(r, x) for r in d.roots)
                 fraction += got == (0, Fraction)
-    assert min(zero, nonzero, split) > 50 and fraction > 0
+    assert (zero, nonzero, split, fraction) == (12006, 4426, 122, 7087)
 
 
 def _assignments(rng, diagram):
