@@ -44,13 +44,17 @@ APPLY memo lives for one ``apply_fragments`` call: it keys by
 ``id()``, and ids of freed nodes are reused.
 
 APPLY runs one trampoline generator per node product, ``_apply_node``.
-Its arc loop combines the two child lists itself: ``_groups`` pairs
-them, deciding two single nodes by one DFS-interval test instead of
-``group_descendants``' sort, and the memo is read before a subcall is
-made, so a hit costs one dict lookup and no generator.  Internally a diagram
-fragment is carried as a ``(constant, nodes)`` pair — the same shape
-``make_node`` returns — where ``nodes`` is a DFS-ordered tuple with at
-most one node per pseudo-tree branch.
+Its arc loop combines the two child lists itself.  Two single nodes,
+the common case, are paired in place by one DFS-interval test, and the
+sub-product's node tuple becomes the arc's children; longer lists go
+to ``group_descendants``' sort.  The memo is read before a subcall is
+made, so a hit costs one dict lookup and no generator.  The product's
+arcs are built in one pass and brought to a common denominator only
+when theirs differ.  ``apply_fragments`` groups its two operands by
+``_groups``, the same interval test with the sort behind it.
+Internally a diagram fragment is carried as a ``(constant, nodes)``
+pair — the same shape ``make_node`` returns — where ``nodes`` is a
+DFS-ordered tuple with at most one node per pseudo-tree branch.
 
 The tables enter as integers (``model.integer_tables``), and APPLY multiplies
 integer arc weights.  Inside APPLY a fragment's constant is an integer
@@ -162,34 +166,52 @@ def _apply_node(v1, zs, key, tree, memo, table):
     ``num / den`` (in lowest terms) times the functions of ``nodes``.
     Arc weights multiply as integers; the node sums that normalize ``v1``
     (and ``z``) go into ``den`` once, and the arcs' child constants are
-    brought to their lcm denominator, so ``make_node`` sees integers and
-    no arc is divided.
+    brought to their lcm denominator where they differ, so ``make_node``
+    sees integers and no arc is divided.
 
     Each arc whose two sides both hold nodes combines its two child lists
-    here: ``_groups`` pairs them, and each group with members is read
-    from ``memo`` first, so only a miss yields a subcall (one generator
-    per product; a zero product ends the arc).
+    here, and each group with members is read from ``memo`` first, so
+    only a miss yields a subcall (one generator per product; a zero
+    product ends the arc).  Two single nodes are paired in place by the
+    DFS-interval test of ``_groups``, and the sub-product's node tuple
+    is the arc's children; longer lists go to ``group_descendants``.
     """
+    pos, end = tree.dfs_index, tree.subtree_end
     same = len(zs) == 1 and zs[0].var == v1.var
     den = node_total(v1, table.weighted)
     if same:
         den *= node_total(zs[0], table.weighted)
-    parts = []
+    arcs = []
+    dens = []
     for i, (w, children) in enumerate(v1.arcs):
         others = zs
         if same:
             w2, others = zs[0].arcs[i]
             w *= w2
+        q = 1
         if w == 0:
-            parts.append((0, 1, ()))
-        elif not others:
-            parts.append((w, 1, children))
-        elif not children:
-            parts.append((w, 1, tuple(others)))
+            children = ()
+        elif not (children and others):
+            children = children or tuple(others)
+        elif len(children) == 1 == len(others):
+            x, y = children[0], others[0]
+            px, py = pos[x.var], pos[y.var]
+            if px <= py < end[x.var]:
+                head, members, sub = x, others, (id(x), id(y))
+            elif py < px < end[y.var]:
+                head, members, sub = y, children, (id(y), id(x))
+            else:  # unrelated: two singleton groups in DFS order
+                sub = None
+                children = (x, y) if px < py else (y, x)
+            if sub is not None:
+                result = memo.get(sub)
+                if result is None:
+                    result = yield _apply_node(head, members, sub, tree, memo, table)
+                p, q, children = result
+                w *= p
         else:
-            num = q = 1
             out = []
-            for head, members in _groups(children, others, tree):
+            for head, members in group_descendants(children, others, tree):
                 if not members:
                     out.append(head)
                     continue
@@ -199,14 +221,18 @@ def _apply_node(v1, zs, key, tree, memo, table):
                     result = yield _apply_node(head, members, sub, tree, memo, table)
                 p, r, nodes = result
                 if p == 0:
-                    num, q, out = 0, 1, ()
+                    w, q = 0, 1
                     break
-                num *= p
+                w *= p
                 q *= r
                 out.extend(nodes)
-            parts.append((w * num, q, tuple(out)))
-    common = lcm(*[q for _, q, _ in parts])
-    arcs = [(w * (common // q), children) if w else (0, ()) for w, q, children in parts]
+            children = tuple(out) if w else ()
+        arcs.append((w, children))
+        dens.append(q)
+    common = dens[0]
+    if dens.count(common) != len(dens):
+        common = lcm(*dens)
+        arcs = [(w * (common // q), children) for (w, children), q in zip(arcs, dens)]
     const, nodes = make_node(v1.var, arcs, table)
     den *= common
     g = gcd(const, den)

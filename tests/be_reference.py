@@ -4,7 +4,9 @@
 ``aomdd.be_compiler.group_descendants`` computes by one sort of both
 lists by DFS position and one scan over DFS intervals: every node of one
 list is tested against every node of the other with
-``is_ancestor_or_self``.
+``is_ancestor_or_self``.  ``product_children`` assembles the children
+of a node product's arcs from those groups, so every grouping APPLY
+decides, a pair of single nodes included, can be checked against it.
 
 ``compile_be`` is the BE schedule driven by an ordering ``d`` next to
 the tree: one bucket per variable, in reverse ``d``, scopes sorted by
@@ -169,3 +171,45 @@ def group_descendants(list_f, list_g, tree):
             groups.append((y, []))
     groups.sort(key=lambda p: tree.dfs_index[p[0].var])
     return groups
+
+
+def product_children(v1, zs, memo, tree):
+    """Each arc's children in APPLY's product of ``v1`` and ``zs``, grouped here.
+
+    The arcs pair as in ``aomdd.be_compiler._apply_node``: arc ``i`` of
+    ``v1`` with arc ``i`` of ``zs``' one node when that node is of
+    ``v1``'s variable, else with the whole list ``zs``.  An arc whose
+    two sides both hold nodes groups them by ``group_descendants``
+    (all pairs): a singleton group keeps its head, and a group with
+    members stands for its sub-product, read from ``memo`` under the
+    ids of its head and members; a zero sub-product kills the arc.
+    Returns the children of each arc (none for a dead one) and, per
+    grouping, ``(pair, reads)``: whether it grouped two single nodes,
+    and how many memo keys it read.
+    """
+    same = len(zs) == 1 and zs[0].var == v1.var
+    arcs = []
+    groupings = []
+    for i, (w, children) in enumerate(v1.arcs):
+        others = zs
+        if same:
+            w2, others = zs[0].arcs[i]
+            w *= w2
+        if w == 0 or not children or not others:
+            arcs.append(tuple(children or others) if w else ())
+            continue
+        out = []
+        reads = 0
+        for head, members in group_descendants(children, others, tree):
+            if not members:
+                out.append(head)
+                continue
+            reads += 1
+            p, _, nodes = memo[(id(head), *map(id, members))]
+            if p == 0:
+                out = []
+                break
+            out.extend(nodes)
+        arcs.append(tuple(out))
+        groupings.append((len(children) == 1 == len(others), reads))
+    return arcs, groupings

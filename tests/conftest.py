@@ -343,14 +343,16 @@ class BenchCompiles(dict):
     and ``self[name, method]`` its model compiled by "search", "be" or
     "bcp" (search with ``bcp_hook``, on the chain's ``bcp_model_text``).
     ``walks[name, method]`` lists the walks from the roots that compile
-    made, as ``recorded_walks`` gives them, and ``applies[name, method]``
-    counts its calls of ``apply_fragments``.
+    made, as ``recorded_walks`` gives them, ``applies[name, method]``
+    counts its calls of ``apply_fragments`` and ``products[name, method]``
+    its node products, the calls of ``be_compiler._apply_node``.
     """
 
     def __init__(self):
         super().__init__()
         self.walks = {}
         self.applies = {}
+        self.products = {}
 
     def __missing__(self, key):
         if isinstance(key, str):
@@ -362,16 +364,21 @@ class BenchCompiles(dict):
             if method == "bcp":
                 text = workload.bcp_model_text or text
             model = (parse_uai if workload.model_file.endswith(".uai") else parse_dimacs_cnf)(text)
-            apply_fragments = be_compiler.apply_fragments
-            self.applies[key] = 0
+            apply_fragments, apply_node = be_compiler.apply_fragments, be_compiler._apply_node
+            self.applies[key] = self.products[key] = 0
 
             def counting(*args):
                 self.applies[key] += 1
                 return apply_fragments(*args)
 
+            def product(*args):
+                self.products[key] += 1
+                return apply_node(*args)
+
             with pytest.MonkeyPatch.context() as patched:
                 self.walks[key] = recorded_walks(patched)
                 patched.setattr(be_compiler, "apply_fragments", counting)
+                patched.setattr(be_compiler, "_apply_node", product)
                 if method == "be":
                     value = compile_be(model)
                 else:

@@ -368,6 +368,16 @@ def test_a_bucket_makes_one_apply_per_operand_past_its_first(bench_compiles):
     assert applies == {"grid": 224, "chain": 1998, "cnf": 106}
 
 
+def test_node_products_per_bench_workload(bench_compiles):
+    # each ``_apply_node`` call is one node product; a kernel that makes
+    # more of them on the seed-1 bench workloads fails here
+    products = {}
+    for name in ("grid", "chain", "cnf"):
+        bench_compiles[name, "be"]
+        products[name] = bench_compiles.products[name, "be"]
+    assert products == {"grid": 17965, "chain": 5992, "cnf": 125732}
+
+
 def test_a_moved_table_lies_in_the_context_of_its_new_bucket():
     # each table ends in one bucket at or below its deepest variable; a
     # moved one has its scope in that bucket's context, and no child of
@@ -448,68 +458,102 @@ def test_each_level_closes_in_its_own_bucket_past_the_recursion_limit(weighted, 
     assert applies == n + 4
 
 
+def _checked_apply(monkeypatch):
+    """Check every grouping APPLY decides against ``be_reference``; return the counts.
+
+    Each ``_groups`` call (``apply_fragments``' top-level grouping) and
+    each ``group_descendants`` call is compared with the all-pairs
+    ``be_reference.group_descendants``.  Each node product's arcs, whose
+    pairs of single nodes ``_apply_node`` groups in place, are compared
+    with ``be_reference.product_children``: the children it passes to
+    ``make_node``, which it calls last, against those the reference
+    groups assemble.  ``counts`` holds ``groupings`` (``_groups`` calls
+    and product arcs grouped), ``pairs`` (those of two single nodes),
+    ``sorts`` (``group_descendants`` calls) and ``reads`` (memo keys the
+    groupings read); ``entered`` lists, per ``apply_fragments`` call,
+    the keys of the products it entered.
+    """
+    counts = Counter()
+    entered = []
+    made = [None]  # the arcs of the latest ``make_node`` call
+    apply_fragments_, apply_node, make_node, groups_, group = (
+        be_compiler.apply_fragments,
+        be_compiler._apply_node,
+        be_compiler.make_node,
+        be_compiler._groups,
+        be_compiler.group_descendants,
+    )
+
+    def checked(list_f, list_g, tree, grouping):
+        groups = grouping(list_f, list_g, tree)
+        expected = be_reference.group_descendants(list_f, list_g, tree)
+        shape = [(id(h), [id(x) for x in members]) for h, members in groups]
+        assert shape == [(id(h), [id(x) for x in members]) for h, members in expected]
+        return groups
+
+    def top_level(list_f, list_g, tree):
+        groups = checked(list_f, list_g, tree, groups_)
+        counts["groupings"] += 1
+        counts["pairs"] += len(list_f) == 1 == len(list_g)
+        counts["reads"] += sum(1 for _, members in groups if members)
+        return groups
+
+    def sorting(list_f, list_g, tree):
+        counts["sorts"] += 1
+        return checked(list_f, list_g, tree, group)
+
+    def per_apply(a, b, tree, table):
+        entered.append([])  # ids are reused across calls, never within one
+        return apply_fragments_(a, b, tree, table)
+
+    def recording(var, arcs, table):
+        made[0] = arcs
+        return make_node(var, arcs, table)
+
+    def product(v1, zs, key, tree, memo, table):
+        assert key == (id(v1), *map(id, zs))
+        entered[-1].append(key)
+        result = yield from apply_node(v1, zs, key, tree, memo, table)
+        children, groupings = be_reference.product_children(v1, zs, memo, tree)
+        assert [ch for _, ch in made[0]] == children
+        counts["groupings"] += len(groupings)
+        counts["pairs"] += sum(pair for pair, _ in groupings)
+        counts["reads"] += sum(reads for _, reads in groupings)
+        return result
+
+    monkeypatch.setattr(be_compiler, "_groups", top_level)
+    monkeypatch.setattr(be_compiler, "group_descendants", sorting)
+    monkeypatch.setattr(be_compiler, "apply_fragments", per_apply)
+    monkeypatch.setattr(be_compiler, "make_node", recording)
+    monkeypatch.setattr(be_compiler, "_apply_node", product)
+    return counts, entered
+
+
 def test_group_descendants_matches_reference(monkeypatch):
-    # every grouping APPLY makes goes through ``_groups``, whose pair path
-    # decides two single nodes without ``group_descendants``
-    calls = 0
-    pairs = 0
-
-    def checking(group):
-        def checked(list_f, list_g, tree):
-            nonlocal calls, pairs
-            groups = group(list_f, list_g, tree)
-            expected = be_reference.group_descendants(list_f, list_g, tree)
-            shape = [(id(h), [id(x) for x in members]) for h, members in groups]
-            assert shape == [(id(h), [id(x) for x in members]) for h, members in expected]
-            calls += 1
-            pairs += len(list_f) == 1 == len(list_g)
-            return groups
-
-        return checked
-
-    monkeypatch.setattr(be_compiler, "group_descendants", checking(group_descendants))
-    monkeypatch.setattr(be_compiler, "_groups", checking(be_compiler._groups))
+    # every grouping APPLY decides matches the reference: the top-level
+    # ones, the sorted ones, and the pairs of single nodes that
+    # ``_apply_node`` groups in place
+    counts, _ = _checked_apply(monkeypatch)
     rng = seeded_rng(53)
     models = [random_model(rng, weighted=rng.random() < 0.5) for _ in range(60)]
     models.append(queens_model(5))
     for m in models:
         compile_be(m)
-    assert calls > 1000
-    assert pairs > 1000
+    # 2,421 groupings, 2,395 of them of two single nodes; 26 sort
+    assert (counts["groupings"], counts["pairs"], counts["sorts"]) == (2421, 2395, 26)
 
 
 def test_apply_enters_each_memo_key_once(monkeypatch):
     # on this 3-CNF APPLY meets node pairs again; a memo hit makes no subcall
     workload = bench_workloads().cnf(1, 26, 78)
     model = parse_dimacs_cnf(workload.model_text)
-    entered = []
-    needed = 0
-    apply_fragments_, apply_node, groups_ = (
-        be_compiler.apply_fragments, be_compiler._apply_node, be_compiler._groups
-    )
-
-    def per_apply(a, b, tree, table):
-        entered.append([])  # ids are reused across calls, never within one
-        return apply_fragments_(a, b, tree, table)
-
-    def node(v1, zs, *rest):
-        entered[-1].append((id(v1), *map(id, zs)))
-        return apply_node(v1, zs, *rest)
-
-    def groups(list_f, list_g, tree):
-        nonlocal needed
-        result = groups_(list_f, list_g, tree)
-        needed += sum(1 for _, members in result if members)
-        return result
-
-    monkeypatch.setattr(be_compiler, "apply_fragments", per_apply)
-    monkeypatch.setattr(be_compiler, "_apply_node", node)
-    monkeypatch.setattr(be_compiler, "_groups", groups)
+    counts, entered = _checked_apply(monkeypatch)
     compiled = compile_be(model)
     assert dumps(compiled) == dumps(compile_search(model, compiled.tree))
     for keys in entered:
         assert len(keys) == len(set(keys))
-    assert needed > sum(map(len, entered)) > 0
+    assert counts["reads"] > sum(map(len, entered)) > 0
+    assert (counts["reads"], sum(map(len, entered))) == (11811, 9031)
 
 
 def _traced_peak(compile_):
