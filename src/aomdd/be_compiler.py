@@ -339,6 +339,14 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
             yield _chain_fragment(f, tuple(sorted(f.scope, key=depth)), domains, table)
         yield from inbox[var]
 
+    def product_of(var):
+        # the operands die with this call, so only the bucket's message
+        # outlives the bucket
+        message = None
+        for operand in operands(var):
+            message = operand if message is None else apply_fragments(message, operand, tree, table)
+        return (1, ()) if message is None else message
+
     parent = tree.parent
     inbox = [[] for _ in range(tree.n)]
     weak = {a for x, ctx in enumerate(contexts) for a in ctx if a != parent[x]}
@@ -347,11 +355,7 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     for var in reversed(tree.dfs_order):
         if var in weak:
             table.strengthen(var)
-        message = None
-        for operand in operands(var):
-            message = operand if message is None else apply_fragments(message, operand, tree, table)
-        if message is None:
-            message = (1, ())
+        message = product_of(var)
         inbox[var] = None  # the children's messages die with their last use
         table.close(var)
         if parent[var] is not None:
