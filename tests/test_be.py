@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import sys
@@ -276,15 +277,22 @@ def _creations(compile_, structures, monkeypatch):
         return compile_(), created
 
 
-def _assert_same_as_oracle(model, d, tree, monkeypatch):
+def _logged_reference(model, d, tree, monkeypatch):
+    """``be_reference.compile_be``'s text, table size, creations and their numbering."""
+    structures = {}
+    b, want = _creations(lambda: be_reference.compile_be(model, d, tree), structures, monkeypatch)
+    return dumps(b), len(b.table), want, structures
+
+
+def _assert_same_as_oracle(model, d, tree, monkeypatch, reference=None):
     # the reference keeps every node, so it creates each structure once;
     # BE frees dead message nodes early and may create one again, but it
-    # creates the same structures
-    structures = {}
-    a, made = _creations(lambda: compile_be(model, tree=tree), structures, monkeypatch)
-    b, want = _creations(lambda: be_reference.compile_be(model, d, tree), structures, monkeypatch)
-    assert dumps(a) == dumps(b)
-    assert len(set(want)) == len(want) == len(b.table)
+    # creates the same structures.  ``reference`` is the reference's
+    # ``_logged_reference``, made here when not given.
+    text, size, want, structures = reference or _logged_reference(model, d, tree, monkeypatch)
+    a, made = _creations(lambda: compile_be(model, tree=tree), dict(structures), monkeypatch)
+    assert dumps(a) == text
+    assert len(set(want)) == len(want) == size
     assert set(made) == set(want)
     assert len(a.table) == len(made)
     assert a.table.created_per_var == Counter(var for var, _ in made)
@@ -303,8 +311,12 @@ def test_tree_schedule_matches_ordering_schedule(monkeypatch):
         _assert_same_as_oracle(m, d, tree, monkeypatch)
 
 
+@functools.cache
 def _workload(name, seed=1, *sizes):
-    """A bench workload's model, its min-fill order and that order's pseudo tree."""
+    """A bench workload's model, its min-fill order and that order's pseudo tree.
+
+    Made once per session; no compile changes a model or a tree.
+    """
     workload = getattr(bench_workloads(), name)(seed, *sizes)
     parse = parse_uai if workload.model_file.endswith(".uai") else parse_dimacs_cnf
     model = parse(workload.model_text)
@@ -313,10 +325,38 @@ def _workload(name, seed=1, *sizes):
     return model, d, generate_pseudo_tree(g, d)
 
 
-def test_tree_schedule_matches_ordering_schedule_on_bench_workloads(monkeypatch):
+class ReferenceCompiles(dict):
+    """The ``be_reference`` schedules of the bench workloads, each compiled once.
+
+    ``self[name, seed, schedule]`` is the text and table size of
+    ``be_reference.<schedule>`` along ``_workload(name, seed)``;
+    ``self[name]`` is the seed-1 ``compile_be`` schedule's
+    ``_logged_reference``, which also gives ``self[name, 1, "compile_be"]``.
+    """
+
+    def __missing__(self, key):
+        if isinstance(key, str):
+            with pytest.MonkeyPatch.context() as patched:
+                value = _logged_reference(*_workload(key), patched)
+            self[key, 1, "compile_be"] = value[:2]
+        else:
+            name, seed, schedule = key
+            compiled = getattr(be_reference, schedule)(*_workload(name, seed))
+            value = dumps(compiled), len(compiled.table)
+        self[key] = value
+        return value
+
+
+@pytest.fixture(scope="session")
+def reference_compiles():
+    return ReferenceCompiles()
+
+
+def test_tree_schedule_matches_ordering_schedule_on_bench_workloads(monkeypatch, reference_compiles):
     again = {}
     for name in ("grid", "chain", "cnf"):
-        _, again[name] = _assert_same_as_oracle(*_workload(name), monkeypatch)
+        reference = reference_compiles[name]
+        _, again[name] = _assert_same_as_oracle(*_workload(name), monkeypatch, reference)
     # a few freed message nodes come back on grid and cnf
     assert again == {"grid": 8, "chain": 0, "cnf": 33}
 
@@ -333,22 +373,18 @@ FOLDED_CREATIONS = {
 }
 
 
-def test_pushing_tables_down_creates_no_more_nodes():
+def test_pushing_tables_down_creates_no_more_nodes(reference_compiles):
     pushed = folded = per_bucket = 0
+    schedules = ("compile_be", "compile_be_folded", "compile_be_unpushed", "compile_be_per_bucket")
     for name in ("grid", "chain", "cnf"):
         for seed in (1, 2, 3):
-            model, d, tree = _workload(name, seed)
-            a = be_reference.compile_be(model, d, tree)
-            b = be_reference.compile_be_folded(model, d, tree)
-            c = be_reference.compile_be_unpushed(model, d, tree)
-            e = be_reference.compile_be_per_bucket(model, d, tree)
-            assert dumps(a) == dumps(b) == dumps(c) == dumps(e)
-            counts = (len(a.table), len(b.table), len(c.table), len(e.table))
+            texts, counts = zip(*(reference_compiles[name, seed, s] for s in schedules))
+            assert len(set(texts)) == 1
             if seed == 1:
                 assert counts == FOLDED_CREATIONS[name]
-            pushed += len(a.table)
-            folded += len(c.table)
-            per_bucket += len(e.table)
+            pushed += counts[0]
+            folded += counts[2]
+            per_bucket += counts[3]
     assert pushed <= folded <= per_bucket
 
 
@@ -658,15 +694,15 @@ def test_interning_at_a_closed_level_raises():
     assert [u.var for u in open_nodes(table)] == [0]
 
 
-def test_be_returns_its_table_closed(monkeypatch):
+def test_be_returns_its_table_closed(monkeypatch, reference_compiles):
     rng = seeded_rng(61)
-    models = [random_model(rng, weighted=i % 2 == 0) for i in range(40)]
-    models.append(_workload("grid")[0])
-    for model in models:
+    cases = [(random_model(rng, weighted=i % 2 == 0), None) for i in range(40)]
+    cases.append((_workload("grid")[0], reference_compiles["grid"]))
+    for model, reference in cases:
         g = build_primal_graph(model)
         d = min_fill_ordering(g)
         tree = generate_pseudo_tree(g, d)
-        compiled, _ = _assert_same_as_oracle(model, d, tree, monkeypatch)
+        compiled, _ = _assert_same_as_oracle(model, d, tree, monkeypatch, reference)
         table = compiled.table
         assert check_reduced(reachable_nodes(compiled))
         # every level is closed: the table serves only its counters
