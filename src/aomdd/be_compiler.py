@@ -31,12 +31,13 @@ context: its own tables' scopes lie there, a table pushed into it has
 its scope in its context, and so, by induction, do its children's
 messages.  A variable in the context of any variable but its children
 gets message nodes from many buckets, so its level holds them weakly
-until its own bucket starts: a message node or an intermediate product
-there is freed as soon as no message, fragment or parent node refers
-to it, not when its level closes near the root.  A level in no context
-but its children's gets nodes only from their buckets and holds them
-plainly: on a chain that is the one bucket before its own, and weak
-entries cost time.
+until it closes: a message node or an intermediate product there is
+freed as soon as no message, fragment or parent node refers to it, not
+when its level closes.  A weak entry goes only when its node dies, so
+interning still finds every live node.  A level in no context but its
+children's gets nodes only from their buckets and holds them plainly:
+on a chain that is the one bucket before its own, and weak entries
+cost time.
 When a freed node's arcs come back, the node is created again, so the
 table's creation count can exceed the reference schedule's.  The
 levels stay closed: the returned table serves only its counters.  The
@@ -51,7 +52,7 @@ to ``group_descendants``' sort.  The memo is read before a subcall is
 made, so a hit costs one dict lookup and no generator.  The product's
 arcs are built in one pass and brought to a common denominator only
 when theirs differ.  ``apply_fragments`` groups its two operands by
-``_groups``, the same interval test with the sort behind it.
+``group_descendants``, so the interval test lives in the arc loop only.
 Internally a diagram fragment is carried as a ``(constant, nodes)``
 pair — the same shape ``make_node`` returns — where ``nodes`` is a
 DFS-ordered tuple with at most one node per pseudo-tree branch.
@@ -137,27 +138,6 @@ def group_descendants(list_f, list_g, tree):
     return groups
 
 
-def _groups(list_f, list_g, tree):
-    """``group_descendants`` of two node lists; two single nodes skip the sort.
-
-    Two single nodes are grouped by one DFS-interval test: the g-node
-    joins the f-node's group when it lies in ``[dfs_index, subtree_end)``
-    of the f-node's variable (equal variables included), the f-node
-    joins the g-node's when it lies strictly inside the g-node's
-    interval, and otherwise they are two singleton groups in DFS order.
-    """
-    if len(list_f) == 1 == len(list_g):
-        x, y = list_f[0], list_g[0]
-        pos, end = tree.dfs_index, tree.subtree_end
-        px, py = pos[x.var], pos[y.var]
-        if px <= py < end[x.var]:
-            return ((x, list_g),)
-        if py < px < end[y.var]:
-            return ((y, list_f),)
-        return ((x, ()), (y, ())) if px < py else ((y, ()), (x, ()))
-    return group_descendants(list_f, list_g, tree)
-
-
 def _apply_node(v1, zs, key, tree, memo, table):
     """APPLY of one head node against a list of pairwise-unrelated nodes.
 
@@ -173,8 +153,9 @@ def _apply_node(v1, zs, key, tree, memo, table):
     here, and each group with members is read from ``memo`` first, so
     only a miss yields a subcall (one generator per product; a zero
     product ends the arc).  Two single nodes are paired in place by the
-    DFS-interval test of ``_groups``, and the sub-product's node tuple
-    is the arc's children; longer lists go to ``group_descendants``.
+    DFS-interval test that ``group_descendants`` makes by its scan, and
+    the sub-product's node tuple is the arc's children; longer lists go
+    to ``group_descendants``.
     """
     pos, end = tree.dfs_index, tree.subtree_end
     same = len(zs) == 1 and zs[0].var == v1.var
@@ -258,7 +239,7 @@ def apply_fragments(a, b, tree, table):
     memo = {}
     num = den = 1
     out = []
-    for head, members in _groups(na, nb, tree):
+    for head, members in group_descendants(na, nb, tree):
         if not members:
             out.append(head)
             continue
@@ -314,10 +295,10 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
     (MDD/OBDD mode).
 
     The level of a variable in the context of any variable but its
-    children is held weakly until the variable's own bucket starts (see
-    the module docstring).  Each level is closed when that bucket is
-    done, and the returned table stays closed: interning into
-    it raises, and it serves only its counters.
+    children is held weakly until its level closes (see the module
+    docstring).  Each level is closed when the variable's own bucket is
+    done, and the returned table stays closed: interning into it
+    raises, and it serves only its counters.
     """
     if tree is None:
         g = build_primal_graph(model)
@@ -349,12 +330,9 @@ def compile_be(model, d=None, tree=None, node_cap=None, chain=False):
 
     parent = tree.parent
     inbox = [[] for _ in range(tree.n)]
-    weak = {a for x, ctx in enumerate(contexts) for a in ctx if a != parent[x]}
-    for var in weak:
+    for var in {a for x, ctx in enumerate(contexts) for a in ctx if a != parent[x]}:
         table.weaken(var)
     for var in reversed(tree.dfs_order):
-        if var in weak:
-            table.strengthen(var)
         message = product_of(var)
         inbox[var] = None  # the children's messages die with their last use
         table.close(var)

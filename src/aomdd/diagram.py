@@ -56,11 +56,11 @@ class UniqueTable:
     ``close(var)`` drops a variable's dict once no more nodes will be
     made there, which lets reference counting free the dead ones;
     interning at a closed variable raises.  ``weaken(var)`` makes a
-    level hold its nodes weakly, so an entry goes as soon as nothing
-    else refers to its node, and ``strengthen(var)`` holds the live ones
-    plainly again.  A node whose arcs come back after it was freed is
-    created again, with a new uid.  ``len`` counts every creation, open
-    or closed level, re-creations included.
+    level hold its nodes weakly until it closes, so an entry goes as
+    soon as nothing else refers to its node; every live node keeps its
+    entry, so interning still finds it.  A node whose arcs come back
+    after it was freed is created again, with a new uid.  ``len``
+    counts every creation, open or closed level, re-creations included.
     """
 
     def __init__(self, weighted, domains, node_cap=None):
@@ -102,20 +102,8 @@ class UniqueTable:
         return fresh
 
     def weaken(self, var):
-        """Hold the nodes interned at the still empty level ``var`` weakly."""
+        """Hold the nodes interned at the still empty level ``var`` weakly until it closes."""
         self._removers[var] = _remover(ref(self), var)
-
-    def strengthen(self, var):
-        """Hold the live nodes at the weak level ``var`` plainly again.
-
-        A node can die while the level is copied, when whatever a step
-        of the copy runs (a key's hash, another thread) drops its last
-        reference; its callback then deletes its entry.  So the copy
-        walks a snapshot of the entries and skips the dead ones.
-        """
-        entries = list(self._levels[var].items())
-        self._removers[var] = None
-        self._levels[var] = {arcs: node for arcs, entry in entries if (node := entry()) is not None}
 
     def close(self, var):
         """Intern nothing more at ``var``; forget the nodes interned there."""
@@ -311,7 +299,11 @@ def reached_nodes(roots, evidence):
 
 
 def reachable_nodes(diagram):
-    """All meta-nodes reachable from the roots, each after its children."""
+    """All meta-nodes reachable from the roots, each after its children.
+
+    The package reads ``diagram.nodes``; this stays for the benchmark
+    tracer and the tests, which call it.
+    """
     return diagram.nodes
 
 
@@ -324,7 +316,7 @@ def count_stats(diagram):
     """
     per_var = {}
     edges = 0
-    for u in reachable_nodes(diagram):
+    for u in diagram.nodes:
         per_var[u.var] = per_var.get(u.var, 0) + 1
         for _, children in u.arcs:
             edges += max(1, len(children))
@@ -349,9 +341,9 @@ def structural_equal(a, b):
         raise StructuralError("diagrams have different pseudo trees, domains or modes")
     if a.constant != b.constant:
         return False
-    nodes_of_a = {(u.var, u.arcs): u for u in reachable_nodes(a)}
+    nodes_of_a = {(u.var, u.arcs): u for u in a.nodes}
     image = {}  # a node with no counterpart in ``a`` maps to None, as do its ancestors
-    for v in reachable_nodes(b):
+    for v in b.nodes:
         image[v] = nodes_of_a.get(
             (v.var, tuple((w, tuple(image[c] for c in ch)) for w, ch in v.arcs))
         )

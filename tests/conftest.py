@@ -344,8 +344,10 @@ class BenchCompiles(dict):
     "bcp" (search with ``bcp_hook``, on the chain's ``bcp_model_text``).
     ``walks[name, method]`` lists the walks from the roots that compile
     made, as ``recorded_walks`` gives them, ``applies[name, method]``
-    counts its calls of ``apply_fragments`` and ``products[name, method]``
-    its node products, the calls of ``be_compiler._apply_node``.
+    counts its calls of ``apply_fragments``, ``products[name, method]``
+    its node products, the calls of ``be_compiler._apply_node``, and
+    ``groupings[name, method]`` its ``be_compiler.group_descendants``
+    calls.
     """
 
     def __init__(self):
@@ -353,6 +355,7 @@ class BenchCompiles(dict):
         self.walks = {}
         self.applies = {}
         self.products = {}
+        self.groupings = {}
 
     def __missing__(self, key):
         if isinstance(key, str):
@@ -364,8 +367,12 @@ class BenchCompiles(dict):
             if method == "bcp":
                 text = workload.bcp_model_text or text
             model = (parse_uai if workload.model_file.endswith(".uai") else parse_dimacs_cnf)(text)
-            apply_fragments, apply_node = be_compiler.apply_fragments, be_compiler._apply_node
-            self.applies[key] = self.products[key] = 0
+            apply_fragments, apply_node, group = (
+                be_compiler.apply_fragments,
+                be_compiler._apply_node,
+                be_compiler.group_descendants,
+            )
+            self.applies[key] = self.products[key] = self.groupings[key] = 0
 
             def counting(*args):
                 self.applies[key] += 1
@@ -375,10 +382,15 @@ class BenchCompiles(dict):
                 self.products[key] += 1
                 return apply_node(*args)
 
+            def grouping(*args):
+                self.groupings[key] += 1
+                return group(*args)
+
             with pytest.MonkeyPatch.context() as patched:
                 self.walks[key] = recorded_walks(patched)
                 patched.setattr(be_compiler, "apply_fragments", counting)
                 patched.setattr(be_compiler, "_apply_node", product)
+                patched.setattr(be_compiler, "group_descendants", grouping)
                 if method == "be":
                     value = compile_be(model)
                 else:
